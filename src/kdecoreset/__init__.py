@@ -32,6 +32,8 @@ from .kernel import (
     gauss,
     kde,
     kde_batch,
+    lattice_kde,
+    lattice_sum,
     signed_discrepancy,
     signed_discrepancy_batch,
 )
@@ -57,8 +59,8 @@ __all__ = [
     "GramFactor", "augment", "build_gram", "psd_factor",
     "EvalReport", "build_query_grid", "discrepancy_profile", "linf_error",
     "truncation_order", "truncation_audit",
-    "PointSet", "gauss", "kde", "kde_batch", "signed_discrepancy",
-    "signed_discrepancy_batch",
+    "PointSet", "gauss", "kde", "kde_batch", "lattice_kde", "lattice_sum",
+    "signed_discrepancy", "signed_discrepancy_batch",
     "Constants", "Grid", "GridSchedule", "build_schedule", "default_constants",
     "ell", "ilog", "n_sequence", "threshold_at",
     "WalkOutput", "gsw_color", "subgaussian_audit",

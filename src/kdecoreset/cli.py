@@ -6,8 +6,9 @@ JSON (array of arrays) and write JSON artifacts that embed the resolved
 configuration, the seed, and a hash of the input, so any artifact can be
 reproduced byte-for-byte (modulo its timestamp field) from itself.
 
-Exit codes: 0 success, 2 validation error, 3 coloring failure (retry
-budget exhausted), 4 I/O error.
+Exit codes: 0 success, 2 validation error, 3 coloring failure (a cell
+exhausted its retry budget, or halving did not reach the target size in
+64 rounds), 4 I/O error.
 """
 
 import argparse
@@ -21,9 +22,9 @@ import numpy as np
 
 from .colorizer import ColoringFailure, partition, verify
 from .config import resolve_config
-from .coreset import build_coreset, random_baseline
+from .coreset import HalvingFailure, build_coreset, random_baseline
 from .evaluation import build_query_grid, expansion_margin, linf_error
-from .kernel import kde_batch
+from .kernel import lattice_kde
 from .schedule import build_schedule
 
 __all__ = ["main", "read_points", "write_artifact", "SCHEMA_VERSION"]
@@ -233,7 +234,8 @@ def cmd_verify(cfg):
             f"{cfg.coreset}: artifact has no stored colorings (built with "
             "emit_colorings=false?)"
         )
-    constants = cfg.constants_for(points.shape[1])
+    d = points.shape[1]
+    constants = cfg.constants_for(d)
     if artifact.get("presample_indices") is not None:
         current = np.asarray(artifact["presample_indices"], dtype=np.intp)
     else:
@@ -254,8 +256,14 @@ def cmd_verify(cfg):
             raise ValidationError(f"round {rno}: cell layout does not match input")
         ok = True
         worst = 0.0
+        # A schedule, with its grids and thresholds, depends only on the
+        # cell size; most small cells of a round share one.
+        schedules = {}
         for cell, cell_meta in zip(cells, rnd["cells"]):
-            schedule = build_schedule(cell.members.size, points.shape[1], constants)
+            size = cell.members.size
+            if size not in schedules:
+                schedules[size] = build_schedule(size, d, constants)
+            schedule = schedules[size]
             centered = pts[cell.members] - np.asarray(cell.center)
             final = coloring[cell.members]
             # The Las Vegas check certified the pre-flip coloring; undo the
@@ -298,8 +306,7 @@ def cmd_bench(cfg):
     builder = lambda n, dd: build_schedule(n, dd, constants)
     grid = build_query_grid(points, resolution=cfg.resolution, budget=cfg.eval_budget,
                             margin=expansion_margin(points.shape[0]))
-    queries = grid.points()
-    base_kde = kde_batch(points, queries)
+    base_kde = lattice_kde(points, grid)
     rows = []
     for s in range(cfg.num_seeds):
         seed = cfg.seed + s
@@ -313,11 +320,11 @@ def cmd_bench(cfg):
             best = min((k for k in keep_by_size if k >= size),
                        default=max(keep_by_size))
             idx = keep_by_size[best]
-            err = float(np.abs(base_kde - kde_batch(points[idx], queries)).max())
+            err = float(np.abs(base_kde - lattice_kde(points[idx], grid)).max())
             rows.append({"method": "discrepancy", "size": int(idx.size),
                          "requested_size": size, "seed": seed, "sup_error": err})
             ridx = random_baseline(points, size, seed=seed * 1_000_003 + size).indices
-            rerr = float(np.abs(base_kde - kde_batch(points[ridx], queries)).max())
+            rerr = float(np.abs(base_kde - lattice_kde(points[ridx], grid)).max())
             rows.append({"method": "random", "size": size, "requested_size": size,
                          "seed": seed, "sup_error": rerr})
     summary = summarize_bench(rows)
@@ -445,7 +452,7 @@ def main(argv=None):
         if not cfg.input:
             raise ValidationError("an --input file is required")
         code = _COMMANDS[args.command](cfg)
-    except ColoringFailure as exc:
+    except (ColoringFailure, HalvingFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLORING
     except (ValidationError, ValueError) as exc:

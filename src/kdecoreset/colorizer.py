@@ -5,8 +5,9 @@ Each cell is the set of points nearest (in sup norm) to one site of the
 side-2 integer lattice; after translating by the site, a cell lies in the
 unit ball, which is the precondition of the per-cell guarantees. Colorings
 are translation invariant, so cells are processed centered and never
-un-centered. Verification grids are generated per cell in centered
-coordinates.
+un-centered. Verification grids are lattices in centered coordinates; each
+cell tabulates its kernel per grid axis once and reuses the tables for
+every coloring it checks.
 
 Cells could be colored concurrently (seeds are split per cell); this
 implementation processes them sequentially in lexicographic center order,
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import augment, build_gram, psd_factor
-from .kernel import as_points, signed_discrepancy_batch
-from .schedule import build_schedule, threshold_batch
+from .kernel import LatticeTables, as_coloring, as_points
+from .schedule import build_schedule
 from .walk import gsw_color
 
 __all__ = [
@@ -121,20 +122,19 @@ def partition(points):
     ]
 
 
-def _verification_data(schedule):
-    grids = schedule.verification_grids()
-    data = []
-    for level, grid in enumerate(grids):
-        pts = grid.points()
-        data.append((pts, threshold_batch(schedule, level, pts)))
-    return data
+def _cell_tables(points_centered, schedule):
+    # The per-axis tables depend on the cell's points and the grids, not on
+    # the signs: built once per cell, then each check is one matrix product.
+    return [LatticeTables(points_centered, grid) for grid, _ in schedule.verification_levels]
 
-def verify(points_centered, signs, schedule, grid_data=None):
-    """Check a cell coloring against every enumerated grid threshold.
+
+def verify(points_centered, signs, schedule, tables=None):
+    """Check a cell coloring against every grid threshold.
 
     Passes iff |sum_p sigma(p) e^(-||s - p||^2)| < c1 * n_{i+1} *
     e^(-(2/3)||s||^2) strictly at every checked grid point s of every level
-    and |sum sigma| <= c_big.
+    and |sum sigma| <= c_big. `tables` may carry the cell's LatticeTables
+    per level, to reuse them across colorings of the same cell.
 
     Returns (passed, max_ratio, imbalance) where max_ratio is the worst
     |discrepancy| / threshold over all checked points.
@@ -142,13 +142,14 @@ def verify(points_centered, signs, schedule, grid_data=None):
     pts = as_points(points_centered)
     if len(signs) != pts.shape[0]:
         raise ValueError("coloring length does not match the cell size")
-    if grid_data is None:
-        grid_data = _verification_data(schedule)
+    sigma = as_coloring(signs)
+    if tables is None:
+        tables = _cell_tables(pts, schedule)
     max_ratio = 0.0
-    for grid_pts, thresholds in grid_data:
-        disc = signed_discrepancy_batch(pts, signs, grid_pts)
+    for (_, thresholds), cell_tables in zip(schedule.verification_levels, tables):
+        disc = cell_tables.sum(sigma)
         max_ratio = max(max_ratio, float(np.max(np.abs(disc) / thresholds)))
-    imbalance = int(np.sum(signs))
+    imbalance = int(np.sum(sigma))
     passed = max_ratio < 1.0 and abs(imbalance) <= schedule.c_big
     return passed, max_ratio, imbalance
 
@@ -188,11 +189,11 @@ def color_cell(cell, points, schedule, seed, retry_budget=DEFAULT_RETRY_BUDGET):
     n = pts.shape[0]
     if n == 0:
         raise ValueError("cannot color an empty cell")
-    grid_data = _verification_data(schedule)
+    tables = _cell_tables(pts, schedule)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     if n <= 2:
         signs = _direct_coloring(n)
-        passed, ratio, imbalance = verify(pts, signs, schedule, grid_data)
+        passed, ratio, imbalance = verify(pts, signs, schedule, tables)
         if not passed:
             raise ColoringFailure(cell.center, n, 1, schedule.constants, ratio)
         retries = 0
@@ -202,7 +203,7 @@ def color_cell(cell, points, schedule, seed, retry_budget=DEFAULT_RETRY_BUDGET):
         ratio = math.inf
         for attempt_seed in root.spawn(retry_budget):
             signs = gsw_color(vectors, attempt_seed).signs
-            passed, ratio, imbalance = verify(pts, signs, schedule, grid_data)
+            passed, ratio, imbalance = verify(pts, signs, schedule, tables)
             if passed:
                 break
             retries += 1
@@ -210,7 +211,7 @@ def color_cell(cell, points, schedule, seed, retry_budget=DEFAULT_RETRY_BUDGET):
             raise ColoringFailure(cell.center, n, retries, schedule.constants, ratio)
     flipped = _balance_flip(signs)
     if flipped.size:
-        _, post_ratio, _ = verify(pts, signs, schedule, grid_data)
+        _, post_ratio, _ = verify(pts, signs, schedule, tables)
     else:
         post_ratio = ratio
     return CellColoringReport(

@@ -16,6 +16,7 @@ from .colorizer import color_all
 from .kernel import as_points
 
 __all__ = [
+    "HalvingFailure",
     "RoundReport",
     "CoresetResult",
     "halve",
@@ -29,6 +30,15 @@ __all__ = [
 # presample to ceil(PRESAMPLE_C / eps^2), halve until ceil(TARGET_C / eps).
 PRESAMPLE_C = 4.0
 TARGET_C = 4.0
+
+
+class HalvingFailure(RuntimeError):
+    """Raised when halving does not reach the target size in 64 rounds.
+
+    A round keeps the +1 half of each cell, so cells of one point (always
+    colored +1) never shrink; widely spread data can stall above the
+    target.
+    """
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,7 @@ def build_coreset(points, target=None, epsilon=None, seed=0, presample=False,
         ))
         current = current[kept]
     else:
-        raise RuntimeError("halving did not reach the target size in 64 rounds")
+        raise HalvingFailure("halving did not reach the target size in 64 rounds")
     return CoresetResult(indices=current, target_size=int(target), seed=int(seed),
                          rounds=tuple(rounds), presampled_from=presampled_from,
                          presample_indices=presample_indices)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import as_coloring, as_points, kde_batch
+from .kernel import as_coloring, as_points, lattice_kde
 from .schedule import Grid
 
 __all__ = [
@@ -97,16 +97,17 @@ def linf_error(points_p, points_q, grid=None, resolution=None, budget=DEFAULT_GR
         union = np.concatenate([p, q], axis=0)
         grid = build_query_grid(union, resolution=resolution, budget=budget,
                                 margin=expansion_margin(max(p.shape[0], q.shape[0])))
-    queries = grid.points()
-    diff = np.abs(kde_batch(p, queries) - kde_batch(q, queries))
+    diff = np.abs(lattice_kde(p, grid) - lattice_kde(q, grid))
     at = int(np.argmax(diff))
+    axes = grid.axes()
+    index = np.unravel_index(at, [axis.size for axis in axes])
     margin = grid.radius - max(np.abs(np.concatenate([p, q]) - np.asarray(grid.center)).max(), 0.0)
     tail = 2.0 * math.exp(-margin * margin) if margin > 0 else 2.0
     return EvalReport(
         sup_error=float(diff[at]),
-        argmax_query=tuple(queries[at]),
+        argmax_query=tuple(axis[i] for axis, i in zip(axes, index)),
         grid=grid,
-        n_queries=queries.shape[0],
+        n_queries=diff.size,
         discretization_bound=2.0 * KERNEL_LIPSCHITZ * (grid.width / 2.0) * p.shape[1],
         tail_bound=tail,
         runtime_seconds=time.perf_counter() - start,

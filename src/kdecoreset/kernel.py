@@ -5,8 +5,11 @@ i.e. k(x, y) = exp(-||x - y||^2). To use bandwidth h, rescale coordinates
 by 1/h before calling into this module.
 
 All functions are pure; they can be called concurrently from any number of
-threads. Batched evaluations reduce with numpy's pairwise summation, so
-results are reproducible for a fixed numpy build.
+threads. Batched evaluations at arbitrary queries reduce with numpy's
+pairwise summation. Sums over a tensor lattice (lattice_sum) factor the
+kernel per axis and reduce through a BLAS matrix product, so their results
+are reproducible for a fixed numpy and BLAS build (and are the same from
+run to run on one machine), not for a fixed numpy alone.
 """
 
 import numpy as np
@@ -21,9 +24,12 @@ __all__ = [
     "kde_batch",
     "signed_discrepancy",
     "signed_discrepancy_batch",
+    "LatticeTables",
+    "lattice_sum",
+    "lattice_kde",
 ]
 
-# Cap on temporary floats per block in batched pairwise evaluations.
+# Cap on temporary floats per block in batched evaluations.
 _BLOCK_ELEMS = 8_000_000
 
 
@@ -178,3 +184,100 @@ def signed_discrepancy_batch(points, signs, queries):
     if qs.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
     return _blocked(qs, pts, lambda sq: np.exp(-sq) @ sigma)
+
+
+class LatticeTables:
+    """Per-axis Gaussian tables of a point set on a tensor-lattice Grid.
+
+    exp(-||s - p||^2) = prod_j exp(-(s_j - p_j)^2), so a weighted kernel sum
+    at every lattice point needs one (2k + 1) x m table per axis instead of
+    (2k + 1)^d x m kernel values. Identical rows are merged first (their
+    weights are summed in sum()), so weights that cancel on duplicates give
+    an exact 0 rather than the residue of a fused multiply-add.
+
+    The merged rows are taken in chunks whose d tables together hold at
+    most _BLOCK_ELEMS floats, and the chunks' sums are added. When all rows
+    fit in one chunk the tables are kept, so one instance serves any number
+    of weight vectors at one matrix product each; otherwise each sum()
+    rebuilds them chunk by chunk, so memory stays bounded for any n and k.
+    """
+
+    __slots__ = ("axes", "rows", "inverse", "_chunk", "_tables")
+
+    def __init__(self, points, grid):
+        pts = as_points(points, dim=grid.dim)
+        self.rows, inverse = np.unique(pts, axis=0, return_inverse=True)
+        self.inverse = inverse.reshape(-1)
+        self.axes = grid.axes()
+        self._chunk = max(1, _BLOCK_ELEMS // sum(axis.size for axis in self.axes))
+        self._tables = self._build(self.rows) if self.rows.shape[0] <= self._chunk else None
+
+    def _build(self, rows):
+        tables = []
+        for j, axis in enumerate(self.axes):
+            t = np.subtract.outer(axis, rows[:, j])
+            np.square(t, out=t)
+            np.negative(t, out=t)
+            tables.append(np.exp(t, out=t))
+        return tables
+
+    def sum(self, weights):
+        """sum_p w_p exp(-||s - p||^2) at every grid point s, in
+        Grid.points() order."""
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != self.inverse.shape:
+            raise ValueError(f"expected {self.inverse.size} weights, got shape {w.shape}")
+        merged = np.bincount(self.inverse, weights=w, minlength=self.rows.shape[0])
+        if self._tables is not None:
+            return _contract(self._tables, merged)
+        out = 0.0
+        for start in range(0, merged.size, self._chunk):
+            part = slice(start, start + self._chunk)
+            out = out + _contract(self._build(self.rows[part]), merged[part])
+        return out
+
+
+def lattice_sum(points, weights, grid):
+    """sum_p w_p exp(-||s - p||^2) at every point s of `grid`, in
+    Grid.points() order.
+
+    Costs d * (2k + 1) * n exps plus (2k + 1)^d * n multiply-adds in BLAS,
+    for k = grid.axis_steps(), against (2k + 1)^d * n exps pairwise.
+    """
+    return LatticeTables(points, grid).sum(weights)
+
+
+def lattice_kde(points, grid):
+    """KDE of `points` at every point of `grid`, in Grid.points() order."""
+    pts = as_points(points, dim=grid.dim)
+    return lattice_sum(pts, np.ones(pts.shape[0]), grid) / pts.shape[0]
+
+
+def _contract(tables, w):
+    """sum_m w_m prod_j tables[j][i_j, m] for every index tuple (i_1..i_d),
+    flattened in C order.
+
+    The leading axes form the rows of a Khatri-Rao product that is
+    multiplied against the last axis table. Its trailing (inner) axes are
+    built once; the outer ones, if the whole product would exceed
+    _BLOCK_ELEMS floats, are looped over, each outer index scaling the
+    inner block by its row of weights.
+    """
+    *lead, last = tables
+    m = w.size
+    split = len(lead)
+    rows = 1
+    while split > 0 and rows * lead[split - 1].shape[0] * m <= _BLOCK_ELEMS:
+        split -= 1
+        rows *= lead[split].shape[0]
+    inner = np.ones((1, m))
+    for t in lead[split:]:
+        inner = (inner[:, None, :] * t[None, :, :]).reshape(-1, m)
+    outer = tuple(t.shape[0] for t in lead[:split])
+    out = np.empty(outer + (rows, last.shape[0]))
+    for index in np.ndindex(*outer):
+        scale = w
+        for t, i in zip(lead, index):
+            scale = scale * t[i]
+        out[index] = (inner * scale) @ last.T
+    return out.reshape(-1)

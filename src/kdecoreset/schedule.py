@@ -11,6 +11,7 @@ Schedules are immutable after construction and safe to share across threads.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -157,13 +158,16 @@ class Grid:
         """Closed-form point count (2 * axis_steps + 1)^d."""
         return (2 * self.axis_steps() + 1) ** self.dim
 
+    def axes(self):
+        """Per-axis coordinates: the grid is their Cartesian product."""
+        k = self.axis_steps()
+        offs = self.width * np.arange(-k, k + 1, dtype=np.float64)
+        return [offs + self.center[j] for j in range(self.dim)]
+
     def points(self):
         """Enumerate the grid as an (N, d) array, lexicographic in the
         integer indices; deterministic across calls."""
-        k = self.axis_steps()
-        offs = self.width * np.arange(-k, k + 1, dtype=np.float64)
-        axes = [offs + self.center[j] for j in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, self.dim)
 
     def coarsened(self, max_points):
@@ -216,9 +220,25 @@ class GridSchedule:
         return tuple(1.0 / 3.0 + (1.0 - 2.0 ** (-(self.ell - i))) / 3.0 for i in range(1, self.ell + 1))
 
     def verification_grids(self):
-        """Per-level grids to enumerate during verification, coarsened to
-        the constants' budget (strict mode enumerates the literal width)."""
+        """Per-level grids to check during verification, coarsened to the
+        constants' budget (strict mode checks the literal width)."""
         return tuple(g.coarsened(self.constants.grid_budget) for g in self.grids)
+
+    @cached_property
+    def verification_levels(self):
+        """(grid, thresholds) per level: the verification grid and the
+        threshold c1 * n_{i+1} * exp(-(2/3)||s - center||^2) at each of its
+        points in Grid.points() order, built as an outer product of
+        per-axis factors. Computed once per schedule; read-only."""
+        levels = []
+        for level, grid in enumerate(self.verification_grids()):
+            thresholds = np.float64(self.c1 * self.seq[level + 1])
+            for axis, c in zip(grid.axes(), grid.center):
+                thresholds = np.multiply.outer(thresholds, np.exp(-(2.0 / 3.0) * (axis - c) ** 2))
+            thresholds = thresholds.reshape(-1)
+            thresholds.setflags(write=False)
+            levels.append((grid, thresholds))
+        return tuple(levels)
 
 
 def build_schedule(n, d, constants=None):

@@ -162,6 +162,16 @@ def test_exit_codes(tmp_path, square_csv):
                  "--grid-budget", "64"]) == EXIT_COLORING
 
 
+def test_build_halving_stall_exit_code(tmp_path, capsys):
+    # 400 points on a line fill ~50 cells, and a one-point cell always keeps
+    # its point, so halving never gets down to 50 points.
+    src = tmp_path / "line.csv"
+    write_csv(src, np.linspace(-50, 50, 400).reshape(-1, 1))
+    assert main(["build", "--input", str(src), "--output", str(tmp_path / "o.json"),
+                 "--target-size", "50"]) == EXIT_COLORING
+    assert "error: halving did not reach the target size" in capsys.readouterr().err
+
+
 def test_env_and_config_file_precedence(tmp_path, monkeypatch):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"seed": 11, "c1": 5.0}))

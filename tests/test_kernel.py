@@ -1,16 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kdecoreset.evaluation import build_query_grid
 from kdecoreset.kernel import (
     PointSet,
     gauss,
     kde,
     kde_batch,
+    lattice_sum,
     signed_discrepancy,
     signed_discrepancy_batch,
 )
+from kdecoreset.schedule import Grid
 
 import naive
 
@@ -196,3 +201,88 @@ def test_lipschitz_decomposition(d):
     rng = np.random.default_rng(80 + d)
     for _ in range(60):
         assert lipschitz_decomposition_holds(rng, d)
+
+
+@st.composite
+def lattice_cases(draw):
+    """Points, +-1 signs and a coarsened off-origin grid in d = 1..6.
+
+    Coordinates mix the interior of a unit cell with its boundary (+-1),
+    so duplicates and boundary ties occur, all shifted by an offset of up
+    to ~1e3; the grid is centered near the shifted points.
+    """
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    offset = np.asarray(draw(st.lists(
+        st.sampled_from([0.0, 1e3, -1e3, 1234.5]), min_size=d, max_size=d)))
+    coord = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]))
+    pts = np.asarray(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                   min_size=n, max_size=n))) + offset
+    signs = np.asarray(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    shift = np.asarray(draw(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d)))
+    grid = Grid(width=draw(st.floats(0.05, 1.0)), radius=draw(st.floats(0.5, 4.0)),
+                dim=d, center=tuple(offset + shift))
+    return pts, signs, grid.coarsened(draw(st.integers(1, 2000)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_cases())
+def test_lattice_sum_matches_pairwise_signed(case):
+    pts, signs, grid = case
+    expect = signed_discrepancy_batch(pts, signs, grid.points())
+    got = lattice_sum(pts, signs, grid)
+    assert got.shape == (grid.count(),)
+    assert np.abs(got - expect).max() <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_cases())
+def test_lattice_sum_matches_pairwise_kde(case):
+    pts, _, grid = case
+    n = pts.shape[0]
+    got = lattice_sum(pts, np.full(n, 1.0 / n), grid)
+    assert np.abs(got - kde_batch(pts, grid.points())).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_cases(), st.randoms(use_true_random=False))
+def test_lattice_sum_cancelling_duplicates_exact(case, rnd):
+    pts, signs, grid = case
+    order = list(range(pts.shape[0]))
+    rnd.shuffle(order)
+    doubled = np.concatenate([pts, pts[order]])
+    weights = np.concatenate([signs, -signs[order]])
+    assert np.all(lattice_sum(doubled, weights, grid) == 0.0)
+
+
+def test_lattice_sum_rejects_weight_count():
+    with pytest.raises(ValueError, match="weights"):
+        lattice_sum(np.zeros((3, 2)), [1.0, 1.0], Grid(0.5, 1.0, 2))
+
+
+@pytest.mark.parametrize("n, d, spread", [
+    # 7 points per axis: all 7^5 leading rows against 4096 points at once
+    # would need about 550 MB.
+    (4096, 6, "uniform"),
+    # About 26k points on the one axis: an unchunked table alone is 850 MB.
+    (4096, 1, "normal"),
+    # 359 points per axis: unchunked tables take 2 x 172 MB.
+    (60_000, 2, "normal"),
+])
+def test_lattice_sum_memory_bounded(n, d, spread):
+    rng = np.random.default_rng(12)
+    if spread == "uniform":
+        pts = rng.uniform(-1, 1, size=(n, d))
+    else:
+        pts = rng.normal(0, 5, size=(n, d))
+    grid = build_query_grid(pts, budget=131072)
+    tracemalloc.start()
+    try:
+        got = lattice_sum(pts, np.ones(n), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
+    sample = rng.choice(grid.count(), size=40, replace=False)
+    expect = n * kde_batch(pts, grid.points()[sample])
+    assert np.abs(got[sample] - expect).max() <= 1e-9
