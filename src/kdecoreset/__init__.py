@@ -13,7 +13,6 @@ from .colorizer import ColoringFailure, color_all, color_cell, partition, verify
 from .coreset import (
     CoresetResult,
     build_coreset,
-    halve,
     halve_indices,
     oracle_min_discrepancy,
     random_baseline,
@@ -22,15 +21,12 @@ from .decomp import GramFactor, augment, build_gram, psd_factor
 from .evaluation import (
     EvalReport,
     build_query_grid,
-    discrepancy_profile,
     linf_error,
     truncation_order,
     truncation_audit,
 )
 from .kernel import (
-    PointSet,
     gauss,
-    kde,
     kde_batch,
     lattice_kde,
     lattice_sum,
@@ -46,7 +42,6 @@ from .schedule import (
     ell,
     ilog,
     n_sequence,
-    threshold_at,
 )
 from .walk import WalkOutput, gsw_color, subgaussian_audit
 
@@ -54,15 +49,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColoringFailure", "color_all", "color_cell", "partition", "verify",
-    "CoresetResult", "build_coreset", "halve", "halve_indices",
+    "CoresetResult", "build_coreset", "halve_indices",
     "oracle_min_discrepancy", "random_baseline",
     "GramFactor", "augment", "build_gram", "psd_factor",
-    "EvalReport", "build_query_grid", "discrepancy_profile", "linf_error",
+    "EvalReport", "build_query_grid", "linf_error",
     "truncation_order", "truncation_audit",
-    "PointSet", "gauss", "kde", "kde_batch", "lattice_kde", "lattice_sum",
+    "gauss", "kde_batch", "lattice_kde", "lattice_sum",
     "signed_discrepancy", "signed_discrepancy_batch",
     "Constants", "Grid", "GridSchedule", "build_schedule", "default_constants",
-    "ell", "ilog", "n_sequence", "threshold_at",
+    "ell", "ilog", "n_sequence",
     "WalkOutput", "gsw_color", "subgaussian_audit",
     "__version__",
 ]

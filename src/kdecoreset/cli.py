@@ -227,9 +227,9 @@ def cmd_verify(cfg):
     points = read_points(cfg.input, cfg.dim)
     if not cfg.coreset:
         raise ValidationError("verify requires --coreset")
-    artifact, _ = _load_coreset_indices(cfg, points)
+    artifact, indices = _load_coreset_indices(cfg, points)
     rounds = artifact.get("rounds", [])
-    if not rounds or "coloring" not in rounds[0]:
+    if any("coloring" not in rnd for rnd in rounds):
         raise ValidationError(
             f"{cfg.coreset}: artifact has no stored colorings (built with "
             "emit_colorings=false?)"
@@ -283,13 +283,17 @@ def cmd_verify(cfg):
         all_ok = all_ok and ok
         current = kept
         print(f"round {rno}: {'pass' if ok else 'FAIL'} (max ratio {worst:.4g})")
+    # The coreset is the last round's kept set, or the starting set if none ran.
+    if not np.array_equal(np.sort(current), np.sort(indices)):
+        all_ok = False
+        print("indices: FAIL (not the kept set of the last round)")
     if cfg.output:
         payload = _base_payload("verify_report", cfg, cfg.input)
         payload["rounds"] = results
         payload["passed"] = all_ok
         write_artifact(cfg.output, payload)
     if not all_ok:
-        raise ValidationError("stored coloring failed re-verification")
+        raise ValidationError("stored coreset failed re-verification")
     return EXIT_OK
 
 

@@ -97,22 +97,16 @@ class CellColoringReport:
         return signs
 
 
-def cell_center_of(point):
-    """Nearest side-2 lattice site, ties toward the lexicographically
-    smaller center: 2 * ceil((x - 1) / 2) per coordinate."""
-    p = np.asarray(point, dtype=np.float64)
-    return 2.0 * np.ceil((p - 1.0) / 2.0)
-
-
 def partition(points):
-    """Assign each point to its nearest side-2 lattice site.
+    """Assign each point to its nearest side-2 lattice site,
+    2 * ceil((x - 1) / 2) per coordinate, as a tuple of Python floats.
 
     Returns nonempty CellAssignments sorted by center (lexicographic);
     members are ascending original indices and the cells partition the
     input. Every member is within sup-norm distance 1 of its center.
     """
     pts = as_points(points)
-    centers = 2.0 * np.ceil((pts - 1.0) / 2.0)
+    centers = (2.0 * np.ceil((pts - 1.0) / 2.0)).tolist()
     cells = {}
     for i, c in enumerate(map(tuple, centers)):
         cells.setdefault(c, []).append(i)
@@ -180,11 +174,13 @@ def color_cell(cell, points, schedule, seed, retry_budget=DEFAULT_RETRY_BUDGET):
       points: the full (n, d) point set the members index into.
       schedule: GridSchedule built for this cell's size and dimension.
       seed: integer or SeedSequence; attempt k uses the k-th split.
-      retry_budget: attempts before raising ColoringFailure.
+      retry_budget: attempts before raising ColoringFailure; at least 1.
 
     Returns a CellColoringReport. The gram factorization is deterministic,
     so it is built once and only the walk reruns on retries.
     """
+    if retry_budget < 1:
+        raise ValueError(f"retry budget must be at least 1, got {retry_budget}")
     pts = as_points(points)[cell.members] - np.asarray(cell.center)
     n = pts.shape[0]
     if n == 0:
@@ -230,7 +226,7 @@ def color_all(points, schedule_builder=None, seed=0, retry_budget=DEFAULT_RETRY_
     """Color a whole point set cell by cell.
 
     Args:
-      points: (n, d) array or PointSet.
+      points: (n, d) array of points.
       schedule_builder: callable (cell_size, dim) -> GridSchedule; defaults
         to build_schedule with default constants.
       seed: root seed; one split per cell in center order.

@@ -19,7 +19,6 @@ __all__ = [
     "HalvingFailure",
     "RoundReport",
     "CoresetResult",
-    "halve",
     "halve_indices",
     "build_coreset",
     "random_baseline",
@@ -81,13 +80,6 @@ def halve_indices(points, seed, schedule_builder=None, retry_budget=64):
     signs, reports = color_all(pts, schedule_builder, seed, retry_budget)
     kept = np.flatnonzero(signs == 1)
     return kept, signs, reports
-
-
-def halve(points, seed, schedule_builder=None, retry_budget=64):
-    """The +1 half of the colored point set, as an (m, d) array."""
-    pts = as_points(points)
-    kept, _, _ = halve_indices(pts, seed, schedule_builder, retry_budget)
-    return pts[kept]
 
 
 def build_coreset(points, target=None, epsilon=None, seed=0, presample=False,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .kernel import as_points
 
-__all__ = ["GramFactor", "build_gram", "psd_factor", "augment", "augmented_norm_bound"]
+__all__ = ["GramFactor", "build_gram", "psd_factor", "augment"]
 
 # Eigenvalues in [-EIG_TOL * lambda_max, 0] are numerical noise and clamp
 # to zero; anything more negative signals a corrupted input matrix.
@@ -80,19 +80,8 @@ class GramFactor:
         return self.columns.shape[0]
 
     @property
-    def n_columns(self):
-        return self.columns.shape[1]
-
-    @property
     def data_columns(self):
         return self.columns[:, : self.n_data]
-
-    @property
-    def grid_columns(self):
-        return self.columns[:, self.n_data:]
-
-    def labels(self):
-        return ["data"] * self.n_data + ["grid"] * (self.n_columns - self.n_data)
 
     def gram(self):
         """Reconstruct the inner-product matrix of the columns."""
@@ -131,11 +120,6 @@ def psd_factor(matrix, n_data=None):
     if not 0 <= n <= m.shape[0]:
         raise ValueError("n_data out of range")
     return GramFactor(columns=np.ascontiguousarray(cols), n_data=n)
-
-
-def augmented_norm_bound(p_sq_norm, d):
-    """Norm of the augmented vector for a point with ||p||^2 = p_sq_norm."""
-    return math.sqrt((1.0 + math.exp(4.0 * p_sq_norm)) / (1.0 + math.exp(4.0 * d)))
 
 
 def augment(factor, points, d=None):

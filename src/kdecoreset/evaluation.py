@@ -24,7 +24,6 @@ __all__ = [
     "linf_error",
     "truncation_order",
     "truncation_audit",
-    "discrepancy_profile",
 ]
 
 # Per-coordinate Lipschitz constant of exp(-||x - p||^2): max of 2t e^(-t^2).
@@ -105,7 +104,7 @@ def linf_error(points_p, points_q, grid=None, resolution=None, budget=DEFAULT_GR
     tail = 2.0 * math.exp(-margin * margin) if margin > 0 else 2.0
     return EvalReport(
         sup_error=float(diff[at]),
-        argmax_query=tuple(axis[i] for axis, i in zip(axes, index)),
+        argmax_query=tuple(float(axis[i]) for axis, i in zip(axes, index)),
         grid=grid,
         n_queries=diff.size,
         discretization_bound=2.0 * KERNEL_LIPSCHITZ * (grid.width / 2.0) * p.shape[1],
@@ -158,21 +157,3 @@ def truncation_audit(points, signs, x, rho):
 def _lgamma(values):
     return np.vectorize(math.lgamma)(values)
 
-
-def discrepancy_profile(points, signs, query_points, thresholds=None):
-    """Tabulate |signed discrepancy| over query points.
-
-    Returns a dict with the queried points, |D| values, and, when
-    per-point thresholds are supplied, the ratio |D| / threshold (the
-    quantity verify() maximizes).
-    """
-    from .kernel import signed_discrepancy_batch
-
-    pts = as_points(points)
-    qs = as_points(query_points, dim=pts.shape[1], allow_empty=True)
-    disc = np.abs(signed_discrepancy_batch(pts, signs, qs))
-    out = {"queries": qs, "abs_discrepancy": disc}
-    if thresholds is not None:
-        thr = np.asarray(thresholds, dtype=np.float64)
-        out["ratios"] = disc / thr
-    return out

@@ -15,12 +15,10 @@ run to run on one machine), not for a fixed numpy alone.
 import numpy as np
 
 __all__ = [
-    "PointSet",
     "as_point",
     "as_points",
     "as_coloring",
     "gauss",
-    "kde",
     "kde_batch",
     "signed_discrepancy",
     "signed_discrepancy_batch",
@@ -48,17 +46,14 @@ def as_point(x, dim=None):
 def as_points(points, dim=None, allow_empty=False):
     """Coerce to a finite float64 (n, d) array of points.
 
-    Accepts a PointSet, an (n, d) array, or anything np.asarray handles.
-    A 1-D input of length d is treated as a single point.
+    Accepts an (n, d) array or anything np.asarray handles. A 1-D input
+    of length d is treated as a single point.
     """
-    if isinstance(points, PointSet):
-        arr = points.points
-    else:
-        arr = np.asarray(points, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 1 if dim is None else dim)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array of points, got shape {arr.shape}")
+    arr = np.asarray(points, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 1 if dim is None else dim)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D array of points, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("point set has non-finite coordinates")
     if not allow_empty and arr.shape[0] == 0:
@@ -79,37 +74,6 @@ def as_coloring(signs, n=None):
     if n is not None and out.size != n:
         raise ValueError(f"coloring length {out.size} does not match point count {n}")
     return out
-
-
-class PointSet:
-    """A finite set of points in R^d with a fixed dimension.
-
-    Thin validated wrapper over an (n, d) float64 array. Non-finite
-    coordinates are rejected at construction rather than silently dropped.
-    """
-
-    __slots__ = ("points",)
-
-    def __init__(self, points, dim=None, allow_empty=False):
-        arr = as_points(points, dim=dim, allow_empty=allow_empty)
-        arr.setflags(write=False)
-        self.points = arr
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    def __getitem__(self, idx):
-        return self.points[idx]
-
-    def subset(self, indices):
-        return PointSet(self.points[np.asarray(indices, dtype=np.intp)], allow_empty=True)
-
-    def __repr__(self):
-        return f"PointSet(n={len(self)}, dim={self.dim})"
 
 
 def _sq_dists(queries, points):
@@ -140,22 +104,10 @@ def gauss(x, y):
     return float(np.exp(-np.dot(d, d)))
 
 
-def kde(points, x):
-    """Kernel density estimate of a nonempty point set at query x.
-
-    Returns mean_p exp(-||x - p||^2); numpy's pairwise summation keeps the
-    reduction error far below the verification tolerances used downstream.
-    """
-    pts = as_points(points)
-    q = as_point(x, dim=pts.shape[1])
-    d = q[None, :] - pts
-    return float(np.mean(np.exp(-np.einsum("nd,nd->n", d, d))))
-
-
 def kde_batch(points, queries):
-    """KDE of `points` at every query row; elementwise equal to kde().
-
-    An empty query set yields an empty vector.
+    """KDE of a nonempty point set at every query row:
+    mean_p exp(-||x - p||^2) per query x. An empty query set yields an
+    empty vector.
     """
     pts = as_points(points)
     qs = as_points(queries, dim=pts.shape[1], allow_empty=True)

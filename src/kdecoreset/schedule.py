@@ -10,7 +10,7 @@ Schedules are immutable after construction and safe to share across threads.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,7 @@ __all__ = [
     "Grid",
     "GridSchedule",
     "build_schedule",
-    "threshold_at",
+    "threshold_batch",
 ]
 
 # Below this cell size the multi-scale recursion degenerates (log^2 n is
@@ -56,9 +56,6 @@ class Constants:
     c_big: float
     strict: bool = False
     grid_budget: int | None = 4096
-
-    def replace(self, **kw):
-        return replace(self, **kw)
 
 
 def default_constants(d, c0=None, c1=None, c_big=None, strict=False, grid_budget=4096):
@@ -102,13 +99,12 @@ def ilog(k, n):
 
 
 def ell(n):
-    """Level count: max(k - 3, 0) for the smallest k with ilog(k, n) < 0."""
+    """Level count: max(k - 3, 0) for the smallest k with ilog(k, n) < 0
+    or undefined."""
     if n < 2:
         raise ValueError("ell(n) requires n >= 2")
-    v = float(n)
-    k = 0
-    while v >= 0.0:
-        v = math.log(v) if v > 0.0 else -math.inf
+    k = 1
+    while (v := ilog(k, n)) is not None and v >= 0.0:
         k += 1
     return max(k - 3, 0)
 
@@ -174,6 +170,8 @@ class Grid:
         """The sparsest-needed integer-stride sublattice with at most
         max_points points. Coarsened points are a subset of this grid's
         points, so every checked point is a genuine lattice point."""
+        if max_points is not None and max_points < 1:
+            raise ValueError(f"grid point budget must be at least 1, got {max_points}")
         if max_points is None or self.count() <= max_points:
             return self
         per_axis = max(1, int(max_points ** (1.0 / self.dim)))
@@ -188,8 +186,7 @@ class Grid:
 @dataclass(frozen=True)
 class GridSchedule:
     """Grids and thresholds for one cell. seq has length ell + 1; grids has
-    length ell; d_seq[i - 1] = c_big * (5/4) * (1 - 5^-i) and
-    i_seq[i - 1] = 1/3 + (1/3) * (1 - 2^-(ell - i)) for i = 1..ell."""
+    length ell."""
 
     n: int
     dim: int
@@ -200,24 +197,12 @@ class GridSchedule:
     degenerate: bool = False
 
     @property
-    def c0(self):
-        return self.constants.c0
-
-    @property
     def c1(self):
         return self.constants.c1
 
     @property
     def c_big(self):
         return self.constants.c_big
-
-    @property
-    def d_seq(self):
-        return tuple(self.c_big * 1.25 * (1.0 - 5.0 ** (-i)) for i in range(1, self.ell + 1))
-
-    @property
-    def i_seq(self):
-        return tuple(1.0 / 3.0 + (1.0 - 2.0 ** (-(self.ell - i))) / 3.0 for i in range(1, self.ell + 1))
 
     def verification_grids(self):
         """Per-level grids to check during verification, coarsened to the
@@ -265,19 +250,12 @@ def build_schedule(n, d, constants=None):
     return GridSchedule(n=n, dim=d, ell=L, seq=tuple(seq), constants=cst, grids=grids)
 
 
-def threshold_at(schedule, level, s):
-    """Level-i verification threshold at grid point s:
-    c1 * n_{i+1} * exp(-(2/3) ||s - center||^2)."""
-    if not 0 <= level < schedule.ell:
-        raise ValueError(f"level {level} out of range for ell = {schedule.ell}")
-    s = np.asarray(s, dtype=np.float64).reshape(-1)
-    center = np.asarray(schedule.grids[level].center)
-    off = s - center
-    return float(schedule.c1 * schedule.seq[level + 1] * math.exp(-(2.0 / 3.0) * float(off @ off)))
-
-
 def threshold_batch(schedule, level, points):
-    """threshold_at over the rows of `points`, shape (N,)."""
+    """Level-i verification threshold c1 * n_{i+1} *
+    exp(-(2/3) ||s - center||^2) at every row s of `points`, shape (N,).
+
+    A pointwise reference for verification_levels, which builds the same
+    values on the level's grid as an outer product of per-axis factors."""
     if not 0 <= level < schedule.ell:
         raise ValueError(f"level {level} out of range for ell = {schedule.ell}")
     pts = np.asarray(points, dtype=np.float64)

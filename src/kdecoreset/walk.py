@@ -2,7 +2,7 @@
 
 Given vectors of euclidean norm at most 1, the walk maintains a fractional
 coloring in [-1, 1]^n. Each step picks the unfrozen coordinate of highest
-priority as the pivot, moves along the direction that is 1 at the pivot and
+index as the pivot, moves along the direction that is 1 at the pivot and
 least-squares optimal (minimum ||V u||) over the remaining unfrozen
 coordinates, and steps to whichever box boundary the two endpoint magnitudes
 allow, choosing between them with the probability that makes the update a
@@ -76,7 +76,7 @@ def _sm_downdate(w_inv, v):
     return w_inv
 
 
-def gsw_color(vectors, seed, priorities=None):
+def gsw_color(vectors, seed):
     """Color row vectors of norm <= 1 with signs whose signed sum has
     subgaussian projections along every fixed unit direction.
 
@@ -84,44 +84,27 @@ def gsw_color(vectors, seed, priorities=None):
       vectors: (n, m) array of input row vectors, euclidean norm <= 1.
       seed: integer or numpy SeedSequence; fixed (vectors, seed) gives a
         deterministic output.
-      priorities: optional length-n array; the pivot is always the unfrozen
-        coordinate of highest priority (default: the index itself, so the
-        pivot is the highest-index unfrozen coordinate). The walk is computed
-        in priority order internally, which makes consistent permutations of
-        vectors and priorities permute the output signs exactly.
 
     Returns:
       WalkOutput with signs (int64, each exactly +-1) and the number of
       walk steps taken (at most n; asserted <= 2n).
     """
     v = _as_vectors(vectors)
-    n = v.shape[0]
-    if n == 0:
+    if v.shape[0] == 0:
         return WalkOutput(signs=np.empty(0, dtype=np.int64), steps=0)
-    if priorities is None:
-        order = np.arange(n)
-    else:
-        pr = np.asarray(priorities)
-        if pr.shape != (n,):
-            raise ValueError("priorities must have one entry per vector")
-        order = np.argsort(pr, kind="stable")
-    rng = _rng_from(seed)
-    internal = _walk(v[order], rng)
-    signs = np.empty(n, dtype=np.int64)
-    signs[order] = internal.signs
-    return WalkOutput(signs=signs, steps=internal.steps)
+    return _walk(v, _rng_from(seed))
 
 
 def _walk(v, rng):
     """Walk core. Active coordinates live in positions [0, k) of the working
     arrays; freezing swaps a position with k - 1 and shrinks k, so removals
-    never copy whole matrices. `ids` maps positions to internal (priority)
-    order; the pivot is the active position of largest id."""
+    never copy whole matrices. `ids` maps positions to input indices; the
+    pivot is the active position of largest id."""
     n, m = v.shape
     vact = np.array(v)                      # rows permuted in place
     ids = np.arange(n)
     x = np.zeros(n)                         # fractional coloring, by position
-    signs = np.zeros(n, dtype=np.int64)     # by internal id
+    signs = np.zeros(n, dtype=np.int64)     # by input index
     w = vact.T @ vact + _RIDGE * np.eye(m)  # second moment of active rows
     w_inv = np.linalg.inv(w)
     k = n

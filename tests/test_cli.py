@@ -139,16 +139,34 @@ def test_verify_detects_tampering(square_csv, tmp_path):
     coreset = tmp_path / "coreset.json"
     assert main(["build", "--input", str(path), "--output", str(coreset),
                  "--target-size", "90", "--seed", "5"]) == 0
-    data = json.loads(coreset.read_text())
-    # Flip a big block of one round's coloring to break the certificate.
-    coloring = data["rounds"][0]["coloring"]
-    data["rounds"][0]["coloring"] = [1] * len(coloring)
-    coreset.write_text(json.dumps(data))
-    assert main(["verify", "--input", str(path), "--coreset", str(coreset)]
-                ) == EXIT_VALIDATION
+    original = coreset.read_text()
+
+    def flip_coloring(data):
+        # Flip a big block of one round's coloring to break the certificate.
+        data["rounds"][0]["coloring"] = [1] * len(data["rounds"][0]["coloring"])
+
+    def replace_indices(data):
+        # Every round still verifies; only the final index set is swapped.
+        data["indices"] = list(range(len(data["indices"])))
+
+    for tamper in (flip_coloring, replace_indices):
+        data = json.loads(original)
+        tamper(data)
+        coreset.write_text(json.dumps(data))
+        assert main(["verify", "--input", str(path), "--coreset", str(coreset)]
+                    ) == EXIT_VALIDATION, tamper.__name__
 
 
-def test_exit_codes(tmp_path, square_csv):
+def test_verify_zero_round_artifact(square_csv, tmp_path):
+    path, _ = square_csv
+    coreset = tmp_path / "coreset.json"
+    assert main(["build", "--input", str(path), "--output", str(coreset),
+                 "--target-size", "180"]) == 0
+    assert json.loads(coreset.read_text())["rounds"] == []
+    assert main(["verify", "--input", str(path), "--coreset", str(coreset)]) == 0
+
+
+def test_exit_codes(tmp_path, square_csv, capsys):
     path, _ = square_csv
     missing = tmp_path / "nope.csv"
     assert main(["build", "--input", str(missing), "--output",
@@ -160,6 +178,22 @@ def test_exit_codes(tmp_path, square_csv):
                  str(tmp_path / "o.json"), "--target-size", "45",
                  "--c1", "1e-9", "--retry-budget", "2",
                  "--grid-budget", "64"]) == EXIT_COLORING
+    assert "np.float64" not in capsys.readouterr().err
+
+
+def test_budgets_below_one_rejected(square_csv, tmp_path, capsys):
+    path, _ = square_csv
+    coreset = tmp_path / "coreset.json"
+    build = ["build", "--input", str(path), "--output", str(coreset),
+             "--target-size", "45"]
+    assert main(build + ["--grid-budget", "0"]) == EXIT_VALIDATION
+    assert "grid point budget must be at least 1" in capsys.readouterr().err
+    assert main(build + ["--retry-budget", "0"]) == EXIT_VALIDATION
+    assert "retry budget must be at least 1" in capsys.readouterr().err
+    assert main(build) == 0
+    assert main(["eval", "--input", str(path), "--coreset", str(coreset),
+                 "--eval-budget", "-5"]) == EXIT_VALIDATION
+    assert "grid point budget must be at least 1" in capsys.readouterr().err
 
 
 def test_build_halving_stall_exit_code(tmp_path, capsys):

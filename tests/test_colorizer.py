@@ -36,6 +36,7 @@ def test_partition_tie_break():
     assert cells[0].center == (0.0, 0.0)
     cells = partition(np.array([[-1.0, 3.0]]))
     assert cells[0].center == (-2.0, 2.0)
+    assert all(type(v) is float for v in cells[0].center)
 
 
 def test_partition_properties():
@@ -127,6 +128,8 @@ def test_color_cell_retry_budget_failure():
     sch = build_schedule(50, 1, cst)
     with pytest.raises(ColoringFailure, match="miscalibrated"):
         color_cell(cell, pts, sch, seed=0, retry_budget=3)
+    with pytest.raises(ValueError, match="retry budget must be at least 1"):
+        color_cell(cell, pts, sch, seed=0, retry_budget=0)
 
 
 def test_color_cell_flip_perturbation_bound():

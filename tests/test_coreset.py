@@ -3,12 +3,11 @@ import pytest
 
 from kdecoreset.coreset import (
     build_coreset,
-    halve,
     halve_indices,
     oracle_min_discrepancy,
     random_baseline,
 )
-from kdecoreset.kernel import kde, kde_batch, signed_discrepancy_batch
+from kdecoreset.kernel import kde_batch, signed_discrepancy_batch
 from kdecoreset.schedule import build_schedule, default_constants
 
 import naive
@@ -20,7 +19,8 @@ def builder(n, d):
 
 def test_halve_duplicate_pair():
     pts = np.array([[0.5, 0.5], [0.5, 0.5]])
-    out = halve(pts, seed=0, schedule_builder=builder)
+    kept, _, _ = halve_indices(pts, seed=0, schedule_builder=builder)
+    out = pts[kept]
     assert out.shape == (1, 2)
     assert np.array_equal(out[0], pts[0])
 
@@ -28,8 +28,8 @@ def test_halve_duplicate_pair():
 def test_halve_single_cell_exact_half():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, size=(1000, 2))
-    out = halve(pts, seed=1, schedule_builder=builder)
-    assert out.shape[0] == 500
+    kept, _, _ = halve_indices(pts, seed=1, schedule_builder=builder)
+    assert pts[kept].shape[0] == 500
 
 
 def test_halve_kde_identity():

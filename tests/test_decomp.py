@@ -87,9 +87,9 @@ def test_psd_factor_labels():
     g = Grid(width=1.0, radius=2.0, dim=1)
     m = build_gram(pts, [g])
     f = psd_factor(m, n_data=4)
-    assert f.labels() == ["data"] * 4 + ["grid"] * g.count()
+    assert f.columns.shape[1] == 4 + g.count()
     assert f.data_columns.shape[1] == 4
-    assert f.grid_columns.shape[1] == g.count()
+    assert np.array_equal(f.data_columns, f.columns[:, :4])
 
 
 def test_augment_origin():

@@ -6,7 +6,6 @@ import pytest
 from kdecoreset.evaluation import (
     KERNEL_LIPSCHITZ,
     build_query_grid,
-    discrepancy_profile,
     expansion_margin,
     linf_error,
     truncation_order,
@@ -30,6 +29,7 @@ def test_linf_two_singletons():
     assert report.sup_error >= 1.0 - math.exp(-1.0) - 1e-12
     assert report.sup_error <= 1.0
     assert report.tail_bound < 1e-6
+    assert all(type(v) is float for v in report.argmax_query)
 
 
 def test_linf_symmetry():
@@ -114,8 +114,8 @@ def test_truncation_order_value():
 
 def test_profile_duplicates_cancel():
     pts = np.array([[0.1], [0.1]])
-    out = discrepancy_profile(pts, [1, -1], np.linspace(-2, 2, 11).reshape(-1, 1))
-    assert np.all(out["abs_discrepancy"] == 0.0)
+    disc = signed_discrepancy_batch(pts, [1, -1], np.linspace(-2, 2, 11).reshape(-1, 1))
+    assert np.all(disc == 0.0)
 
 
 def test_profile_sign_flip_invariant():
@@ -123,12 +123,14 @@ def test_profile_sign_flip_invariant():
     pts = rng.uniform(-1, 1, size=(12, 2))
     signs = rng.choice([-1, 1], size=12)
     qs = rng.uniform(-2, 2, size=(30, 2))
-    a = discrepancy_profile(pts, signs, qs)["abs_discrepancy"]
-    b = discrepancy_profile(pts, -signs, qs)["abs_discrepancy"]
+    a = np.abs(signed_discrepancy_batch(pts, signs, qs))
+    b = np.abs(signed_discrepancy_batch(pts, -signs, qs))
     assert np.array_equal(a, b)
 
 
 def test_profile_matches_verify_numerator():
+    # verify's max_ratio, from per-axis tables on each level's grid, equals
+    # the pairwise |D(s)| / threshold(s) maximized over the listed grid points.
     rng = np.random.default_rng(8)
     pts = rng.uniform(-1, 1, size=(25, 2))
     signs = rng.choice([-1, 1], size=25)
@@ -137,10 +139,6 @@ def test_profile_matches_verify_numerator():
     best = 0.0
     for level, grid in enumerate(sch.verification_grids()):
         qs = grid.points()
-        out = discrepancy_profile(pts, signs, qs,
-                                  thresholds=threshold_batch(sch, level, qs))
-        best = max(best, float(out["ratios"].max()))
-        assert np.array_equal(
-            out["abs_discrepancy"],
-            np.abs(signed_discrepancy_batch(pts, signs, qs)))
+        ratios = np.abs(signed_discrepancy_batch(pts, signs, qs)) / threshold_batch(sch, level, qs)
+        best = max(best, float(ratios.max()))
     assert best == pytest.approx(max_ratio, rel=1e-12)

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from kdecoreset.evaluation import build_query_grid
 from kdecoreset.kernel import (
-    PointSet,
+    as_points,
     gauss,
-    kde,
     kde_batch,
     lattice_sum,
     signed_discrepancy,
@@ -53,27 +52,29 @@ def test_gauss_dim_mismatch():
 
 
 def test_kde_singleton_and_duplicates():
-    assert kde([[1.0, 2.0]], [1.0, 2.0]) == 1.0
+    assert kde_batch([[1.0, 2.0]], [[1.0, 2.0]])[0] == 1.0
     p = [0.4, -0.2]
     x = [1.0, 1.0]
-    assert kde([p, p], x) == pytest.approx(gauss(x, p), rel=1e-15)
+    assert kde_batch([p, p], [x])[0] == pytest.approx(gauss(x, p), rel=1e-15)
 
 
 def test_kde_composed_forced_values():
     pts = [[0.0], [math.sqrt(math.log(2.0))]]
-    assert kde(pts, [0.0]) == pytest.approx(0.75, abs=1e-15)
+    assert kde_batch(pts, [[0.0]])[0] == pytest.approx(0.75, abs=1e-15)
 
 
 def test_kde_empty_rejected():
     with pytest.raises(ValueError, match="empty"):
-        kde(np.empty((0, 2)), [0.0, 0.0])
+        kde_batch(np.empty((0, 2)), [[0.0, 0.0]])
 
 
 def test_kde_matches_naive():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-2, 2, size=(17, 3))
-    x = rng.uniform(-2, 2, size=3)
-    assert kde(pts, x) == pytest.approx(naive.kde(pts, x), abs=1e-13)
+    queries = rng.uniform(-2, 2, size=(5, 3))
+    batch = kde_batch(pts, queries)
+    for i, x in enumerate(queries):
+        assert batch[i] == pytest.approx(naive.kde(pts, x), abs=1e-13)
 
 
 def test_signed_discrepancy_single_point():
@@ -137,7 +138,8 @@ def test_kde_batch_matches_per_point():
     queries = rng.uniform(-3, 3, size=(25, 2))
     batch = kde_batch(pts, queries)
     for i, q in enumerate(queries):
-        assert batch[i] == pytest.approx(kde(pts, q), abs=1e-12)
+        assert batch[i] == pytest.approx(kde_batch(pts, q[None, :])[0], abs=1e-12)
+        assert batch[i] == pytest.approx(naive.kde(pts, q), abs=1e-12)
 
 
 def test_signed_discrepancy_batch_matches_scalar():
@@ -151,13 +153,15 @@ def test_signed_discrepancy_batch_matches_scalar():
 
 
 def test_pointset_validation():
-    ps = PointSet([[0.0, 1.0], [2.0, 3.0]])
-    assert len(ps) == 2 and ps.dim == 2
+    assert as_points([[0.0, 1.0], [2.0, 3.0]]).shape == (2, 2)
+    assert as_points([0.5, 1.5]).shape == (1, 2)
     with pytest.raises(ValueError, match="non-finite"):
-        PointSet([[np.nan, 0.0]])
+        as_points([[np.nan, 0.0]])
     with pytest.raises(ValueError, match="empty"):
-        PointSet(np.empty((0, 2)))
-    assert len(PointSet(np.empty((0, 2)), allow_empty=True)) == 0
+        as_points(np.empty((0, 2)))
+    assert as_points(np.empty((0, 2)), allow_empty=True).shape == (0, 2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        as_points([[0.0, 1.0]], dim=3)
 
 
 def lipschitz_decomposition_holds(rng, d, n_points=12, n_samples=1500, slack=1e-9):

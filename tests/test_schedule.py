@@ -12,7 +12,6 @@ from kdecoreset.schedule import (
     ell,
     ilog,
     n_sequence,
-    threshold_at,
     threshold_batch,
 )
 
@@ -107,21 +106,21 @@ def test_build_schedule_million_d1():
 
 def test_threshold_at_center_and_monotone():
     sch = build_schedule(1000, 2)
-    assert threshold_at(sch, 0, [0.0, 0.0]) == pytest.approx(
+    assert threshold_batch(sch, 0, [[0.0, 0.0]])[0] == pytest.approx(
         sch.c1 * sch.seq[1], rel=1e-12)
     radii = [0.0, 0.5, 1.0, 2.0, 4.0]
-    vals = [threshold_at(sch, 0, [r, 0.0]) for r in radii]
+    vals = [threshold_batch(sch, 0, [[r, 0.0]])[0] for r in radii]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(v > 0 for v in vals)
     with pytest.raises(ValueError, match="out of range"):
-        threshold_at(sch, 1, [0.0, 0.0])
+        threshold_batch(sch, 1, [[0.0, 0.0]])
 
 
 def test_threshold_formula_value():
     cst = default_constants(1, c0=20.0, c1=10.0)
     sch = build_schedule(10**6, 1, cst)
     expected = 10.0 * sch.seq[1] * math.exp(-2.0 / 3.0)
-    assert threshold_at(sch, 0, [1.0]) == pytest.approx(expected, rel=1e-12)
+    assert threshold_batch(sch, 0, [[1.0]])[0] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(48.456, abs=0.01)
 
 
@@ -130,22 +129,18 @@ def test_threshold_batch_matches_scalar():
     pts = np.random.default_rng(0).uniform(-3, 3, size=(20, 2))
     batch = threshold_batch(sch, 0, pts)
     for i, p in enumerate(pts):
-        assert batch[i] == pytest.approx(threshold_at(sch, 0, p), rel=1e-12)
+        expected = sch.c1 * sch.seq[1] * math.exp(-(2.0 / 3.0) * float(p @ p))
+        assert batch[i] == pytest.approx(expected, rel=1e-12)
 
 
-def test_d_seq_and_i_seq():
-    cst = default_constants(1)
-    sch = build_schedule(N_ELL2, 1, cst)
-    assert sch.ell == 2
-    d_seq, i_seq = sch.d_seq, sch.i_seq
-    assert d_seq[0] == pytest.approx(sch.c_big, rel=1e-12)  # D_1 = C
-    assert all(a < b for a, b in zip(d_seq, d_seq[1:]))     # increasing
-    assert all(v < 1.25 * sch.c_big for v in d_seq)
-    assert all(1.0 / 3.0 <= v < 2.0 / 3.0 for v in i_seq)
-    # The closed form 1/3 + (1/3)(1 - 2^-(ell - i)) decreases in i down to
-    # 1/3 at i = ell (the recursion I_i = I_{i+1} + 1/(3 * 2^(ell-i))).
-    assert all(a >= b for a, b in zip(i_seq, i_seq[1:]))
-    assert i_seq[-1] == pytest.approx(1.0 / 3.0, rel=1e-12)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_verification_levels_match_threshold_batch(d):
+    for n in (8, 200):
+        sch = build_schedule(n, d, default_constants(d, grid_budget=500))
+        for level, (grid, thresholds) in enumerate(sch.verification_levels):
+            expected = threshold_batch(sch, level, grid.points())
+            assert thresholds.shape == expected.shape
+            np.testing.assert_allclose(thresholds, expected, rtol=1e-12, atol=0.0)
 
 
 def test_grid_count_and_enumeration_deterministic():
@@ -176,6 +171,10 @@ def test_grid_coarsened_subset():
     assert c.count() <= 100
     fine = {tuple(p) for p in np.round(g.points(), 9)}
     assert all(tuple(p) in fine for p in np.round(c.points(), 9))
+    assert g.coarsened(None) is g
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            g.coarsened(bad)
 
 
 def test_degenerate_schedule():

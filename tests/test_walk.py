@@ -56,15 +56,6 @@ def test_determinism():
     assert not np.array_equal(a.signs, c.signs)  # seeds differ
 
 
-def test_permutation_equivariance_exact():
-    rng = np.random.default_rng(3)
-    v = unit_rows(rng, 25, 7)
-    base = gsw_color(v, 99).signs
-    perm = rng.permutation(25)
-    permuted = gsw_color(v[perm], 99, priorities=perm).signs
-    assert np.array_equal(permuted, base[perm])
-
-
 def test_second_moment_envelope():
     # E[<X, theta>^2] over 200 runs x 50 directions stays within the
     # calibration envelope for 64 random unit vectors in R^64.
