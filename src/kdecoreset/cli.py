@@ -305,6 +305,8 @@ def cmd_bench(cfg):
     sizes = sorted(int(s) for s in sizes)
     if sizes[0] < 1 or sizes[-1] > points.shape[0]:
         raise ValidationError("bench sizes must lie within [1, n]")
+    if cfg.num_seeds < 1:
+        raise ValidationError(f"bench seed count must be at least 1, got {cfg.num_seeds}")
     d = points.shape[1]
     constants = cfg.constants_for(d)
     builder = lambda n, dd: build_schedule(n, dd, constants)

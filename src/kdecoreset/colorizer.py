@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import augment, build_gram, psd_factor
+from .decomp import augment, kernel_factor
 from .kernel import LatticeTables, as_coloring, as_points
 from .schedule import build_schedule
 from .walk import gsw_color
@@ -194,7 +194,7 @@ def color_cell(cell, points, schedule, seed, retry_budget=DEFAULT_RETRY_BUDGET):
             raise ColoringFailure(cell.center, n, 1, schedule.constants, ratio)
         retries = 0
     else:
-        vectors = augment(psd_factor(build_gram(pts)), pts, schedule.dim)
+        vectors = augment(kernel_factor(pts), pts, schedule.dim)
         retries = 0
         ratio = math.inf
         for attempt_seed in root.spawn(retry_budget):

@@ -6,9 +6,12 @@ verification grid points (scaled by 1/sqrt(3)); its factor columns are
 unit vectors whose inner products reproduce the matrix. Only data points
 receive augmented walk inputs; grid columns exist as audit witnesses.
 
-Memory: the matrix for n data and g grid points is one (n + g)^2 float64
-array (plus the factorization's working set of the same order); callers
-cap g via the schedule's grid budget.
+Memory: `build_gram` for n data and g grid points is one (n + g)^2
+float64 array (plus `psd_factor`'s working set of the same order); callers
+cap g via the schedule's grid budget. `kernel_factor`, which the colorizer
+uses, factors a data-only cell by pivoted partial Cholesky on kernel
+columns computed on demand: O(n r) memory and O(n r^2) time for numerical
+rank r, instead of O(n^2) memory and O(n^3) time.
 """
 
 import math
@@ -18,13 +21,23 @@ import numpy as np
 
 from .kernel import as_points
 
-__all__ = ["GramFactor", "build_gram", "psd_factor", "augment"]
+__all__ = ["GramFactor", "build_gram", "psd_factor", "kernel_factor", "augment"]
 
 # Eigenvalues in [-EIG_TOL * lambda_max, 0] are numerical noise and clamp
 # to zero; anything more negative signals a corrupted input matrix.
 EIG_TOL = 1e-8
 
 _BALL_SLACK = 1e-9
+
+# Pivots at or below this are numerically zero; it matches psd_factor's
+# 1e-12 eigenvalue floor on a unit-diagonal matrix.
+_PIVOT_TOL = 1e-12
+
+# kernel_factor's dense cut-offs: cells of at most _DENSE_MAX points, and
+# cells whose rank exceeds n / _RANK_FRACTION, are factored densely, where
+# the BLAS-3 eigendecomposition beats GEMV-bound pivoting.
+_DENSE_MAX = 256
+_RANK_FRACTION = 4
 
 
 def build_gram(points, grids=()):
@@ -42,9 +55,7 @@ def build_gram(points, grids=()):
       points by sqrt(3) and grid points by 1/sqrt(3); in particular the
       data/data block is exp(-3 ||p - q||^2).
     """
-    pts = as_points(points)
-    if np.abs(pts).max() > 1.0 + _BALL_SLACK:
-        raise ValueError("data point outside the unit sup-norm ball; center the cell first")
+    pts = _cell_points(points)
     blocks = [np.sqrt(3.0) * pts]
     for g in grids:
         gp = g.points() if hasattr(g, "points") and callable(getattr(g, "points")) else np.asarray(g, dtype=np.float64)
@@ -57,6 +68,13 @@ def build_gram(points, grids=()):
     m = np.exp(-sq)
     np.fill_diagonal(m, 1.0)
     return m
+
+
+def _cell_points(points):
+    pts = as_points(points)
+    if np.abs(pts).max() > 1.0 + _BALL_SLACK:
+        raise ValueError("data point outside the unit sup-norm ball; center the cell first")
+    return pts
 
 
 def _pairwise_sq(rows):
@@ -88,16 +106,23 @@ class GramFactor:
         return self.columns.T @ self.columns
 
 
+def _above_noise_floor(w):
+    # Ascending eigenvalues above 1e-12 of the largest (taken as at least 1).
+    return w > 1e-12 * max(float(w[-1]), 1.0)
+
+
 def psd_factor(matrix, n_data=None):
     """Factor a symmetric unit-diagonal PSD matrix into unit-norm columns.
 
     Uses a symmetric eigendecomposition with eigenvalues below the noise
     floor (1e-12 of the largest) clamped to zero; columns are
     sqrt(Lambda) Q^T restricted to the remaining eigenvalues, so the factor
-    dimension is the numerical rank. Pivoted triangular factorizations fail
-    on the exact rank deficiency that duplicate points and dense grids
-    produce; clamping does not, and the clamp perturbs reconstructed inner
-    products by at most ~1e-12 * lambda_max entrywise.
+    dimension is the numerical rank. The clamp handles the exact rank
+    deficiency that duplicate points and dense grids produce, and it
+    perturbs reconstructed inner products by at most ~1e-12 * lambda_max
+    entrywise. For data-only cells, `kernel_factor` reaches the same factor
+    by pivoted Cholesky stopped at the numerical rank, which never takes a
+    zero pivot.
 
     Raises ValueError when an eigenvalue is below -EIG_TOL * lambda_max,
     which means the input was not (numerically) positive semidefinite.
@@ -114,12 +139,59 @@ def psd_factor(matrix, n_data=None):
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e} "
             f"vs max {lam_max:.3e}"
         )
-    keep = w > 1e-12 * max(lam_max, 1.0)
+    keep = _above_noise_floor(w)
     cols = (q[:, keep] * np.sqrt(w[keep])).T
     n = m.shape[0] if n_data is None else int(n_data)
     if not 0 <= n <= m.shape[0]:
         raise ValueError("n_data out of range")
     return GramFactor(columns=np.ascontiguousarray(cols), n_data=n)
+
+
+def kernel_factor(points):
+    """The GramFactor of `build_gram(points)`, without building that matrix.
+
+    Runs pivoted partial Cholesky (Harbrecht, Peters & Schneider, 2012) on
+    Gram columns computed on demand: the largest residual diagonal entry
+    (first index on ties) is the next pivot, and the factorization stops
+    once it is at most 1e-12. The r x n triangular factor L is then rotated
+    onto the eigenvectors of L L^T, truncated by psd_factor's rule, so
+    dim_m is psd_factor's numerical rank. Entries of the reconstructed Gram
+    are within ~1e-11 of build_gram's.
+
+    Cells of at most 256 points, and cells whose pivot count passes n / 4,
+    return psd_factor(build_gram(points)) unchanged.
+    """
+    pts = _cell_points(points)
+    n = pts.shape[0]
+    if n <= _DENSE_MAX:
+        return psd_factor(build_gram(pts))
+    s = np.sqrt(3.0) * pts
+    max_rank = n // _RANK_FRACTION
+    resid = np.ones(n)
+    rows = np.empty((min(64, max_rank), n))
+    k = 0
+    while True:
+        j = int(np.argmax(resid))
+        pivot = float(resid[j])
+        if pivot <= _PIVOT_TOL:
+            break
+        if k == max_rank:
+            return psd_factor(build_gram(pts))
+        if k == rows.shape[0]:
+            grown = np.empty((min(2 * k, max_rank), n))
+            grown[:k] = rows
+            rows = grown
+        diff = s - s[j]
+        col = np.exp(-np.einsum("nd,nd->n", diff, diff))
+        row = (col - rows[:k, j] @ rows[:k]) / math.sqrt(pivot)
+        rows[k] = row
+        resid -= row**2
+        resid[j] = 0.0
+        k += 1
+    low = rows[:k]
+    w, q = np.linalg.eigh(low @ low.T)
+    keep = _above_noise_floor(w)
+    return GramFactor(columns=np.ascontiguousarray(q[:, keep].T @ low), n_data=n)
 
 
 def augment(factor, points, d=None):

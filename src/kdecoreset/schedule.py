@@ -67,6 +67,10 @@ def default_constants(d, c0=None, c1=None, c_big=None, strict=False, grid_budget
     restores the inequalities the proofs ask of the constants
     (c1 > c0, c_big >= max(e^(2 d^2), 4 c1 + 7)) and enumerates grids at
     the literal lattice width, which is impractically dense for d >= 2.
+
+    Raises ValueError unless c0, c1 and c_big are finite and positive: a
+    nonpositive c1 makes every threshold nonpositive, so verification
+    would accept colorings it never checked.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -74,6 +78,9 @@ def default_constants(d, c0=None, c1=None, c_big=None, strict=False, grid_budget
     c0 = 20.0 * d if c0 is None else float(c0)
     c1 = _BASE_C1 * scale if c1 is None else float(c1)
     c_big = 4.0 * _BASE_C1 * scale if c_big is None else float(c_big)
+    for name, value in (("c0", c0), ("c1", c1), ("c_big", c_big)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"constant {name} must be finite and positive, got {value!r}")
     if strict:
         c1 = max(c1, 2.0 * c0)
         c_big = max(c_big, math.exp(2.0 * d * d), 4.0 * c1 + 7.0)

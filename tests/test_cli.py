@@ -179,6 +179,15 @@ def test_exit_codes(tmp_path, square_csv, capsys):
                  "--c1", "1e-9", "--retry-budget", "2",
                  "--grid-budget", "64"]) == EXIT_COLORING
     assert "np.float64" not in capsys.readouterr().err
+    # Constants that would certify unchecked colorings (c1 <= 0 or nan) or
+    # divide by zero (c0 = 0) are rejected before any build.
+    for flag, value in [("--c1", "-1"), ("--c1", "nan"), ("--c0", "0"),
+                        ("--c0", "inf"), ("--c-big", "-2")]:
+        out = tmp_path / "bad_constants.json"
+        assert main(["build", "--input", str(path), "--output", str(out),
+                     "--target-size", "45", flag, value]) == EXIT_VALIDATION
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_budgets_below_one_rejected(square_csv, tmp_path, capsys):
@@ -194,6 +203,10 @@ def test_budgets_below_one_rejected(square_csv, tmp_path, capsys):
     assert main(["eval", "--input", str(path), "--coreset", str(coreset),
                  "--eval-budget", "-5"]) == EXIT_VALIDATION
     assert "grid point budget must be at least 1" in capsys.readouterr().err
+    for seeds in ("0", "-3"):
+        assert main(["bench", "--input", str(path), "--sizes", "4,8",
+                     "--num-seeds", seeds]) == EXIT_VALIDATION
+        assert "bench seed count must be at least 1" in capsys.readouterr().err
 
 
 def test_build_halving_stall_exit_code(tmp_path, capsys):

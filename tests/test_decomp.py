@@ -1,9 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kdecoreset.decomp import augment, build_gram, psd_factor
+from kdecoreset import decomp
+from kdecoreset.decomp import augment, build_gram, kernel_factor, psd_factor
 from kdecoreset.schedule import Grid, build_schedule
 
 import naive
@@ -48,6 +52,10 @@ def test_gram_matches_naive_four_cases():
 def test_gram_rejects_point_outside_ball():
     with pytest.raises(ValueError, match="unit sup-norm ball"):
         build_gram(np.array([[1.5, 0.0]]))
+    far = np.zeros((300, 2))
+    far[7] = [0.0, -1.5]
+    with pytest.raises(ValueError, match="unit sup-norm ball"):
+        kernel_factor(far)
 
 
 def test_psd_factor_identity_orthonormal():
@@ -146,3 +154,75 @@ def test_gram_with_schedule_grids_roundtrip():
     f = psd_factor(m, n_data=30)
     assert np.abs(f.gram() - m).max() <= 1e-8
     assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 1e-6
+
+
+def _cell(rng, n, d, spread):
+    """n points in the unit cell: normal(0, spread) clipped to [-1, 1]."""
+    return np.clip(rng.normal(0.0, spread, size=(n, d)), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("n, spread", [(800, 0.3), (3000, 0.5)])
+def test_kernel_factor_matches_dense_gram_d2(n, spread):
+    pts = _cell(np.random.default_rng(n), n, 2, spread)
+    with mock.patch.object(decomp, "build_gram", wraps=decomp.build_gram) as spy:
+        f = kernel_factor(pts)
+    assert not spy.called  # low rank, so the pivoted path
+    m = build_gram(pts)
+    assert f.n_data == n and f.columns.shape[1] == n
+    assert np.abs(f.gram() - m).max() <= 1e-10
+    assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 1e-9
+    assert f.dim_m == psd_factor(m).dim_m
+
+
+@st.composite
+def kernel_cells(draw):
+    """Cells in d = 1..6: small (dense path) or above the 256-point cut,
+    tight (low rank, pivoted) or wide (full rank at d >= 3, dense
+    fallback), with coordinates snapped to the cell boundary +-1 and
+    duplicated rows."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(257, 420)))
+    spread = draw(st.sampled_from([0.005, 0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = _cell(rng, n, d, spread)
+    snap = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    pts[snap] = rng.choice([-1.0, 1.0], int(snap.sum()))
+    n_dup = draw(st.integers(0, n // 2))
+    src = rng.integers(0, n, n_dup)
+    dst = rng.choice(n, n_dup, replace=False)
+    keep = src != dst
+    pts[dst[keep]] = pts[src[keep]]
+    return pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cells())
+def test_kernel_factor_dense_path_bit_identical(pts):
+    n = pts.shape[0]
+    with mock.patch.object(decomp, "build_gram", wraps=decomp.build_gram) as spy:
+        f = kernel_factor(pts)
+    m = build_gram(pts)
+    if spy.called:
+        assert np.array_equal(f.columns, psd_factor(m).columns)
+    else:
+        assert n > 256 and f.dim_m <= n // 4
+        assert np.abs(f.gram() - m).max() <= 1e-10
+    assert f.n_data == n and f.columns.shape[1] == n
+    _, first, counts = np.unique(pts, axis=0, return_index=True, return_counts=True)
+    for a in first[counts > 1]:
+        same = np.flatnonzero((pts == pts[a]).all(axis=1))
+        assert np.abs(f.columns[:, same] - f.columns[:, [a]]).max() <= 1e-7
+
+
+def test_kernel_factor_memory_bounded_20k():
+    # The dense path would need 3.2 GB for the 20,000^2 Gram alone.
+    pts = _cell(np.random.default_rng(20), 20_000, 2, 0.5)
+    tracemalloc.start()
+    try:
+        f = kernel_factor(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300e6
+    assert f.columns.shape[1] == 20_000
+    assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 1e-9
