@@ -11,11 +11,22 @@ frozen. Projections onto every fixed unit direction of the signed sum are
 then subgaussian.
 
 Directions are computed in feature space: with W the ridge-regularized
-second-moment matrix of the unfrozen vectors, the step direction is
-(e_pivot - V W^-1 v_pivot) rescaled, and freezing a coordinate is a rank-one
-downdate of W and its inverse. The inverse is rebuilt from W every 64
-freezes to control drift. A single walk is sequential by construction;
-distinct walks with independent seeds can run concurrently.
+second-moment matrix of the k unfrozen vectors, the step direction is
+(e_pivot - V W^-1 v_pivot) rescaled, and freezing a vector f downdates W by
+f f^T. How W^-1 follows the freezes depends on k against the dimension m:
+
+- While k > m, W^-1 is held as the last full inverse plus a Woodbury
+  panel with one column z_f = W^-1 f and one scalar 1 - f.z_f per freeze.
+  A freeze costs one m x m matrix-vector product plus O(r m) for the r
+  panel columns and rewrites no m x m matrix. Every 64 freezes, or when a
+  denominator degenerates, W is downdated by the frozen block in one
+  matrix product and inverted again.
+- Once k <= m, W is singular up to the ridge. W is inverted once more, and
+  each freeze then downdates W and W^-1 in place (Sherman-Morrison), two
+  m x m rewrites, with a fresh inverse every 64 freezes.
+
+A single walk is sequential by construction; distinct walks with
+independent seeds can run concurrently.
 
 Randomness comes from numpy's Philox counter-based generator, seeded and
 splittable; the same (vectors, seed) always reproduce the same coloring.
@@ -33,7 +44,8 @@ NORM_SLACK = 1e-9
 # numerically dependent vectors solvable without changing directions beyond
 # float noise.
 _RIDGE = 1e-10
-# Freezes between full re-inversions of the maintained inverse.
+# Freezes between full re-inversions of the maintained inverse; also the
+# capacity of the Woodbury panel.
 _REFRESH_EVERY = 64
 _FREEZE_BAND = 1e-12
 
@@ -52,6 +64,8 @@ def _as_vectors(vectors):
         v = v.reshape(-1, 1)
     if v.ndim != 2:
         raise ValueError("walk input must be an (n, m) array of row vectors")
+    if not np.isfinite(v).all():
+        raise ValueError("walk input must be finite")
     norms_sq = np.einsum("nm,nm->n", v, v)
     if v.shape[0] and norms_sq.max() > (1.0 + NORM_SLACK) ** 2:
         raise ValueError(
@@ -64,16 +78,6 @@ def _rng_from(seed):
     if isinstance(seed, np.random.SeedSequence):
         return np.random.Generator(np.random.Philox(seed))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def _sm_downdate(w_inv, v):
-    """Inverse of W - v v^T given W^-1 (Sherman-Morrison)."""
-    z = w_inv @ v
-    denom = 1.0 - float(v @ z)
-    if denom < 1e-12:
-        return None  # numerically singular; caller refreshes from W
-    w_inv += np.outer(z, z) / denom
-    return w_inv
 
 
 def gsw_color(vectors, seed):
@@ -95,35 +99,65 @@ def gsw_color(vectors, seed):
     return _walk(v, _rng_from(seed))
 
 
+def _solve(w_inv, zs, ds, vec):
+    """W^-1 vec for W^-1 = w_inv + zs^T diag(1/ds) zs (Woodbury panel)."""
+    out = w_inv @ vec
+    if ds.size:
+        out += zs.T @ ((zs @ vec) / ds)
+    return out
+
+
+def _rebuild(w, vact, k, k0):
+    """Downdate W by the rows vact[k:k0] frozen since the last rebuild, in
+    place, and return its inverse."""
+    if k0 > k:
+        frozen = vact[k:k0]
+        w -= frozen.T @ frozen
+    return np.linalg.inv(w)
+
+
+@np.errstate(divide="ignore")  # u_i = 0 in the step-size quotients
 def _walk(v, rng):
     """Walk core. Active coordinates live in positions [0, k) of the working
     arrays; freezing swaps a position with k - 1 and shrinks k, so removals
-    never copy whole matrices. `ids` maps positions to input indices; the
-    pivot is the active position of largest id."""
+    never copy whole matrices and the rows frozen since W was last
+    downdated sit together in vact[k:k0]. `ids` maps positions to input
+    indices; the pivot is the active position of largest id."""
     n, m = v.shape
     vact = np.array(v)                      # rows permuted in place
     ids = np.arange(n)
     x = np.zeros(n)                         # fractional coloring, by position
     signs = np.zeros(n, dtype=np.int64)     # by input index
-    w = vact.T @ vact + _RIDGE * np.eye(m)  # second moment of active rows
+    w = vact.T @ vact + _RIDGE * np.eye(m)  # second moment of rows [0, k0)
     w_inv = np.linalg.inv(w)
-    k = n
-    since_refresh = 0
+    panel = np.empty((_REFRESH_EVERY, m))   # Woodbury rows z_f, one per freeze
+    pdiag = np.empty(_REFRESH_EVERY)        # and their d_f = 1 - f.z_f
+    outer = np.empty((m, m))
+    # While k > m, W^-1 is w_inv plus the panel and W is downdated only on
+    # rebuilds; once k <= m (W singular up to the ridge) both are downdated
+    # on every freeze.
+    eager = n <= m
+    k = k0 = n
+    r = 0                                   # panel rows in use
+    since = 0                               # freezes since w_inv was built
+    stale = False
     steps = 0
     while k > 0:
         steps += 1
         if steps > 2 * n:
             raise RuntimeError("balancing walk failed to terminate within 2n steps")
-        if w_inv is None:
-            w_inv = np.linalg.inv(w)
-            since_refresh = 0
+        if not eager and k <= m:
+            eager = stale = True
+        if stale:
+            w_inv = _rebuild(w, vact, k, k0)
+            k0, r, since, stale = k, 0, 0, False
         ppos = int(np.argmax(ids[:k]))
         vp = vact[ppos]
-        z = w_inv @ vp
+        z = _solve(w_inv, panel[:r], pdiag[:r], vp)
         denom = 1.0 - float(vp @ z)
-        if denom < 1e-9 and since_refresh:
-            w_inv = np.linalg.inv(w)
-            since_refresh = 0
+        if denom < 1e-9 and since:
+            w_inv = _rebuild(w, vact, k, k0)
+            k0, r, since = k, 0, 0
             z = w_inv @ vp
             denom = 1.0 - float(vp @ z)
         # Constrained least squares via the feature-space identity:
@@ -131,16 +165,11 @@ def _walk(v, rng):
         u = (vact[:k] @ z) / -max(denom, 1e-12)
         u[ppos] = 1.0
         xa = x[:k]
-        pos = u > 0.0
-        neg = u < 0.0
-        d_plus = np.inf
-        d_minus = np.inf
-        if pos.any():
-            d_plus = ((1.0 - xa[pos]) / u[pos]).min()
-            d_minus = ((1.0 + xa[pos]) / u[pos]).min()
-        if neg.any():
-            d_plus = min(d_plus, ((-1.0 - xa[neg]) / u[neg]).min())
-            d_minus = min(d_minus, ((xa[neg] - 1.0) / u[neg]).min())
+        # Distances to the box along +u and -u; u_i = 0 gives +-inf.
+        to_plus = (1.0 - xa) / u
+        to_minus = (-1.0 - xa) / u
+        d_plus = np.maximum(to_plus, to_minus).min()
+        d_minus = -np.minimum(to_plus, to_minus).max()
         # Martingale step: E[delta] = 0 under these endpoint probabilities.
         if rng.random() * (d_plus + d_minus) < d_minus:
             xa += d_plus * u
@@ -153,19 +182,35 @@ def _walk(v, rng):
         for posn in np.flatnonzero(hit)[::-1]:
             posn = int(posn)
             signs[ids[posn]] = 1 if xa[posn] > 0.0 else -1
-            last = k - 1
-            frozen_v = vact[posn].copy()
-            if posn != last:
-                vact[posn] = vact[last]
-                ids[posn] = ids[last]
-                x[posn] = x[last]
-            k = last
-            w -= np.outer(frozen_v, frozen_v)
-            if w_inv is not None:
-                w_inv = _sm_downdate(w_inv, frozen_v)
-            since_refresh += 1
-        if since_refresh >= _REFRESH_EVERY:
-            w_inv = None
+            k -= 1
+            f = vact[posn].copy()
+            if posn != k:
+                vact[posn] = vact[k]
+                vact[k] = f
+                ids[posn] = ids[k]
+                x[posn] = x[k]
+            since += 1
+            if eager:
+                np.multiply.outer(f, f, out=outer)
+                w -= outer
+                k0 = k
+            if stale:
+                continue
+            zf = _solve(w_inv, panel[:r], pdiag[:r], f)
+            df = 1.0 - float(f @ zf)
+            if df < 1e-12 or r == _REFRESH_EVERY:
+                stale = True            # numerically singular, or panel full
+            elif eager:
+                # Sherman-Morrison: (W - f f^T)^-1 = W^-1 + z_f z_f^T / d_f.
+                np.multiply.outer(zf, zf, out=outer)
+                outer /= df
+                w_inv += outer
+            else:
+                panel[r] = zf
+                pdiag[r] = df
+                r += 1
+        if since >= _REFRESH_EVERY:
+            stale = True
     return WalkOutput(signs=signs, steps=steps)
 
 
@@ -210,6 +255,12 @@ def subgaussian_audit(vectors, trials, alphas, seed=0, n_directions=50, directio
         directions /= np.linalg.norm(directions, axis=0, keepdims=True)
     else:
         directions = np.asarray(directions, dtype=np.float64)
+        if directions.ndim != 2 or directions.shape[0] != v.shape[1]:
+            raise ValueError(f"directions must be an ({v.shape[1]}, k) array of columns")
+        if not np.isfinite(directions).all():
+            raise ValueError("directions must be finite")
+        if np.abs(np.linalg.norm(directions, axis=0) - 1.0).max(initial=0.0) > 1e-9:
+            raise ValueError("directions must have columns of unit norm")
     xs = np.empty((trials, v.shape[1]))
     for t in range(trials):
         out = gsw_color(v, walk_seeds[t])

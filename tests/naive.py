@@ -1,10 +1,14 @@
 """Independent naive reference implementations used as test oracles.
 
 Everything here is written with plain Python loops and math.exp, kept
-deliberately separate from the package's vectorized code paths.
+deliberately separate from the package's vectorized code paths. The one
+exception is `reference_walk`, which takes each direction from
+`np.linalg.lstsq` in place of the walk's maintained inverse.
 """
 
 import math
+
+import numpy as np
 
 
 def gauss(x, y):
@@ -80,3 +84,44 @@ def oracle_enumerate(points, query_points):
             best_sup = sup
             best_signs = [int(s) for s in signs]
     return best_sup, best_signs
+
+
+def reference_walk(vectors, seed):
+    """Gram-Schmidt walk with each direction solved from scratch.
+
+    The pivot is the largest unfrozen index; the direction is 1 there and,
+    on the other unfrozen coordinates, the minimum-norm least-squares
+    coefficients c of v_pivot + sum_i c_i v_i (np.linalg.lstsq). Step rule,
+    freeze band (1e-12), safety-net freeze and randomness (one rng.random()
+    per step from Philox(SeedSequence(seed))) follow kdecoreset.walk.
+    Returns the signs as a list of +-1, by input index.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    x = [0.0] * v.shape[0]
+    signs = [0] * v.shape[0]
+    active = list(range(v.shape[0]))
+    while active:
+        pivot, rest = active[-1], active[:-1]
+        u = {pivot: 1.0}
+        if rest:
+            coef = np.linalg.lstsq(v[rest].T, -v[pivot], rcond=None)[0]
+            u.update(zip(rest, coef.tolist()))
+        d_plus = d_minus = math.inf
+        for i, ui in u.items():
+            if ui > 0.0:
+                d_plus = min(d_plus, (1.0 - x[i]) / ui)
+                d_minus = min(d_minus, (1.0 + x[i]) / ui)
+            elif ui < 0.0:
+                d_plus = min(d_plus, (-1.0 - x[i]) / ui)
+                d_minus = min(d_minus, (x[i] - 1.0) / ui)
+        delta = d_plus if rng.random() * (d_plus + d_minus) < d_minus else -d_minus
+        for i, ui in u.items():
+            x[i] += delta * ui
+        hits = [i for i in active if abs(x[i]) >= 1.0 - 1e-12]
+        if not hits:
+            hits = [max(active, key=lambda i: abs(x[i]))]
+        for i in hits:
+            signs[i] = 1 if x[i] > 0.0 else -1
+            active.remove(i)
+    return signs

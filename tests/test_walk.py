@@ -3,6 +3,8 @@ import pytest
 
 from kdecoreset.walk import gsw_color, subgaussian_audit, wilson_interval
 
+import naive
+
 
 def unit_rows(rng, n, m, scale=1.0):
     v = rng.standard_normal((n, m))
@@ -38,8 +40,10 @@ def test_identical_pair_cancels():
 
 def test_signs_exact_and_termination():
     rng = np.random.default_rng(1)
-    for n, m in [(5, 3), (40, 10), (64, 64)]:
-        v = unit_rows(rng, n, m, scale=0.9)
+    inputs = [unit_rows(rng, n, m, scale=0.9) for n, m in [(5, 3), (40, 10), (64, 64)]]
+    inputs.append(np.repeat(unit_rows(rng, 5, 3), 40, axis=0))  # duplicates, n > m
+    for v in inputs:
+        n = v.shape[0]
         out = gsw_color(v, 7)
         assert set(np.unique(out.signs)).issubset({-1, 1})
         assert out.signs.dtype == np.int64
@@ -73,6 +77,48 @@ def test_second_moment_envelope():
 def test_norm_validation():
     with pytest.raises(ValueError, match="norm"):
         gsw_color(np.array([[1.0, 1.0]]), 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            gsw_color(np.array([[bad, 0.0], [0.1, 0.2]]), 0)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+@pytest.mark.parametrize("m", [1, 2])
+def test_matches_least_squares_reference(n, m):
+    # Exact sign equality with a walk that solves every direction from
+    # scratch. At m >= 3 the k <= m tail amplifies float noise, so
+    # the two can part there without either being wrong.
+    rng = np.random.default_rng(1000 * n + m)
+    for seed in range(30):
+        v = rng.standard_normal((n, m))
+        v *= rng.uniform(0.3, 1.0, (n, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+        assert gsw_color(v, seed).signs.tolist() == naive.reference_walk(v, seed), seed
+
+
+# Signs of unit_rows(default_rng(n * m), n, m, 0.9) for seeds 0-4. Walks
+# with n <= m run the eager Sherman-Morrison loop from the first step, whose
+# arithmetic these pin.
+PINNED_SIGNS = {
+    (40, 41): ["-----++----+---+------++-+-+++-+--+-+--+",
+               "-----+-++-+--+++----+-+++++-+-+-----++--",
+               "++++++-+-+------+-++-+-----+---++--+----",
+               "-----+-++-+--++----++-++-+--+++++-+-+-+-",
+               "------+-+--+---+--++-+-+----+-++--+-+++-"],
+    (64, 64): ["+----+++-+--+-----+-+---++-+-++-+-++-+--++-+-++++----+----++-+-+",
+               "+--------+---+--+-+-+--+-++--+--+-++-++++++--+-+---++++++-++-+++",
+               "-+-+++-++++++-++-+---++---+++-++---++----+--+--+++++++-+++---+--",
+               "+--------+---+-++---+-+----+-++++----++-+------++-----+-++++++++",
+               "+----+-+-+--+++-+-+-+--+++-+-+--+-++-++--+-+++-+++--------+-+++-"],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_SIGNS))
+def test_pinned_signs(shape):
+    n, m = shape
+    v = unit_rows(np.random.default_rng(n * m), n, m, scale=0.9)
+    for seed, expected in enumerate(PINNED_SIGNS[shape]):
+        got = "".join("+" if s > 0 else "-" for s in gsw_color(v, seed).signs)
+        assert got == expected, seed
 
 
 def test_zero_vector_allowed():
@@ -101,6 +147,18 @@ def test_audit_tail_small():
 def test_audit_requires_trials():
     with pytest.raises(ValueError, match="100 trials"):
         subgaussian_audit(np.eye(2), trials=10, alphas=[1.0])
+
+
+def test_audit_validates_directions():
+    v = unit_rows(np.random.default_rng(8), 6, 4)
+    for match, directions in [("unit norm", 10.0 * np.ones((4, 2))),
+                              ("finite", np.full((4, 1), np.nan)),
+                              ("array of columns", np.ones(4)),
+                              ("array of columns", np.eye(3))]:
+        with pytest.raises(ValueError, match=match):
+            subgaussian_audit(v, trials=100, alphas=[1.0], directions=directions)
+    table = subgaussian_audit(v, trials=100, alphas=[1.0], directions=np.eye(4))
+    assert table[0]["samples"] == 400
 
 
 def test_wilson_interval_basics():
