@@ -174,22 +174,40 @@ def cmd_build(cfg):
     return EXIT_OK
 
 
+def _field(obj, key, kind, where):
+    """obj[key], where obj must be a JSON object holding a `kind` there;
+    anything else in an artifact is a ValidationError."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{where}: missing or malformed {key!r}")
+    return value
+
+
+def _int_array(obj, key, where, bound=None):
+    """obj[key] as an intp array: a JSON array of integers, each in
+    [0, bound) when a bound is given."""
+    values = _field(obj, key, list, where)
+    if not all(type(v) is int for v in values):
+        raise ValidationError(f"{where}: {key!r} must be an array of integers")
+    if bound is not None and values and not 0 <= min(values) <= max(values) < bound:
+        raise ValidationError(f"{where}: {key!r} has an entry outside [0, {bound})")
+    return np.asarray(values, dtype=np.intp)
+
+
 def _load_coreset_indices(cfg, points):
     with open(cfg.coreset, "r", encoding="utf-8") as fh:
         artifact = json.load(fh)
-    if artifact.get("kind") != "coreset":
+    if not isinstance(artifact, dict) or artifact.get("kind") != "coreset":
         raise ValidationError(f"{cfg.coreset}: not a coreset artifact")
-    recorded = artifact.get("input", {}).get("sha256")
+    source = artifact.get("input")
+    recorded = source.get("sha256") if isinstance(source, dict) else None
     actual = file_sha256(cfg.input)
     if recorded and recorded != actual:
         raise ValidationError(
             f"{cfg.coreset}: coreset was built from a different input "
             f"(sha256 {recorded[:12]}... != {actual[:12]}...)"
         )
-    idx = np.asarray(artifact["indices"], dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= points.shape[0]):
-        raise ValidationError(f"{cfg.coreset}: index out of range for input")
-    return artifact, idx
+    return artifact, _int_array(artifact, "indices", cfg.coreset, points.shape[0])
 
 
 def cmd_eval(cfg):
@@ -228,8 +246,9 @@ def cmd_verify(cfg):
     if not cfg.coreset:
         raise ValidationError("verify requires --coreset")
     artifact, indices = _load_coreset_indices(cfg, points)
-    rounds = artifact.get("rounds", [])
-    if any("coloring" not in rnd for rnd in rounds):
+    n = points.shape[0]
+    rounds = _field(artifact, "rounds", list, cfg.coreset)
+    if any(isinstance(rnd, dict) and "coloring" not in rnd for rnd in rounds):
         raise ValidationError(
             f"{cfg.coreset}: artifact has no stored colorings (built with "
             "emit_colorings=false?)"
@@ -237,14 +256,16 @@ def cmd_verify(cfg):
     d = points.shape[1]
     constants = cfg.constants_for(d)
     if artifact.get("presample_indices") is not None:
-        current = np.asarray(artifact["presample_indices"], dtype=np.intp)
+        current = _int_array(artifact, "presample_indices", cfg.coreset, n)
     else:
-        current = np.arange(points.shape[0], dtype=np.intp)
+        current = np.arange(n, dtype=np.intp)
     all_ok = True
     results = []
     for rno, rnd in enumerate(rounds):
-        coloring = np.asarray(rnd["coloring"], dtype=np.int64)
-        kept = np.asarray(rnd["kept"], dtype=np.intp)
+        where = f"round {rno}"
+        coloring = _int_array(rnd, "coloring", where)
+        kept = _int_array(rnd, "kept", where, n)
+        metas = _field(rnd, "cells", list, where)
         if coloring.size != current.size:
             raise ValidationError(
                 f"round {rno}: coloring length {coloring.size} does not match "
@@ -252,27 +273,28 @@ def cmd_verify(cfg):
             )
         pts = points[current]
         cells = partition(pts)
-        if len(cells) != len(rnd["cells"]):
+        if len(cells) != len(metas):
             raise ValidationError(f"round {rno}: cell layout does not match input")
         ok = True
         worst = 0.0
-        # A schedule, with its grids and thresholds, depends only on the
-        # cell size; most small cells of a round share one.
-        schedules = {}
-        for cell, cell_meta in zip(cells, rnd["cells"]):
+        for cno, (cell, meta) in enumerate(zip(cells, metas)):
+            where = f"round {rno} cell {cno}"
             size = cell.members.size
-            if size not in schedules:
-                schedules[size] = build_schedule(size, d, constants)
-            schedule = schedules[size]
-            centered = pts[cell.members] - np.asarray(cell.center)
-            final = coloring[cell.members]
+            if (_field(meta, "center", list, where) != list(cell.center)
+                    or _field(meta, "size", int, where) != size):
+                raise ValidationError(f"{where}: center or size does not match input")
             # The Las Vegas check certified the pre-flip coloring; undo the
             # recorded flips to recheck exactly what was accepted, then
             # check the post-flip balance separately.
+            flipped = _int_array(meta, "flipped_positions", where, size)
+            count = _field(meta, "flipped", int, where)
+            if len(set(flipped.tolist())) != flipped.size or flipped.size != count:
+                raise ValidationError(f"{where}: flipped positions are not {count} distinct members")
+            final = coloring[cell.members]
             accepted = final.copy()
-            flipped = np.asarray(cell_meta.get("flipped_positions", []), dtype=np.intp)
             accepted[flipped] *= -1
-            passed, ratio, _ = verify(centered, accepted, schedule)
+            centered = pts[cell.members] - np.asarray(cell.center)
+            passed, ratio, _ = verify(centered, accepted, build_schedule(size, d, constants))
             worst = max(worst, ratio)
             if not passed or abs(int(final.sum())) > 1:
                 ok = False

@@ -173,7 +173,8 @@ def color_cell(cell, points, schedule, seed, retry_budget=DEFAULT_RETRY_BUDGET):
       cell: CellAssignment for this cell.
       points: the full (n, d) point set the members index into.
       schedule: GridSchedule built for this cell's size and dimension.
-      seed: integer or SeedSequence; attempt k uses the k-th split.
+      seed: integer or SeedSequence; attempt k uses the k-th split, which
+        is spawned only when the attempt starts.
       retry_budget: attempts before raising ColoringFailure; at least 1.
 
     Returns a CellColoringReport. The gram factorization is deterministic,
@@ -197,8 +198,8 @@ def color_cell(cell, points, schedule, seed, retry_budget=DEFAULT_RETRY_BUDGET):
         vectors = augment(kernel_factor(pts), pts, schedule.dim)
         retries = 0
         ratio = math.inf
-        for attempt_seed in root.spawn(retry_budget):
-            signs = gsw_color(vectors, attempt_seed).signs
+        for _ in range(retry_budget):
+            signs = gsw_color(vectors, root.spawn(1)[0]).signs
             passed, ratio, imbalance = verify(pts, signs, schedule, tables)
             if passed:
                 break
@@ -237,7 +238,7 @@ def color_all(points, schedule_builder=None, seed=0, retry_budget=DEFAULT_RETRY_
     """
     pts = as_points(points)
     if schedule_builder is None:
-        schedule_builder = lambda n, d: build_schedule(n, d)
+        schedule_builder = build_schedule
     cells = partition(pts)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = root.spawn(len(cells))

@@ -145,7 +145,9 @@ class LatticeTables:
     at every lattice point needs one (2k + 1) x m table per axis instead of
     (2k + 1)^d x m kernel values. Identical rows are merged first (their
     weights are summed in sum()), so weights that cancel on duplicates give
-    an exact 0 rather than the residue of a fused multiply-add.
+    an exact 0 rather than the residue of a fused multiply-add. The merged
+    rows are in lexicographic order, the order np.unique(axis=0) gives, and
+    inverse maps each input row to its merged row.
 
     The merged rows are taken in chunks whose d tables together hold at
     most _BLOCK_ELEMS floats, and the chunks' sums are added. When all rows
@@ -158,8 +160,16 @@ class LatticeTables:
 
     def __init__(self, points, grid):
         pts = as_points(points, dim=grid.dim)
-        self.rows, inverse = np.unique(pts, axis=0, return_inverse=True)
-        self.inverse = inverse.reshape(-1)
+        # A lexsort (first column most significant) avoids np.unique's
+        # structured-dtype view, which dominates on small cells.
+        order = np.lexsort(pts.T[::-1])
+        ranked = pts[order]
+        new = np.empty(order.size, dtype=bool)
+        new[0] = True
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+        self.rows = ranked[new]
+        self.inverse = np.empty(order.size, dtype=np.intp)
+        self.inverse[order] = np.cumsum(new) - 1
         self.axes = grid.axes()
         self._chunk = max(1, _BLOCK_ELEMS // sum(axis.size for axis in self.axes))
         self._tables = self._build(self.rows) if self.rows.shape[0] <= self._chunk else None

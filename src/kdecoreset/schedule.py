@@ -7,11 +7,15 @@ down to level L = ell(n), one lattice grid per level (cell width
 1/(c0 * n_i), radius n_{i+1}), and threshold constants. Logs are natural.
 
 Schedules are immutable after construction and safe to share across threads.
+build_schedule memoizes them per (n, d, constants), up to _SCHEDULE_CACHE
+entries, so every caller (color_all's default builder, the CLI's builders,
+the tests') shares one schedule, and one threshold vector per level, for
+each cell size and set of constants.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,6 +40,11 @@ N_MIN = 16
 # calibrated c1/c_big defaults scale the d = 1 values by the same factor so
 # the accept/reject behaviour of the verifier is dimension-independent.
 _BASE_C1 = 10.0
+
+# Most schedules build_schedule keeps; once used for verification, each
+# holds one threshold vector of at most grid_budget floats per level
+# (about 2.3 MB for the 72 cell sizes of a 4096-point spread chain).
+_SCHEDULE_CACHE = 256
 
 
 def _dim_scale(d):
@@ -236,6 +245,10 @@ class GridSchedule:
 def build_schedule(n, d, constants=None):
     """Build the verification schedule for a cell of n points in R^d.
 
+    Memoized per (n, d, constants), with None standing for
+    default_constants(d): equal arguments return the same (immutable)
+    schedule.
+
     For n below N_MIN the multi-scale sequence degenerates; the schedule
     falls back to a single grid of width 1/(c0 * max(n, N_MIN)) and radius
     sqrt(3 log max(n, N_MIN)) + 3, with seq = [max(n, N_MIN), radius].
@@ -244,7 +257,11 @@ def build_schedule(n, d, constants=None):
         raise ValueError("cell must contain at least one point")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    cst = default_constants(d) if constants is None else constants
+    return _schedule(n, d, default_constants(d) if constants is None else constants)
+
+
+@lru_cache(maxsize=_SCHEDULE_CACHE)
+def _schedule(n, d, cst):
     if n < N_MIN:
         n_eff = float(N_MIN)
         radius = math.sqrt(3.0 * math.log(n_eff)) + 3.0

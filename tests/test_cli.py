@@ -166,6 +166,95 @@ def test_verify_zero_round_artifact(square_csv, tmp_path):
     assert main(["verify", "--input", str(path), "--coreset", str(coreset)]) == 0
 
 
+@pytest.fixture
+def spread_artifact(tmp_path):
+    # 240 normal(0, 2) points fill 28 cells; several carry balance flips.
+    pts = np.random.default_rng(3).normal(0, 2, size=(240, 2))
+    path = tmp_path / "spread.csv"
+    write_csv(path, pts)
+    coreset = tmp_path / "spread.json"
+    assert main(["build", "--input", str(path), "--output", str(coreset),
+                 "--target-size", "120"]) == 0
+    return path, coreset
+
+
+def verify_tampered(path, coreset, original, tamper):
+    data = json.loads(original)
+    tamper(data)
+    coreset.write_text(json.dumps(data))
+    return main(["verify", "--input", str(path), "--coreset", str(coreset)])
+
+
+def test_verify_rejects_bad_flipped_positions(spread_artifact, capsys):
+    path, coreset = spread_artifact
+    original = coreset.read_text()
+    cells = json.loads(original)["rounds"][0]["cells"]
+    cno = next(i for i, c in enumerate(cells) if c["flipped"] == 1)
+    pos = cells[cno]["flipped_positions"][0]
+
+    def set_positions(positions, count=None):
+        def tamper(data):
+            meta = data["rounds"][0]["cells"][cno]
+            meta["flipped_positions"] = positions
+            meta["flipped"] = len(positions) if count is None else count
+        return tamper
+
+    assert main(["verify", "--input", str(path), "--coreset", str(coreset)]) == 0
+    for positions, count in [([10**6], None), ([-1], None), ([pos, pos], None),
+                             ([], 1), ([pos], 2), ([0.5], None), ([True], None)]:
+        code = verify_tampered(path, coreset, original, set_positions(positions, count))
+        assert code == EXIT_VALIDATION, (positions, count)
+        assert f"round 0 cell {cno}" in capsys.readouterr().err
+
+
+def test_verify_checks_cell_center_and_size(spread_artifact, capsys):
+    path, coreset = spread_artifact
+    original = coreset.read_text()
+
+    def set_cell0(key, value):
+        def tamper(data):
+            data["rounds"][0]["cells"][0][key] = value
+        return tamper
+
+    for key, value in [("center", [99, 99]), ("size", 12345), ("center", None)]:
+        assert verify_tampered(path, coreset, original, set_cell0(key, value)
+                               ) == EXIT_VALIDATION, key
+        assert "round 0 cell 0" in capsys.readouterr().err
+
+
+def test_malformed_artifact_exit_codes(spread_artifact, capsys):
+    path, coreset = spread_artifact
+    original = coreset.read_text()
+
+    def drop_indices(data):
+        del data["indices"]
+
+    def drop_kept(data):
+        del data["rounds"][1]["kept"]
+
+    def drop_cells(data):
+        del data["rounds"][0]["cells"]
+
+    def null_rounds(data):
+        data["rounds"] = None
+
+    def null_coloring(data):
+        data["rounds"][0]["coloring"] = None
+
+    for tamper in (drop_indices, drop_kept, drop_cells, null_rounds, null_coloring):
+        assert verify_tampered(path, coreset, original, tamper
+                               ) == EXIT_VALIDATION, tamper.__name__
+        assert "missing or malformed" in capsys.readouterr().err, tamper.__name__
+    # eval reads only the indices.
+    data = json.loads(original)
+    drop_indices(data)
+    coreset.write_text(json.dumps(data))
+    assert main(["eval", "--input", str(path), "--coreset", str(coreset)]) == EXIT_VALIDATION
+    assert "missing or malformed 'indices'" in capsys.readouterr().err
+    coreset.write_text("[1, 2]")
+    assert main(["eval", "--input", str(path), "--coreset", str(coreset)]) == EXIT_VALIDATION
+
+
 def test_exit_codes(tmp_path, square_csv, capsys):
     path, _ = square_csv
     missing = tmp_path / "nope.csv"

@@ -12,8 +12,10 @@ from kdecoreset.colorizer import (
     verify,
 )
 from kdecoreset.coreset import oracle_min_discrepancy
+from kdecoreset.decomp import augment, kernel_factor
 from kdecoreset.kernel import signed_discrepancy_batch
 from kdecoreset.schedule import build_schedule, default_constants
+from kdecoreset.walk import gsw_color
 
 import naive
 
@@ -130,6 +132,25 @@ def test_color_cell_retry_budget_failure():
         color_cell(cell, pts, sch, seed=0, retry_budget=3)
     with pytest.raises(ValueError, match="retry budget must be at least 1"):
         color_cell(cell, pts, sch, seed=0, retry_budget=0)
+
+
+def test_color_cell_retry_uses_kth_split():
+    # c1 = 3.5 (about a tenth of the default) rejects some walks, so the
+    # accepted coloring comes from a later attempt; attempt k must walk with
+    # the k-th child of the cell seed, as a full spawn(retry_budget) gives.
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1, 1, size=(40, 2))
+    cell = CellAssignment(center=(0.0, 0.0), members=np.arange(40))
+    sch = build_schedule(40, 2, default_constants(2, c1=3.5, grid_budget=400))
+    vectors = augment(kernel_factor(pts), pts, 2)
+    retries = []
+    for seed in range(3):
+        report = color_cell(cell, pts, sch, seed=seed, retry_budget=16)
+        children = np.random.SeedSequence(seed).spawn(16)
+        expected = gsw_color(vectors, children[report.retries]).signs
+        assert np.array_equal(report.accepted_coloring, expected), seed
+        retries.append(report.retries)
+    assert min(retries) > 0
 
 
 def test_color_cell_flip_perturbation_bound():

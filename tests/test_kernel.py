@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kdecoreset.evaluation import build_query_grid
 from kdecoreset.kernel import (
+    LatticeTables,
     as_points,
     gauss,
     kde_batch,
@@ -257,6 +258,35 @@ def test_lattice_sum_cancelling_duplicates_exact(case, rnd):
     doubled = np.concatenate([pts, pts[order]])
     weights = np.concatenate([signs, -signs[order]])
     assert np.all(lattice_sum(doubled, weights, grid) == 0.0)
+
+
+@st.composite
+def repeated_rows(draw):
+    """Point sets in d = 1..6 drawn from a few distinct rows, so most rows
+    repeat; coordinates include +-0.0 and +-1, optionally offset by ~1e3."""
+    d = draw(st.integers(1, 6))
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-1.0, 1.0))
+    pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    pts = np.asarray([pool[i] for i in picks])
+    if draw(st.booleans()):
+        pts = pts + np.asarray(draw(st.lists(
+            st.sampled_from([1e3, -1e3, 1234.5]), min_size=d, max_size=d)))
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_rows())
+def test_lattice_tables_rows_match_unique(pts):
+    # The merged rows must come in np.unique's order, so that the GEMM
+    # contraction, and every sum built on it, is unchanged bit for bit.
+    # Rows compare by ==: +0.0 and -0.0 may pick either representative.
+    tables = LatticeTables(pts, Grid(0.5, 1.0, pts.shape[1]))
+    rows, inverse = np.unique(pts, axis=0, return_inverse=True)
+    assert tables.rows.shape == rows.shape
+    assert np.all(tables.rows == rows)
+    assert np.array_equal(tables.inverse, inverse.reshape(-1))
+    assert np.all(tables.rows[tables.inverse] == pts)
 
 
 def test_lattice_sum_rejects_weight_count():

@@ -143,6 +143,19 @@ def test_verification_levels_match_threshold_batch(d):
             np.testing.assert_allclose(thresholds, expected, rtol=1e-12, atol=0.0)
 
 
+def test_build_schedule_memoized_and_read_only():
+    cst = default_constants(2, grid_budget=300)
+    sch = build_schedule(40, 2, cst)
+    assert build_schedule(40, 2, default_constants(2, grid_budget=300)) is sch
+    assert build_schedule(40, 2) is build_schedule(40, 2, default_constants(2))
+    assert build_schedule(41, 2, cst) is not sch
+    for _, thresholds in sch.verification_levels:
+        assert not thresholds.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            thresholds[0] = 0.0
+    assert build_schedule(40, 2, cst).verification_levels is sch.verification_levels
+
+
 def test_grid_count_and_enumeration_deterministic():
     g = Grid(width=0.25, radius=1.0, dim=2)
     pts = g.points()
