@@ -148,11 +148,9 @@ def cmd_build(cfg):
     if cfg.target_size is None and cfg.epsilon is None:
         raise ValidationError("build requires --target-size or --epsilon")
     d = points.shape[1]
-    constants = cfg.constants_for(d)
-    builder = lambda n, dd: build_schedule(n, dd, constants)
     result = build_coreset(
         points, target=cfg.target_size, epsilon=cfg.epsilon, seed=cfg.seed,
-        presample=cfg.presample, schedule_builder=builder,
+        presample=cfg.presample, constants=cfg.constants_for(d),
         retry_budget=cfg.retry_budget,
     )
     payload = _base_payload("coreset", cfg, cfg.input)
@@ -329,9 +327,7 @@ def cmd_bench(cfg):
         raise ValidationError("bench sizes must lie within [1, n]")
     if cfg.num_seeds < 1:
         raise ValidationError(f"bench seed count must be at least 1, got {cfg.num_seeds}")
-    d = points.shape[1]
-    constants = cfg.constants_for(d)
-    builder = lambda n, dd: build_schedule(n, dd, constants)
+    constants = cfg.constants_for(points.shape[1])
     grid = build_query_grid(points, resolution=cfg.resolution, budget=cfg.eval_budget,
                             margin=expansion_margin(points.shape[0]))
     base_kde = lattice_kde(points, grid)
@@ -339,7 +335,7 @@ def cmd_bench(cfg):
     for s in range(cfg.num_seeds):
         seed = cfg.seed + s
         built = build_coreset(points, target=min(sizes), seed=seed,
-                              schedule_builder=builder, retry_budget=cfg.retry_budget)
+                              constants=constants, retry_budget=cfg.retry_budget)
         # Halving rounds are nested, so one run yields every larger size.
         keep_by_size = {built.size: built.indices}
         for rnd in built.rounds:

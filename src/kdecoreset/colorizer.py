@@ -5,9 +5,10 @@ Each cell is the set of points nearest (in sup norm) to one site of the
 side-2 integer lattice; after translating by the site, a cell lies in the
 unit ball, which is the precondition of the per-cell guarantees. Colorings
 are translation invariant, so cells are processed centered and never
-un-centered. Verification grids are lattices in centered coordinates; each
-cell tabulates its kernel per grid axis once and reuses the tables for
-every coloring it checks.
+un-centered. Identical points in a cell are paired off with opposite signs
+and only the rest is walked. Verification grids are lattices in centered
+coordinates; each cell tabulates its kernel per grid axis once and reuses
+the tables for every coloring it checks.
 
 Cells could be colored concurrently (seeds are split per cell); this
 implementation processes them sequentially in lexicographic center order,
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_RETRY_BUDGET = 64
-_CELL_SLACK = 1e-12
 
 
 class ColoringFailure(RuntimeError):
@@ -106,9 +106,14 @@ def partition(points):
     input. Every member is within sup-norm distance 1 of its center.
     """
     pts = as_points(points)
-    centers = (2.0 * np.ceil((pts - 1.0) / 2.0)).tolist()
+    centers = 2.0 * np.ceil((pts - 1.0) / 2.0)
+    # From 2^53 on, x - 1 can round across a site; move such centers one site toward x.
+    off = pts - centers
+    far = np.abs(off) > 1.0
+    if far.any():
+        centers[far] += 2.0 * np.sign(off[far])
     cells = {}
-    for i, c in enumerate(map(tuple, centers)):
+    for i, c in enumerate(map(tuple, centers.tolist())):
         cells.setdefault(c, []).append(i)
     return [
         CellAssignment(center=c, members=np.asarray(idx, dtype=np.intp))
@@ -148,9 +153,19 @@ def verify(points_centered, signs, schedule, tables=None):
     return passed, max_ratio, imbalance
 
 
-def _direct_coloring(n):
-    # Size 1 or 2 bypasses the walk: alternate signs, lowest index +1.
-    return np.array([1, -1][:n], dtype=np.int64)
+def _pair_duplicates(group):
+    """Pair each point with the last unpaired point of its merged row
+    (group[i]) and sign the later one -1, so pairs cancel exactly; the walk
+    would move identical vectors in lockstep to one sign. Returns the signs
+    and the ascending unpaired positions."""
+    signs = np.ones(group.size, dtype=np.int64)
+    unpaired = {}
+    for i, g in enumerate(group.tolist()):
+        if unpaired.pop(g, None) is None:
+            unpaired[g] = i
+        else:
+            signs[i] = -1
+    return signs, np.array(sorted(unpaired.values()), dtype=np.intp)
 
 
 def _balance_flip(signs):
@@ -166,13 +181,15 @@ def _balance_flip(signs):
     return positions
 
 
-def color_cell(cell, points, schedule, seed, retry_budget=DEFAULT_RETRY_BUDGET):
+def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET):
     """Color one cell: walk, verify (Las Vegas), then balance-flip.
 
     Args:
       cell: CellAssignment for this cell.
-      points: the full (n, d) point set the members index into.
-      schedule: GridSchedule built for this cell's size and dimension.
+      points: the full (n, d) point set the members index into; only the
+        members' rows are read and validated.
+      constants: Constants, or None for default_constants(d); the coloring
+        is certified against build_schedule(cell size, d, constants).
       seed: integer or SeedSequence; attempt k uses the k-th split, which
         is spawned only when the attempt starts.
       retry_budget: attempts before raising ColoringFailure; at least 1.
@@ -182,24 +199,28 @@ def color_cell(cell, points, schedule, seed, retry_budget=DEFAULT_RETRY_BUDGET):
     """
     if retry_budget < 1:
         raise ValueError(f"retry budget must be at least 1, got {retry_budget}")
-    pts = as_points(points)[cell.members] - np.asarray(cell.center)
-    n = pts.shape[0]
-    if n == 0:
+    if cell.members.size == 0:
         raise ValueError("cannot color an empty cell")
+    pts = as_points(np.asarray(points, dtype=np.float64)[cell.members]) - np.asarray(cell.center)
+    n, d = pts.shape
+    schedule = build_schedule(n, d, constants)
     tables = _cell_tables(pts, schedule)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    if n <= 2:
-        signs = _direct_coloring(n)
+    signs, rest = _pair_duplicates(tables[0].inverse)
+    if rest.size <= 2:
+        # One or two points left bypass the walk: alternate signs, lowest +1.
+        signs[rest] = [1, -1][:rest.size]
         passed, ratio, imbalance = verify(pts, signs, schedule, tables)
         if not passed:
             raise ColoringFailure(cell.center, n, 1, schedule.constants, ratio)
         retries = 0
     else:
-        vectors = augment(kernel_factor(pts), pts, schedule.dim)
+        walked = pts[rest]
+        vectors = augment(kernel_factor(walked), walked, d)
         retries = 0
         ratio = math.inf
         for _ in range(retry_budget):
-            signs = gsw_color(vectors, root.spawn(1)[0]).signs
+            signs[rest] = gsw_color(vectors, root.spawn(1)[0]).signs
             passed, ratio, imbalance = verify(pts, signs, schedule, tables)
             if passed:
                 break
@@ -223,13 +244,13 @@ def color_cell(cell, points, schedule, seed, retry_budget=DEFAULT_RETRY_BUDGET):
     )
 
 
-def color_all(points, schedule_builder=None, seed=0, retry_budget=DEFAULT_RETRY_BUDGET):
+def color_all(points, constants=None, seed=0, retry_budget=DEFAULT_RETRY_BUDGET):
     """Color a whole point set cell by cell.
 
     Args:
       points: (n, d) array of points.
-      schedule_builder: callable (cell_size, dim) -> GridSchedule; defaults
-        to build_schedule with default constants.
+      constants: Constants of every cell's schedule, or None for
+        default_constants(d).
       seed: root seed; one split per cell in center order.
       retry_budget: per-cell retry budget.
 
@@ -237,16 +258,13 @@ def color_all(points, schedule_builder=None, seed=0, retry_budget=DEFAULT_RETRY_
     per-cell colorings, and the list of CellColoringReports in cell order.
     """
     pts = as_points(points)
-    if schedule_builder is None:
-        schedule_builder = build_schedule
     cells = partition(pts)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = root.spawn(len(cells))
     signs = np.zeros(pts.shape[0], dtype=np.int64)
     reports = []
     for cell, cell_seed in zip(cells, seeds):
-        schedule = schedule_builder(len(cell.members), pts.shape[1])
-        report = color_cell(cell, pts, schedule, cell_seed, retry_budget)
+        report = color_cell(cell, pts, constants, cell_seed, retry_budget)
         signs[cell.members] = report.coloring
         reports.append(report)
     return signs, reports

@@ -10,7 +10,9 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .schedule import default_constants
+from .colorizer import DEFAULT_RETRY_BUDGET
+from .evaluation import DEFAULT_EVAL_BUDGET
+from .schedule import DEFAULT_GRID_BUDGET, default_constants
 
 __all__ = ["RunConfig", "resolve_config", "ENV_PREFIX"]
 
@@ -34,10 +36,10 @@ class RunConfig:
     c1: float = None
     c_big: float = None
     strict_constants: bool = False
-    grid_budget: int = 4096
+    grid_budget: int = DEFAULT_GRID_BUDGET
     resolution: int = None
-    eval_budget: int = 131072
-    retry_budget: int = 64
+    eval_budget: int = DEFAULT_EVAL_BUDGET
+    retry_budget: int = DEFAULT_RETRY_BUDGET
     presample: bool = False
     emit_colorings: bool = True
     coreset: str = None
@@ -75,29 +77,9 @@ def _parse_sizes(value):
     return tuple(int(v) for v in value)
 
 
-_COERCERS = {
-    "input": str,
-    "output": str,
-    "dim": int,
-    "target_size": int,
-    "epsilon": float,
-    "seed": int,
-    "c0": float,
-    "c1": float,
-    "c_big": float,
-    "strict_constants": _parse_bool,
-    "grid_budget": int,
-    "resolution": int,
-    "eval_budget": int,
-    "retry_budget": int,
-    "presample": _parse_bool,
-    "emit_colorings": _parse_bool,
-    "coreset": str,
-    "sizes": _parse_sizes,
-    "num_seeds": int,
-}
-
-assert set(_COERCERS) == {f.name for f in fields(RunConfig)}
+# Parsers follow the field annotations, which must stay plain types.
+_COERCERS = {f.name: {bool: _parse_bool, tuple: _parse_sizes}.get(f.type, f.type)
+             for f in fields(RunConfig)}
 
 
 def resolve_config(cli_values, config_path=None, environ=None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colorizer import color_all
+from .colorizer import DEFAULT_RETRY_BUDGET, color_all
 from .kernel import as_points
 
 __all__ = [
@@ -67,30 +67,30 @@ class CoresetResult:
         return int(self.indices.size)
 
 
-def halve_indices(points, seed, schedule_builder=None, retry_budget=64):
+def halve_indices(points, seed, constants=None, retry_budget=DEFAULT_RETRY_BUDGET):
     """Color the set and return (kept_indices, coloring, cell_reports).
 
     kept_indices are the positions colored +1, ascending. Exact balance
     within one holds per cell, so the kept size deviates from half by at
-    most the number of nonempty cells.
+    most the number of nonempty cells. constants is as in color_all.
     """
     pts = as_points(points)
     if pts.shape[0] < 2:
         raise ValueError("halving needs at least two points")
-    signs, reports = color_all(pts, schedule_builder, seed, retry_budget)
+    signs, reports = color_all(pts, constants, seed, retry_budget)
     kept = np.flatnonzero(signs == 1)
     return kept, signs, reports
 
 
 def build_coreset(points, target=None, epsilon=None, seed=0, presample=False,
-                  schedule_builder=None, retry_budget=64):
+                  constants=None, retry_budget=DEFAULT_RETRY_BUDGET):
     """Construct a coreset by repeated halving.
 
     Exactly one of `target` (subset size) or `epsilon` may drive the size:
     with epsilon, the loop stops at the first size <= ceil(TARGET_C / eps).
     With presample=True the input is first subsampled uniformly to
     min(n, ceil(PRESAMPLE_C / eps^2)) (eps implied as TARGET_C / target when
-    only a target is given).
+    only a target is given). constants is as in color_all.
 
     Returns a CoresetResult whose indices refer to the original point set.
     """
@@ -122,7 +122,7 @@ def build_coreset(points, target=None, epsilon=None, seed=0, presample=False,
         if current.size <= target:
             break
         kept, coloring, reports = halve_indices(
-            pts[current], round_seed, schedule_builder, retry_budget)
+            pts[current], round_seed, constants, retry_budget)
         rounds.append(RoundReport(
             size_before=int(current.size),
             size_after=int(kept.size),

@@ -33,7 +33,7 @@ KERNEL_LIPSCHITZ = math.sqrt(2.0) * math.exp(-0.5)
 # total enumeration budget (an O(n^d) literal grid is infeasible for d >= 2;
 # the reported discretization term keeps the estimate sound).
 MAX_RESOLUTION = 512
-DEFAULT_GRID_BUDGET = 131072
+DEFAULT_EVAL_BUDGET = 131072
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def expansion_margin(n):
     return math.sqrt(3.0 * math.log(max(n, 2))) + 3.0
 
 
-def build_query_grid(points, resolution=None, budget=DEFAULT_GRID_BUDGET, margin=None):
+def build_query_grid(points, resolution=None, budget=DEFAULT_EVAL_BUDGET, margin=None):
     """Query grid for sup-error search.
 
     The grid is centered on the data's bounding box, extends `margin`
@@ -83,7 +83,7 @@ def build_query_grid(points, resolution=None, budget=DEFAULT_GRID_BUDGET, margin
     return grid.coarsened(budget)
 
 
-def linf_error(points_p, points_q, grid=None, resolution=None, budget=DEFAULT_GRID_BUDGET):
+def linf_error(points_p, points_q, grid=None, resolution=None, budget=DEFAULT_EVAL_BUDGET):
     """Max over the grid of |kde(P, x) - kde(Q, x)| with soundness terms.
 
     When no grid is given, one is built over the union of both sets, so

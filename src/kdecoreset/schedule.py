@@ -8,9 +8,9 @@ down to level L = ell(n), one lattice grid per level (cell width
 
 Schedules are immutable after construction and safe to share across threads.
 build_schedule memoizes them per (n, d, constants), up to _SCHEDULE_CACHE
-entries, so every caller (color_all's default builder, the CLI's builders,
-the tests') shares one schedule, and one threshold vector per level, for
-each cell size and set of constants.
+entries, so color_cell's certification and the CLI's re-verification share
+one schedule, and one threshold vector per level, for each cell size and
+set of constants.
 """
 
 import math
@@ -41,6 +41,9 @@ N_MIN = 16
 # the accept/reject behaviour of the verifier is dimension-independent.
 _BASE_C1 = 10.0
 
+# Default cap on enumerated points per verification grid.
+DEFAULT_GRID_BUDGET = 4096
+
 # Most schedules build_schedule keeps; once used for verification, each
 # holds one threshold vector of at most grid_budget floats per level
 # (about 2.3 MB for the 72 cell sizes of a 4096-point spread chain).
@@ -63,11 +66,11 @@ class Constants:
     c0: float
     c1: float
     c_big: float
-    strict: bool = False
-    grid_budget: int | None = 4096
+    grid_budget: int | None = DEFAULT_GRID_BUDGET
 
 
-def default_constants(d, c0=None, c1=None, c_big=None, strict=False, grid_budget=4096):
+def default_constants(d, c0=None, c1=None, c_big=None, strict=False,
+                      grid_budget=DEFAULT_GRID_BUDGET):
     """Default constants for dimension d.
 
     The theory only pins these up to "sufficiently large"; the defaults are
@@ -94,7 +97,7 @@ def default_constants(d, c0=None, c1=None, c_big=None, strict=False, grid_budget
         c1 = max(c1, 2.0 * c0)
         c_big = max(c_big, math.exp(2.0 * d * d), 4.0 * c1 + 7.0)
         grid_budget = None
-    return Constants(c0=c0, c1=c1, c_big=c_big, strict=strict, grid_budget=grid_budget)
+    return Constants(c0=c0, c1=c1, c_big=c_big, grid_budget=grid_budget)
 
 
 def ilog(k, n):

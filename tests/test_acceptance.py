@@ -97,10 +97,9 @@ def criterion_3():
         spread = float(rng.uniform(0.5, 3.0))
         pts = rng.uniform(-spread, spread, size=(n, d))
         constants = default_constants(d, grid_budget=200)
-        builder = lambda nn, dd: build_schedule(nn, dd, constants)
-        signs, reports = kc.color_all(pts, builder, seed=run)
+        signs, reports = kc.color_all(pts, constants, seed=run)
         for rep in reports:
-            sch = builder(rep.members.size, d)
+            sch = build_schedule(rep.members.size, d, constants)
             centered = pts[rep.members] - np.asarray(rep.center)
             accepted = rep.accepted_coloring
             passed, ratio, _ = verify(centered, accepted, sch)
@@ -254,12 +253,11 @@ def criterion_9():
     """Pipeline vs exhaustive oracle, and dual oracle enumerators agree."""
     rng = np.random.default_rng(909)
     constants = default_constants(1, grid_budget=150)
-    builder = lambda n, d: build_schedule(n, d, constants)
     worst_ratio = 0.0
     for trial in range(30):
         n = int(rng.integers(4, 13))
         pts = rng.uniform(-1, 1, size=(n, 1))
-        signs, _ = kc.color_all(pts, builder, seed=trial)
+        signs, _ = kc.color_all(pts, constants, seed=trial)
         queries = np.linspace(-4.0, 4.0, 101).reshape(-1, 1)
         pipeline_sup = float(np.abs(signed_discrepancy_batch(pts, signs, queries)).max())
         sup_a, signs_a = kc.oracle_min_discrepancy(pts, queries)

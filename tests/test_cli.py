@@ -329,7 +329,8 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_runconfig_constants_strict():
     cfg = RunConfig(strict_constants=True)
     cst = cfg.constants_for(1)
-    assert cst.strict and cst.grid_budget is None
+    # d = 1: c1 = max(10, 2 * c0) with c0 = 20, c_big = max(40, e^2, 4 c1 + 7).
+    assert (cst.c0, cst.c1, cst.c_big, cst.grid_budget) == (20.0, 40.0, 167.0, None)
 
 
 def test_fit_loglog_slope_exact():

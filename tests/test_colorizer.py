@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdecoreset.colorizer import (
     CellAssignment,
@@ -55,6 +56,16 @@ def test_partition_properties():
     assert centers == sorted(centers)
 
 
+def test_partition_beyond_2_53():
+    # Float spacing is 2 on [2^53, 2^54), so x - 1 is a tie that can round
+    # down across a site: (2^53 + 2) - 1 rounds to 2^53.
+    big = 2.0 ** 53 + np.arange(-8.0, 9.0)
+    pts = np.concatenate([big, -big]).reshape(-1, 1)
+    for c in partition(pts):
+        assert np.abs(pts[c.members, 0] - c.center[0]).max() <= 1.0
+        assert c.center[0] % 2.0 == 0.0
+
+
 def test_verify_cancelling_duplicates():
     pts = np.array([[0.2, -0.1], [0.2, -0.1]])
     sch = build_schedule(2, 2, small_constants(2))
@@ -89,34 +100,46 @@ def test_verify_matches_naive_recheck():
 def test_color_cell_singleton():
     pts = np.array([[0.3]])
     cell = CellAssignment(center=(0.0,), members=np.array([0]))
-    sch = build_schedule(1, 1, small_constants(1))
-    report = color_cell(cell, pts, sch, seed=0)
+    report = color_cell(cell, pts, small_constants(1), seed=0)
     assert report.coloring.tolist() == [1]
     assert report.flipped.size == 0 and report.retries == 0
     assert report.max_grid_ratio < 1.0
+    # Only the members' rows are read and validated.
+    other = color_cell(cell, np.array([[0.3], [np.nan]]), small_constants(1), seed=0)
+    assert other.max_grid_ratio == report.max_grid_ratio
 
 
 def test_color_cell_duplicate_pair():
     pts = np.array([[0.1, 0.2], [0.1, 0.2]])
     cell = CellAssignment(center=(0.0, 0.0), members=np.array([0, 1]))
-    sch = build_schedule(2, 2, small_constants(2))
-    report = color_cell(cell, pts, sch, seed=0)
+    report = color_cell(cell, pts, small_constants(2), seed=0)
     assert sorted(report.coloring.tolist()) == [-1, 1]
     assert report.max_grid_ratio == 0.0
+
+
+def test_color_cell_pairs_boundary_duplicates():
+    # The walk moves identical vectors in lockstep, so eight copies of a
+    # boundary point took one sign and failed all 64 verifications (ratio
+    # 1.01). Paired off by index, they cancel and three points walk.
+    pts = np.array([1.0] * 8 + [-0.856, 0.057, -0.965]).reshape(-1, 1)
+    cell = CellAssignment(center=(0.0,), members=np.arange(11))
+    report = color_cell(cell, pts, default_constants(1), seed=0)
+    assert report.accepted_coloring[:8].tolist() == [1, -1] * 4
+    assert report.retries == 0 and report.max_grid_ratio < 1.0
 
 
 def test_color_cell_balance_and_acceptance():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(101, 2))
     cell = CellAssignment(center=(0.0, 0.0), members=np.arange(101))
-    sch = build_schedule(101, 2, small_constants(2))
+    cst = small_constants(2)
     retries = []
     for seed in range(10):
-        report = color_cell(cell, pts, sch, seed=seed)
+        report = color_cell(cell, pts, cst, seed=seed)
         assert abs(int(report.coloring.sum())) <= 1
         assert report.max_grid_ratio < 1.0
-        assert abs(report.imbalance_before_flip) <= sch.c_big
-        assert report.flipped.size <= math.ceil(sch.c_big / 2) + 1
+        assert abs(report.imbalance_before_flip) <= cst.c_big
+        assert report.flipped.size <= math.ceil(cst.c_big / 2) + 1
         retries.append(report.retries)
     assert np.mean(retries) <= 4.0
 
@@ -127,11 +150,13 @@ def test_color_cell_retry_budget_failure():
     pts = rng.uniform(-1, 1, size=(50, 1))
     cell = CellAssignment(center=(0.0,), members=np.arange(50))
     cst = default_constants(1, c1=1e-6, grid_budget=100)
-    sch = build_schedule(50, 1, cst)
     with pytest.raises(ColoringFailure, match="miscalibrated"):
-        color_cell(cell, pts, sch, seed=0, retry_budget=3)
+        color_cell(cell, pts, cst, seed=0, retry_budget=3)
     with pytest.raises(ValueError, match="retry budget must be at least 1"):
-        color_cell(cell, pts, sch, seed=0, retry_budget=0)
+        color_cell(cell, pts, cst, seed=0, retry_budget=0)
+    empty = CellAssignment(center=(0.0,), members=np.array([], dtype=np.intp))
+    with pytest.raises(ValueError, match="empty cell"):
+        color_cell(empty, pts, cst, seed=0)
 
 
 def test_color_cell_retry_uses_kth_split():
@@ -141,11 +166,11 @@ def test_color_cell_retry_uses_kth_split():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1, 1, size=(40, 2))
     cell = CellAssignment(center=(0.0, 0.0), members=np.arange(40))
-    sch = build_schedule(40, 2, default_constants(2, c1=3.5, grid_budget=400))
+    cst = default_constants(2, c1=3.5, grid_budget=400)
     vectors = augment(kernel_factor(pts), pts, 2)
     retries = []
     for seed in range(3):
-        report = color_cell(cell, pts, sch, seed=seed, retry_budget=16)
+        report = color_cell(cell, pts, cst, seed=seed, retry_budget=16)
         children = np.random.SeedSequence(seed).spawn(16)
         expected = gsw_color(vectors, children[report.retries]).signs
         assert np.array_equal(report.accepted_coloring, expected), seed
@@ -157,9 +182,10 @@ def test_color_cell_flip_perturbation_bound():
     rng = np.random.default_rng(6)
     pts = rng.uniform(-1, 1, size=(64, 2))
     cell = CellAssignment(center=(0.0, 0.0), members=np.arange(64))
-    sch = build_schedule(64, 2, small_constants(2))
+    cst = small_constants(2)
+    sch = build_schedule(64, 2, cst)
     for seed in range(20):
-        report = color_cell(cell, pts, sch, seed=seed)
+        report = color_cell(cell, pts, cst, seed=seed)
         if report.flipped.size == 0:
             continue
         before = report.accepted_coloring
@@ -179,8 +205,7 @@ def test_color_cell_flip_perturbation_bound():
 def test_color_all_single_cell_matches_color_cell():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1, 1, size=(30, 2))
-    builder = lambda n, d: build_schedule(n, d, small_constants(d))
-    signs, reports = color_all(pts, builder, seed=11)
+    signs, reports = color_all(pts, small_constants(2), seed=11)
     assert len(reports) == 1
     assert np.array_equal(signs, reports[0].coloring)
     assert np.array_equal(signs[reports[0].members], reports[0].coloring)
@@ -194,8 +219,7 @@ def test_color_all_composition_across_cells():
         rng.uniform(-1, 1, size=(25, 2)) + np.array([0.0, 4.0]),
         rng.uniform(-1, 1, size=(25, 2)) + np.array([4.0, 4.0]),
     ])
-    builder = lambda n, d: build_schedule(n, d, small_constants(d))
-    signs, reports = color_all(pts, builder, seed=13)
+    signs, reports = color_all(pts, small_constants(2), seed=13)
     assert len(reports) == 4
     for rep in reports:
         assert np.array_equal(signs[rep.members], rep.coloring)
@@ -206,9 +230,8 @@ def test_color_all_composition_across_cells():
 def test_color_all_seed_determinism():
     rng = np.random.default_rng(9)
     pts = rng.uniform(-3, 3, size=(60, 2))
-    builder = lambda n, d: build_schedule(n, d, small_constants(d))
-    s1, r1 = color_all(pts, builder, seed=21)
-    s2, r2 = color_all(pts, builder, seed=21)
+    s1, r1 = color_all(pts, small_constants(2), seed=21)
+    s2, r2 = color_all(pts, small_constants(2), seed=21)
     assert np.array_equal(s1, s2)
     assert [c.retries for c in r1] == [c.retries for c in r2]
     assert [c.max_grid_ratio for c in r1] == [c.max_grid_ratio for c in r2]
@@ -218,15 +241,52 @@ def test_color_all_oracle_comparison_d1():
     # Pipeline coloring vs exhaustive optimum on a shared query grid; the
     # ratio is reported (recorded) but the sanity direction must hold.
     rng = np.random.default_rng(10)
-    builder = lambda n, d: build_schedule(n, d, small_constants(d, budget=200))
+    cst = small_constants(1, budget=200)
     ratios = []
     for trial in range(5):
         n = int(rng.integers(6, 15))
         pts = rng.uniform(-1, 1, size=(n, 1))
-        signs, _ = color_all(pts, builder, seed=trial)
+        signs, _ = color_all(pts, cst, seed=trial)
         queries = np.linspace(-3, 3, 121).reshape(-1, 1)
         pipeline_sup = float(np.abs(signed_discrepancy_batch(pts, signs, queries)).max())
         oracle_sup, _ = oracle_min_discrepancy(pts, queries)
         assert pipeline_sup >= oracle_sup - 1e-12
         ratios.append(pipeline_sup / max(oracle_sup, 1e-12))
     assert all(np.isfinite(r) for r in ratios)
+
+
+@st.composite
+def spread_points(draw):
+    """Up to 60 points in d = 1..6: normal with a spread from one cell to
+    many, some coordinates snapped to odd integers (ties on cell
+    boundaries), some rows duplicated, all shifted by an even offset of up
+    to 1e6 per axis, which keeps the ties exact."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(0.0, draw(st.sampled_from([0.3, 1.0, 4.0])), (n, d))
+    ties = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    pts[ties] = 2.0 * rng.integers(-3, 3, int(ties.sum())) + 1.0
+    n_dup = draw(st.integers(0, n // 2))
+    pts[rng.integers(0, n, n_dup)] = pts[rng.integers(0, n, n_dup)]
+    if draw(st.booleans()):
+        pts += 2.0 * rng.integers(-500_000, 500_001, d)
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(spread_points(), st.integers(0, 2**32 - 1))
+def test_color_all_properties(pts, seed):
+    n, d = pts.shape
+    cst = small_constants(d, budget=64)
+    signs, reports = color_all(pts, cst, seed=seed)
+    members = np.concatenate([rep.members for rep in reports])
+    assert np.array_equal(np.sort(members), np.arange(n))
+    for rep in reports:
+        centered = pts[rep.members] - np.asarray(rep.center)
+        assert np.abs(centered).max() <= 1.0
+        assert np.array_equal(signs[rep.members], rep.coloring)
+        assert abs(int(rep.coloring.sum())) <= 1
+        sch = build_schedule(rep.members.size, d, cst)
+        passed, ratio, _ = verify(centered, rep.accepted_coloring, sch)
+        assert passed and ratio == rep.max_grid_ratio

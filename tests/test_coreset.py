@@ -10,13 +10,13 @@ from kdecoreset.coreset import (
     random_baseline,
 )
 from kdecoreset.kernel import kde_batch, signed_discrepancy_batch
-from kdecoreset.schedule import build_schedule, default_constants
+from kdecoreset.schedule import default_constants
 
 import naive
 
 
-def builder(n, d):
-    return build_schedule(n, d, default_constants(d, grid_budget=400))
+def small_constants(d):
+    return default_constants(d, grid_budget=400)
 
 
 # sha256 of the final indices (int64) and every cell's max_grid_ratio
@@ -33,7 +33,7 @@ PINNED_CHAINS = {
 
 def test_halve_duplicate_pair():
     pts = np.array([[0.5, 0.5], [0.5, 0.5]])
-    kept, _, _ = halve_indices(pts, seed=0, schedule_builder=builder)
+    kept, _, _ = halve_indices(pts, seed=0, constants=small_constants(2))
     out = pts[kept]
     assert out.shape == (1, 2)
     assert np.array_equal(out[0], pts[0])
@@ -42,7 +42,7 @@ def test_halve_duplicate_pair():
 def test_halve_single_cell_exact_half():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, size=(1000, 2))
-    kept, _, _ = halve_indices(pts, seed=1, schedule_builder=builder)
+    kept, _, _ = halve_indices(pts, seed=1, constants=small_constants(2))
     assert pts[kept].shape[0] == 500
 
 
@@ -51,7 +51,7 @@ def test_halve_kde_identity():
     # with odd leftovers the correction is bounded by imbalance / n.
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1, 1, size=(200, 2))
-    kept, signs, _ = halve_indices(pts, seed=2, schedule_builder=builder)
+    kept, signs, _ = halve_indices(pts, seed=2, constants=small_constants(2))
     n, m = len(pts), len(kept)
     queries = rng.uniform(-2, 2, size=(50, 2))
     disc = signed_discrepancy_batch(pts, signs, queries)
@@ -64,14 +64,14 @@ def test_halve_kde_identity():
 def test_halve_size_deviation_bounded_by_cells():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-6, 6, size=(400, 2))
-    kept, signs, reports = halve_indices(pts, seed=3, schedule_builder=builder)
+    kept, signs, reports = halve_indices(pts, seed=3, constants=small_constants(2))
     assert abs(2 * len(kept) - len(pts)) <= len(reports)
 
 
 def test_build_coreset_identity():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, size=(64, 2))
-    res = build_coreset(pts, target=64, seed=0, schedule_builder=builder)
+    res = build_coreset(pts, target=64, seed=0, constants=small_constants(2))
     assert np.array_equal(res.indices, np.arange(64))
     assert res.rounds == ()
 
@@ -79,7 +79,7 @@ def test_build_coreset_identity():
 def test_build_coreset_one_round():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(128, 2))
-    res = build_coreset(pts, target=64, seed=0, schedule_builder=builder)
+    res = build_coreset(pts, target=64, seed=0, constants=small_constants(2))
     assert len(res.rounds) == 1
     assert res.size == 64
 
@@ -87,7 +87,7 @@ def test_build_coreset_one_round():
 def test_build_coreset_trajectory():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, size=(4096, 2))
-    res = build_coreset(pts, target=128, seed=0, schedule_builder=builder)
+    res = build_coreset(pts, target=128, seed=0, constants=small_constants(2))
     sizes = [r.size_after for r in res.rounds]
     assert len(res.rounds) == 5
     for expected, got, rnd in zip([2048, 1024, 512, 256, 128], sizes, res.rounds):
@@ -97,7 +97,7 @@ def test_build_coreset_trajectory():
 def test_build_coreset_nesting():
     rng = np.random.default_rng(6)
     pts = rng.uniform(-2, 2, size=(256, 2))
-    res = build_coreset(pts, target=32, seed=1, schedule_builder=builder)
+    res = build_coreset(pts, target=32, seed=1, constants=small_constants(2))
     prev = set(range(256))
     for rnd in res.rounds:
         kept = set(rnd.kept.tolist())
@@ -111,13 +111,21 @@ def test_build_coreset_epsilon_and_presample():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1, 1, size=(600, 1))
     res = build_coreset(pts, epsilon=0.1, seed=2, presample=True,
-                        schedule_builder=builder)
+                        constants=small_constants(1))
     # presample to ceil(4 / 0.01) = 400, halve to <= ceil(4 / 0.1) = 40.
     assert res.presampled_from == 600
     assert res.presample_indices.size == 400
     assert res.size <= 40
     assert res.target_size == 40
     assert set(res.indices.tolist()) <= set(res.presample_indices.tolist())
+
+
+def test_build_coreset_beyond_2_53():
+    # Cells must hold their points within sup distance 1 of the center at
+    # any magnitude, also where x - 1 rounds across a lattice site.
+    pts = 2.0 ** 53 + np.random.default_rng(12).uniform(-3, 3, (200, 2))
+    res = build_coreset(pts, target=50)
+    assert res.size <= 50
 
 
 def test_build_coreset_argument_validation():
