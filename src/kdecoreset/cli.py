@@ -44,48 +44,18 @@ class ValidationError(ValueError):
 def read_points(path, dim=None):
     """Load a point set from CSV or JSON.
 
-    CSV rows must all have the same number of columns; a non-numeric first
-    row is treated as a header. Dimension-inconsistent or non-numeric rows
-    raise a ValidationError naming the offending line.
+    CSV rows must all have the same number of columns; a UTF-8 byte order
+    mark is ignored and non-numeric rows before the first numeric one are
+    skipped as a header. Dimension-inconsistent or non-numeric rows raise a
+    ValidationError naming the offending line. JSON coordinates must be
+    numbers.
     """
     if str(path).endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, list):
-            raise ValidationError(f"{path}: JSON input must be an array of arrays")
-        rows = []
-        for i, row in enumerate(data):
-            if not isinstance(row, list):
-                raise ValidationError(f"{path}: entry {i} is not an array")
-            if rows and len(row) != len(rows[0]):
-                raise ValidationError(
-                    f"{path}: entry {i} has {len(row)} coordinates, expected {len(rows[0])}"
-                )
-            rows.append([float(v) for v in row])
+        arr = _read_json(path)
     else:
-        numbered = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                try:
-                    values = [float(c) for c in row]
-                except ValueError:
-                    if not numbered:
-                        continue  # header row
-                    raise ValidationError(f"{path}:{lineno}: non-numeric value in row")
-                numbered.append((lineno, values))
-        if numbered:
-            width = len(numbered[0][1])
-            for lineno, values in numbered:
-                if len(values) != width:
-                    raise ValidationError(
-                        f"{path}:{lineno}: row has {len(values)} columns, expected {width}"
-                    )
-        rows = [v for _, v in numbered]
-    if not rows:
+        arr = _read_csv(path)
+    if not len(arr):
         raise ValidationError(f"{path}: no points found")
-    arr = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{path}: non-finite coordinate in input")
     if dim is not None and arr.shape[1] != dim:
@@ -93,6 +63,76 @@ def read_points(path, dim=None):
             f"{path}: points have dimension {arr.shape[1]}, --dim says {dim}"
         )
     return arr
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValidationError(f"{path}: JSON input must be an array of arrays")
+    for i, row in enumerate(data):
+        if not isinstance(row, list):
+            raise ValidationError(f"{path}: entry {i} is not an array")
+        if len(row) != len(data[0]):
+            raise ValidationError(
+                f"{path}: entry {i} has {len(row)} coordinates, expected {len(data[0])}"
+            )
+        if not set(map(type, row)) <= {int, float}:
+            j = next(j for j, v in enumerate(row) if type(v) not in (int, float))
+            raise ValidationError(f"{path}: entry {i} coordinate {j} is not a number")
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{path}: non-finite coordinate in input") from None
+
+
+def _read_csv(path):
+    """The numeric rows of a CSV file as a float64 array, parsed by numpy's
+    C reader. Files it rejects (quoted or underscored fields, whitespace-only
+    rows, or errors to report by line) are read by _read_csv_rows, which
+    gives the same bits wherever both succeed."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        skip = 0  # lines of blank rows and header before the first numeric row
+        for row in reader:
+            if any(c.strip() for c in row):
+                try:
+                    list(map(float, row))
+                    break
+                except ValueError:
+                    pass
+            skip = reader.line_num
+        else:
+            return np.empty((0, 0))
+    try:
+        return np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                          skiprows=skip, encoding="utf-8-sig")
+    except ValueError:
+        return _read_csv_rows(path)
+
+
+def _read_csv_rows(path):
+    """_read_csv's fallback: one csv.reader pass and float() per field."""
+    numbered = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                values = [float(c) for c in row]
+            except ValueError:
+                if not numbered:
+                    continue  # header row
+                raise ValidationError(f"{path}:{lineno}: non-numeric value in row")
+            numbered.append((lineno, values))
+    if numbered:
+        width = len(numbered[0][1])
+        for lineno, values in numbered:
+            if len(values) != width:
+                raise ValidationError(
+                    f"{path}:{lineno}: row has {len(values)} columns, expected {width}"
+                )
+    return np.asarray([v for _, v in numbered], dtype=np.float64)
 
 
 def file_sha256(path):
@@ -185,7 +225,7 @@ def _int_array(obj, key, where, bound=None):
     """obj[key] as an intp array: a JSON array of integers, each in
     [0, bound) when a bound is given."""
     values = _field(obj, key, list, where)
-    if not all(type(v) is int for v in values):
+    if not set(map(type, values)) <= {int}:
         raise ValidationError(f"{where}: {key!r} must be an array of integers")
     if bound is not None and values and not 0 <= min(values) <= max(values) < bound:
         raise ValidationError(f"{where}: {key!r} has an entry outside [0, {bound})")

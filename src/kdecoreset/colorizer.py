@@ -112,12 +112,15 @@ def partition(points):
     far = np.abs(off) > 1.0
     if far.any():
         centers[far] += 2.0 * np.sign(off[far])
-    cells = {}
-    for i, c in enumerate(map(tuple, centers.tolist())):
-        cells.setdefault(c, []).append(i)
+    # A stable sort (first column most significant) lists each cell's members
+    # as one run in ascending order; -0.0 and 0.0 tie, and the run's first
+    # member supplies the cell's center.
+    order = np.lexsort(centers.T[::-1])
+    ranked = centers[order]
+    starts = np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1
     return [
-        CellAssignment(center=c, members=np.asarray(idx, dtype=np.intp))
-        for c, idx in sorted(cells.items())
+        CellAssignment(center=tuple(c), members=idx)
+        for c, idx in zip(ranked[np.r_[0, starts]].tolist(), np.split(order, starts))
     ]
 
 

@@ -232,8 +232,9 @@ def _contract(tables, w):
     while split > 0 and rows * lead[split - 1].shape[0] * m <= _BLOCK_ELEMS:
         split -= 1
         rows *= lead[split].shape[0]
-    inner = np.ones((1, m))
-    for t in lead[split:]:
+    # The first inner table starts the product as it is, uncopied.
+    inner = lead[split] if split < len(lead) else np.ones((1, m))
+    for t in lead[split + 1:]:
         inner = (inner[:, None, :] * t[None, :, :]).reshape(-1, m)
     outer = tuple(t.shape[0] for t in lead[:split])
     out = np.empty(outer + (rows, last.shape[0]))

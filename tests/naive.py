@@ -6,6 +6,7 @@ exception is `reference_walk`, which takes each direction from
 `np.linalg.lstsq` in place of the walk's maintained inverse.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -125,3 +126,57 @@ def reference_walk(vectors, seed):
             signs[i] = 1 if x[i] > 0.0 else -1
             active.remove(i)
     return signs
+
+
+def read_csv_points(path):
+    """CSV point reader: one csv.reader pass and float() per field.
+
+    Blank rows are skipped, and so are non-numeric rows before the first
+    numeric one (a header); a UTF-8 byte order mark is dropped. Returns a
+    float64 (n, d) array or raises ValueError with kdecoreset.cli's message.
+    """
+    numbered = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                values = [float(c) for c in row]
+            except ValueError:
+                if not numbered:
+                    continue
+                raise ValueError(f"{path}:{lineno}: non-numeric value in row")
+            numbered.append((lineno, values))
+    for lineno, values in numbered:
+        if len(values) != len(numbered[0][1]):
+            raise ValueError(
+                f"{path}:{lineno}: row has {len(values)} columns, expected {len(numbered[0][1])}"
+            )
+    if not numbered:
+        raise ValueError(f"{path}: no points found")
+    arr = np.asarray([v for _, v in numbered], dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{path}: non-finite coordinate in input")
+    return arr
+
+
+def partition(points):
+    """Side-2 lattice cells by a dict keyed on the center tuple.
+
+    Returns (center, members) pairs in sorted center order: the center is
+    the first member's tuple (so its zeros keep that member's signs) and
+    the members are ascending indices. Centers follow
+    kdecoreset.colorizer.partition, including its correction past 2^53.
+    """
+    cells = {}
+    for i, row in enumerate(np.asarray(points, dtype=np.float64).tolist()):
+        center = []
+        for x in row:
+            q = (x - 1.0) / 2.0
+            # IEEE ceil keeps the sign of zero: ceil(-0.5) is -0.0.
+            c = 2.0 * (math.ceil(q) or math.copysign(0.0, q))
+            if abs(x - c) > 1.0:
+                c += math.copysign(2.0, x - c)
+            center.append(c)
+        cells.setdefault(tuple(center), []).append(i)
+    return sorted(cells.items())

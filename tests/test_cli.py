@@ -1,19 +1,27 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdecoreset.cli import (
     EXIT_COLORING,
     EXIT_IO,
     EXIT_VALIDATION,
+    ValidationError,
     fit_loglog_slope,
     main,
     read_points,
 )
 from kdecoreset.config import ENV_PREFIX, RunConfig, resolve_config
 from kdecoreset.evaluation import linf_error
+
+import naive
 
 
 def write_csv(path, pts, header=None):
@@ -58,6 +66,99 @@ def test_read_points_line_numbered_errors(tmp_path):
     path2.write_text("1.0,2.0\noops,3.0\n")
     with pytest.raises(ValueError, match="bad2.csv:2"):
         read_points(path2)
+
+
+def test_read_points_csv_with_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff0.5,1.5\n2.0,3.0\n", encoding="utf-8")
+    assert read_points(path).tolist() == [[0.5, 1.5], [2.0, 3.0]]
+    path.write_text("\ufeffx,y\r\n0.5,1.5\r\n", encoding="utf-8")
+    assert read_points(path).tolist() == [[0.5, 1.5]]
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["-0.0", "0", "1e400", "-1e-400", "nan", "-Infinity", "+1.5",
+                     ".5", "1.", "1E5", "00012"]),
+)
+ODD_FIELDS = st.sampled_from(["", " ", "x", "1_0", '"2.5"', '"1,5"', "#3", "0x10",
+                              "\u0661", "1 2", "nan(1)", "\xa07"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text: in half the draws a numeric table (with padded fields,
+    blank rows, a header or a byte order mark), in the others also odd
+    fields, comment-like and ragged rows, trailing commas and mixed line
+    ends."""
+    dirty = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+
+    def field():
+        odd = dirty and draw(st.integers(0, 9)) == 0
+        text = draw(ODD_FIELDS if odd else NUMBERS)
+        return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " ", "\t"]))
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["x,y", "x", "# header", '"a","b"', "a,b,c,"])))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " , "])))
+        elif dirty and kind == 1:
+            lines.append(draw(st.sampled_from(["#c", "x,y", '"1\n2",3'])))
+        else:
+            w = width + (draw(st.integers(-1, 1)) if dirty and kind == 2 else 0)
+            lines.append(",".join(field() for _ in range(max(w, 1)))
+                         + ("," if dirty and kind == 3 else ""))
+    ends = ["\n", "\r\n", "\r"]
+    eol = draw(st.sampled_from(ends))
+    text = "".join(line + (draw(st.sampled_from(ends)) if dirty else eol) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[:-1].rstrip("\r")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=csv_texts())
+def test_read_points_csv_matches_loop_reference(tmp_path_factory, text):
+    # numpy's C reader and the csv loop must agree: the same float64 bits
+    # on every file the loop reads, the same message on every file it rejects.
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        expected = naive.read_csv_points(path)
+    except ValueError as exc:
+        with pytest.raises(ValidationError) as info:
+            read_points(path)
+        assert str(info.value) == str(exc)
+    else:
+        got = read_points(path)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_read_points_json_coordinates_must_be_numbers(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    cases = [
+        ("[[1, null], [2, 3]]", "entry 0 coordinate 1 is not a number"),
+        ("[[true, 1], [2, 3]]", "entry 0 coordinate 0 is not a number"),
+        ("[[1, 2], [3, [4]]]", "entry 1 coordinate 1 is not a number"),
+        ('[[1, 2], ["3", 4]]', "entry 1 coordinate 0 is not a number"),
+        ("[[1, 2], [3, {}]]", "entry 1 coordinate 1 is not a number"),
+        ("[[1, " + "9" * 400 + "]]", "non-finite coordinate"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            read_points(path)
+        assert main(["build", "--input", str(path), "--output", str(tmp_path / "o.json"),
+                     "--target-size", "1"]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+    path.write_text("[[1, 2.5], [-3, 4e-1]]")
+    assert read_points(path).tolist() == [[1.0, 2.5], [-3.0, 0.4]]
 
 
 def test_read_points_dim_check(tmp_path):
@@ -176,6 +277,21 @@ def spread_artifact(tmp_path):
     assert main(["build", "--input", str(path), "--output", str(coreset),
                  "--target-size", "120"]) == 0
     return path, coreset
+
+
+def test_verify_report_ratios_are_the_builds(spread_artifact, tmp_path):
+    # Re-verification recomputes each round's worst ratio over its cells;
+    # it must be the build's own numbers, bit for bit.
+    path, coreset = spread_artifact
+    report = tmp_path / "verify.json"
+    assert main(["verify", "--input", str(path), "--coreset", str(coreset),
+                 "--output", str(report)]) == 0
+    built = json.loads(coreset.read_text())["rounds"]
+    checked = json.loads(report.read_text())["rounds"]
+    assert len(checked) == len(built) > 0
+    for rnd, check in zip(built, checked):
+        worst = max(cell["max_grid_ratio"] for cell in rnd["cells"])
+        assert check["max_grid_ratio"].hex() == worst.hex()
 
 
 def verify_tampered(path, coreset, original, tamper):
@@ -391,3 +507,12 @@ def test_bench_rows_ordered_by_size(square_csv, tmp_path):
         assert sizes == sorted(sizes)
         meds = [r["median"] for r in data["summary"] if r["method"] == method]
         assert all(m >= 0 for m in meds)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-m", "kdecoreset", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: kdecoreset")

@@ -66,6 +66,37 @@ def test_partition_beyond_2_53():
         assert c.center[0] % 2.0 == 0.0
 
 
+@st.composite
+def lattice_points(draw):
+    """Up to 60 points in d = 1..6 from a mix of odd integers (cell
+    boundaries), signed zeros, small floats and offsets of 2^53 and beyond;
+    rows repeat a small pool, so cells hold ties of every kind."""
+    d = draw(st.integers(1, 6))
+    coord = st.one_of(
+        st.integers(-4, 3).map(lambda k: 2.0 * k + 1.0),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-6.0, 6.0),
+        st.integers(-9, 9).map(lambda k: 2.0 ** 53 + k),
+        st.integers(-9, 9).map(lambda k: -(2.0 ** 54) + 3 * k),
+        st.floats(2.0 ** 53, 2.0 ** 62),
+    )
+    row = st.lists(coord, min_size=d, max_size=d)
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    rows = draw(st.lists(st.one_of(st.sampled_from(pool), row), min_size=1, max_size=60))
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_points())
+def test_partition_matches_dict_reference(pts):
+    # repr tells -0.0 from 0.0: a center is its first member's tuple.
+    cells = partition(pts)
+    expected = naive.partition(pts)
+    assert [repr(c.center) for c in cells] == [repr(center) for center, _ in expected]
+    assert [c.members.tolist() for c in cells] == [members for _, members in expected]
+    assert all(c.members.dtype == np.intp for c in cells)
+
+
 def test_verify_cancelling_duplicates():
     pts = np.array([[0.2, -0.1], [0.2, -0.1]])
     sch = build_schedule(2, 2, small_constants(2))
