@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -88,27 +89,18 @@ def _read_json(path):
 
 def _read_csv(path):
     """The numeric rows of a CSV file as a float64 array, parsed by numpy's
-    C reader. Files it rejects (quoted or underscored fields, whitespace-only
-    rows, or errors to report by line) are read by _read_csv_rows, which
-    gives the same bits wherever both succeed."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        skip = 0  # lines of blank rows and header before the first numeric row
-        for row in reader:
-            if any(c.strip() for c in row):
-                try:
-                    list(map(float, row))
-                    break
-                except ValueError:
-                    pass
-            skip = reader.line_num
-        else:
-            return np.empty((0, 0))
+    C reader. Files it rejects or finds empty (a header, quoted or
+    underscored fields, whitespace-only rows, or errors to report by line)
+    are read by _read_csv_rows, which gives the same bits wherever both
+    succeed."""
     try:
-        return np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                          skiprows=skip, encoding="utf-8-sig")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            arr = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                             encoding="utf-8-sig")
     except ValueError:
         return _read_csv_rows(path)
+    return arr if arr.size else _read_csv_rows(path)
 
 
 def _read_csv_rows(path):

@@ -114,8 +114,8 @@ def partition(points):
         centers[far] += 2.0 * np.sign(off[far])
     # A stable sort (first column most significant) lists each cell's members
     # as one run in ascending order; -0.0 and 0.0 tie, and the run's first
-    # member supplies the cell's center.
-    order = np.lexsort(centers.T[::-1])
+    # member supplies the cell's center. Points of dimension 0 share one cell.
+    order = np.lexsort(centers.T[::-1]) if pts.shape[1] else np.arange(len(pts))
     ranked = centers[order]
     starts = np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1
     return [

@@ -68,10 +68,10 @@ def test_partition_beyond_2_53():
 
 @st.composite
 def lattice_points(draw):
-    """Up to 60 points in d = 1..6 from a mix of odd integers (cell
+    """Up to 60 points in d = 0..6 from a mix of odd integers (cell
     boundaries), signed zeros, small floats and offsets of 2^53 and beyond;
     rows repeat a small pool, so cells hold ties of every kind."""
-    d = draw(st.integers(1, 6))
+    d = draw(st.integers(0, 6))
     coord = st.one_of(
         st.integers(-4, 3).map(lambda k: 2.0 * k + 1.0),
         st.sampled_from([0.0, -0.0]),
