@@ -104,19 +104,26 @@ def _read_csv(path):
 
 
 def _read_csv_rows(path):
-    """_read_csv's fallback: one csv.reader pass and float() per field."""
+    """_read_csv's fallback: one csv.reader pass and float() per field.
+    Errors name the physical line a record ends on, which is later than
+    its record count when a quoted field spans lines."""
     numbered = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                if not numbered:
-                    continue  # header row
-                raise ValidationError(f"{path}:{lineno}: non-numeric value in row")
-            numbered.append((lineno, values))
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if not row or all(not c.strip() for c in row):
+                    continue
+                try:
+                    values = [float(c) for c in row]
+                except ValueError:
+                    if not numbered:
+                        continue  # header row
+                    raise ValidationError(
+                        f"{path}:{reader.line_num}: non-numeric value in row") from None
+                numbered.append((reader.line_num, values))
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     if numbered:
         width = len(numbered[0][1])
         for lineno, values in numbered:

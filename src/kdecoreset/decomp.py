@@ -130,7 +130,9 @@ def psd_factor(matrix, n_data=None):
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(m, m.T, atol=1e-12):
+    # build_gram's output is exactly symmetric; only other input pays for
+    # the tolerance check.
+    if not ((m == m.T).all() or np.allclose(m, m.T, atol=1e-12)):
         raise ValueError("matrix must be symmetric")
     w, q = np.linalg.eigh(m)
     lam_max = max(float(w[-1]), 0.0)

@@ -99,11 +99,14 @@ def gsw_color(vectors, seed):
     return _walk(v, _rng_from(seed))
 
 
-def _solve(w_inv, zs, ds, vec):
-    """W^-1 vec for W^-1 = w_inv + zs^T diag(1/ds) zs (Woodbury panel)."""
+def _solve(w_inv, panel, pdiag, r, vec):
+    """W^-1 vec for W^-1 = w_inv + Z^T diag(1/d) Z, with Z and d the first r
+    rows of the Woodbury panel; the panel terms are skipped while it is
+    empty."""
     out = w_inv @ vec
-    if ds.size:
-        out += zs.T @ ((zs @ vec) / ds)
+    if r:
+        zs = panel[:r]
+        out += zs.T @ ((zs @ vec) / pdiag[:r])
     return out
 
 
@@ -122,7 +125,9 @@ def _walk(v, rng):
     arrays; freezing swaps a position with k - 1 and shrinks k, so removals
     never copy whole matrices and the rows frozen since W was last
     downdated sit together in vact[k:k0]. `ids` maps positions to input
-    indices; the pivot is the active position of largest id."""
+    indices; the pivot is the active position of largest id. The pivot's
+    position is followed through the swaps and searched for again only
+    after the pivot itself freezes."""
     n, m = v.shape
     vact = np.array(v)                      # rows permuted in place
     ids = np.arange(n)
@@ -135,13 +140,15 @@ def _walk(v, rng):
     outer = np.empty((m, m))
     # While k > m, W^-1 is w_inv plus the panel and W is downdated only on
     # rebuilds; once k <= m (W singular up to the ridge) both are downdated
-    # on every freeze.
+    # on every freeze and the panel stays empty.
     eager = n <= m
     k = k0 = n
     r = 0                                   # panel rows in use
     since = 0                               # freezes since w_inv was built
     stale = False
     steps = 0
+    ppos = n - 1                            # pivot position, -1 once it freezes
+    edge = 1.0 - _FREEZE_BAND
     while k > 0:
         steps += 1
         if steps > 2 * n:
@@ -151,9 +158,10 @@ def _walk(v, rng):
         if stale:
             w_inv = _rebuild(w, vact, k, k0)
             k0, r, since, stale = k, 0, 0, False
-        ppos = int(np.argmax(ids[:k]))
+        if ppos < 0:
+            ppos = int(ids[:k].argmax())
         vp = vact[ppos]
-        z = _solve(w_inv, panel[:r], pdiag[:r], vp)
+        z = _solve(w_inv, panel, pdiag, r, vp)
         denom = 1.0 - float(vp @ z)
         if denom < 1e-9 and since:
             w_inv = _rebuild(w, vact, k, k0)
@@ -162,29 +170,35 @@ def _walk(v, rng):
             denom = 1.0 - float(vp @ z)
         # Constrained least squares via the feature-space identity:
         # u = (e_pivot - V_active W^-1 v_pivot) / (1 - v_pivot^T W^-1 v_pivot).
-        u = (vact[:k] @ z) / -max(denom, 1e-12)
+        u = vact[:k] @ z
+        u /= -max(denom, 1e-12)
         u[ppos] = 1.0
         xa = x[:k]
         # Distances to the box along +u and -u; u_i = 0 gives +-inf.
-        to_plus = (1.0 - xa) / u
-        to_minus = (-1.0 - xa) / u
-        d_plus = np.maximum(to_plus, to_minus).min()
-        d_minus = -np.minimum(to_plus, to_minus).max()
+        to_plus = 1.0 - xa
+        to_plus /= u
+        to_minus = -1.0 - xa
+        to_minus /= u
+        d_plus = np.minimum.reduce(np.maximum(to_plus, to_minus))
+        d_minus = -np.maximum.reduce(np.minimum(to_plus, to_minus))
         # Martingale step: E[delta] = 0 under these endpoint probabilities.
-        if rng.random() * (d_plus + d_minus) < d_minus:
-            xa += d_plus * u
-        else:
-            xa -= d_minus * u
-        hit = np.abs(xa) >= 1.0 - _FREEZE_BAND
-        if not hit.any():
+        u *= d_plus if rng.random() * (d_plus + d_minus) < d_minus else -d_minus
+        xa += u
+        mag = np.abs(xa)
+        hits = (mag >= edge).nonzero()[0].tolist()
+        if not hits:
             # Float safety net: freeze the coordinate closest to the boundary.
-            hit[np.argmax(np.abs(xa))] = True
-        for posn in np.flatnonzero(hit)[::-1]:
-            posn = int(posn)
+            hits = [int(mag.argmax())]
+        for posn in reversed(hits):
             signs[ids[posn]] = 1 if xa[posn] > 0.0 else -1
             k -= 1
-            f = vact[posn].copy()
+            if posn == ppos:
+                ppos = -1
+            elif ppos == k:
+                ppos = posn                 # the swap below moves the pivot
+            f = vact[posn]
             if posn != k:
+                f = f.copy()
                 vact[posn] = vact[k]
                 vact[k] = f
                 ids[posn] = ids[k]
@@ -196,7 +210,7 @@ def _walk(v, rng):
                 k0 = k
             if stale:
                 continue
-            zf = _solve(w_inv, panel[:r], pdiag[:r], f)
+            zf = _solve(w_inv, panel, pdiag, r, f)
             df = 1.0 - float(f @ zf)
             if df < 1e-12 or r == _REFRESH_EVERY:
                 stale = True            # numerically singular, or panel full

@@ -132,21 +132,26 @@ def read_csv_points(path):
     """CSV point reader: one csv.reader pass and float() per field.
 
     Blank rows are skipped, and so are non-numeric rows before the first
-    numeric one (a header); a UTF-8 byte order mark is dropped. Returns a
+    numeric one (a header); a UTF-8 byte order mark is dropped. Errors name
+    the physical line a record ends on (csv.reader's line_num). Returns a
     float64 (n, d) array or raises ValueError with kdecoreset.cli's message.
     """
     numbered = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                if not numbered:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if not row or all(not c.strip() for c in row):
                     continue
-                raise ValueError(f"{path}:{lineno}: non-numeric value in row")
-            numbered.append((lineno, values))
+                try:
+                    values = [float(c) for c in row]
+                except ValueError:
+                    if not numbered:
+                        continue
+                    raise ValueError(f"{path}:{reader.line_num}: non-numeric value in row")
+                numbered.append((reader.line_num, values))
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}")
     for lineno, values in numbered:
         if len(values) != len(numbered[0][1]):
             raise ValueError(

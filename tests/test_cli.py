@@ -68,6 +68,25 @@ def test_read_points_line_numbered_errors(tmp_path):
         read_points(path2)
 
 
+def test_read_points_csv_errors_name_the_physical_line(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    out = str(tmp_path / "o.json")
+    cases = [
+        # The quoted field spans lines 2-3, so the ragged row is on line 4.
+        ('x,y\n"1\n",2\n3\n', "p.csv:4: row has 1 columns, expected 2"),
+        ('1,2\n"3\n",4\nz,5\n', "p.csv:4: non-numeric value in row"),
+        # csv.reader's field size limit is 131072 characters.
+        ("1,2\n3," + "x" * 140000 + "\n", "p.csv:2: field larger than field limit"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            read_points(path)
+        assert main(["build", "--input", str(path), "--output", out,
+                     "--target-size", "1"]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+
 def test_read_points_csv_with_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("\ufeff0.5,1.5\n2.0,3.0\n", encoding="utf-8")

@@ -90,6 +90,21 @@ def test_psd_factor_rejects_indefinite():
         psd_factor(m)
 
 
+def test_psd_factor_symmetry_check():
+    # Exact symmetry and asymmetry within 1e-12 are accepted; more is not.
+    m = build_gram(np.random.default_rng(4).uniform(-1, 1, size=(6, 2)))
+    assert (m == m.T).all()
+    assert psd_factor(m).columns.shape[1] == 6
+    near = m.copy()
+    near[0, 1] += 1e-13
+    assert near[0, 1] != near[1, 0]
+    assert psd_factor(near).columns.shape[1] == 6
+    far = m.copy()
+    far[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        psd_factor(far)
+
+
 def test_psd_factor_labels():
     pts = np.random.default_rng(3).uniform(-1, 1, size=(4, 1))
     g = Grid(width=1.0, radius=2.0, dim=1)

@@ -96,8 +96,10 @@ def test_matches_least_squares_reference(n, m):
 
 
 # Signs of unit_rows(default_rng(n * m), n, m, 0.9) for seeds 0-4. Walks
-# with n <= m run the eager Sherman-Morrison loop from the first step, whose
-# arithmetic these pin.
+# with n <= m run the eager Sherman-Morrison loop from the first step; walks
+# with n > m, (300, 12) and (160, 40), fill and flush the Woodbury panel
+# while k > m and then cross into that loop. These pin the arithmetic of
+# both phases.
 PINNED_SIGNS = {
     (40, 41): ["-----++----+---+------++-+-+++-+--+-+--+",
                "-----+-++-+--+++----+-+++++-+-+-----++--",
@@ -109,6 +111,45 @@ PINNED_SIGNS = {
                "-+-+++-++++++-++-+---++---+++-++---++----+--+--+++++++-+++---+--",
                "+--------+---+-++---+-+----+-++++----++-+------++-----+-++++++++",
                "+----+-+-+--+++-+-+-+--+++-+-+--+-++-++--+-+++-+++--------+-+++-"],
+    (300, 12): [
+        ("+-++++-+---+++-+-++--++-+---+++++++++-+++-++-++-++++--+-+-++-++--++---+--+-"
+         "++-+---++----+----------++-++++-+---++---+++-+++-------+-+-++-+++-++-+---+-"
+         "+-+---+++++-++-++-++-+++-++-++-+++--+++-++-+--++-------++-+++-++-------+-+-"
+         "+++-++++------+++++-+--+-+--+++-++--++---+-+--+++---++++++-++--+-+++-+-++++"),
+        ("++--+--+++--+----++-++--++-+-+-++--++---+-+---++--+---++----++++------+----"
+         "--+--+--+-----++----+++---+--++-+++--+-++-+++--++---+-++-++++-++--+--+++++-"
+         "+---+++----+-++--++-++-+++------+-+--+--+---+--+--+--++-+---+--------++++-+"
+         "---++--++-+++----+-+-++-+----+---+++++--+-+-++-++++++++++--+-+++---++++-+++"),
+        ("+-+++-++++--+--+-++-++-+++--+---+--+++--+++---+++++-++-++-++-++-+-++++-+-+-"
+         "--+-+++--++----++--+--+++---++-+++--+--++++-+-+-+-+-----+++--+-++-+-++--++-"
+         "--+++-+-++-+-++++---++--+-+---+---------+-+-+++-+-----++--+++--+-+--++++---"
+         "--+-++-+--+-++--++-+++---+-+-++-++--+--+--+--+++-+---+-++++-++--+++++-+----"),
+        ("+++-++-++++-++-+-++++++-++-++-++--++-+-------+--++-++++-+-----++++--++----+"
+         "+--+++--+++++-+++-----+-+-+-+---++-++-+-+-+-+-+-+-+++-+--+-++---+-+-+++--++"
+         "-+-++--++---+-+-++-+--+-+-+-+++----+-++-++--+--+----+-+--++-+++--+---+-+--+"
+         "+----++--+--+++++-+--++-++--+----+-++--+--------+---++++--+++++-+--+----+++"),
+        ("---------+++--+++--++--++-++------+--+--+-++--+++++-+------+-++--+-++-++--+"
+         "-+--++++---+-+-+--+-++-+-----+--+----+------+-++++--++++-+---+-+-+---++++--"
+         "+-+++---+--+-++-+-+--+---+--+-+++-++--+++-+-+---+--+----+---+----+-+++-++++"
+         "+-+-+-+-+--+-+-+---++---++++--++--+--+---++-+--++--+----+-------+-+-+--+--+"),
+    ],
+    (160, 40): [
+        ("+++-+--+-+---+--+-+++++--++-+---++-+----+-+-++++--+-+++++----+--+++-+-+--+-"
+         "++++-++---+---++-+-++-+---++++----+-+---++++---+--++-+--+++---++++++-++----"
+         "+++-+-++++"),
+        ("+-++++-+++++++++-+-+-------+-+++-+-+-+++---+-+---+-++++++-++++-+--++-++++-+"
+         "-+-++----+----++--+--+-+-+-+--+-+-++-++-+---++++--+-+-+--+++++-++++--+-+++-"
+         "--++++-+++"),
+        ("-++-+--+--++----+-----+-------+-+--+--++-+---+++-++-+---+--+-+++++++++++++-"
+         "--+-+--++----+-+-++------++++-+++----+--+-++--+--+--++-+++-------++++-++--+"
+         "++++-+----"),
+        ("+-++-+++---++-+-++---+---+-+--++++--++-++--+--+-+-+----++----++--++++-+-+-+"
+         "-+---+++----+--+--++++----+++++--+-++--++---+-++-------+--+---++++--+++++-+"
+         "--+----+++"),
+        ("-----+---+-+-+++---+--+-+-++++--------+-++-+----+---+++++-+-----+-+-+------"
+         "+-+--+++---+-++++++---++---+-+----+--++--+-+---++--++-+-++---+----+-------+"
+         "-+-+--+--+"),
+    ],
 }
 
 
