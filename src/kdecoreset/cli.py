@@ -168,7 +168,6 @@ def _round_payload(rnd, emit_colorings):
         "flipped": int(c.flipped.size),
         "flipped_positions": [int(i) for i in c.flipped],
         "max_grid_ratio": float(c.max_grid_ratio),
-        "post_flip_ratio": float(c.post_flip_ratio),
         "imbalance_before_flip": int(c.imbalance_before_flip),
     } for c in rnd.cells]
     out = {

@@ -15,7 +15,6 @@ implementation processes them sequentially in lexicographic center order,
 which is also the deterministic report order.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,6 @@ class CellColoringReport:
     retries: failed verification attempts before acceptance.
     max_grid_ratio: max |discrepancy| / threshold over all checked grid
       points for the accepted (pre-flip) coloring; < 1 by construction.
-    post_flip_ratio: same quantity for the final coloring (diagnostic).
     """
 
     center: tuple
@@ -86,7 +84,6 @@ class CellColoringReport:
     retries: int
     flipped: np.ndarray
     max_grid_ratio: float
-    post_flip_ratio: float
     imbalance_before_flip: int
 
     @property
@@ -195,7 +192,9 @@ def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET)
         is certified against build_schedule(cell size, d, constants).
       seed: integer or SeedSequence; attempt k uses the k-th split, which
         is spawned only when the attempt starts.
-      retry_budget: attempts before raising ColoringFailure; at least 1.
+      retry_budget: walk attempts before raising ColoringFailure; at
+        least 1. A cell left with at most two unpaired points gets one
+        attempt at the fixed coloring (+1, -1) and no walk.
 
     Returns a CellColoringReport. The gram factorization is deterministic,
     so it is built once and only the walk reruns on retries.
@@ -210,31 +209,21 @@ def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET)
     tables = _cell_tables(pts, schedule)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     signs, rest = _pair_duplicates(tables[0].inverse)
-    if rest.size <= 2:
-        # One or two points left bypass the walk: alternate signs, lowest +1.
-        signs[rest] = [1, -1][:rest.size]
-        passed, ratio, imbalance = verify(pts, signs, schedule, tables)
-        if not passed:
-            raise ColoringFailure(cell.center, n, 1, schedule.constants, ratio)
-        retries = 0
-    else:
+    if rest.size > 2:
         walked = pts[rest]
         vectors = augment(kernel_factor(walked), walked, d)
-        retries = 0
-        ratio = math.inf
-        for _ in range(retry_budget):
-            signs[rest] = gsw_color(vectors, root.spawn(1)[0]).signs
-            passed, ratio, imbalance = verify(pts, signs, schedule, tables)
-            if passed:
-                break
-            retries += 1
-        else:
-            raise ColoringFailure(cell.center, n, retries, schedule.constants, ratio)
-    flipped = _balance_flip(signs)
-    if flipped.size:
-        _, post_ratio, _ = verify(pts, signs, schedule, tables)
+        draw, budget = lambda: gsw_color(vectors, root.spawn(1)[0]).signs, retry_budget
     else:
-        post_ratio = ratio
+        # One or two points left bypass the walk: alternate signs, lowest +1.
+        draw, budget = lambda: [1, -1][:rest.size], 1
+    for retries in range(budget):
+        signs[rest] = draw()
+        passed, ratio, imbalance = verify(pts, signs, schedule, tables)
+        if passed:
+            break
+    else:
+        raise ColoringFailure(cell.center, n, budget, schedule.constants, ratio)
+    flipped = _balance_flip(signs)
     return CellColoringReport(
         center=cell.center,
         members=cell.members,
@@ -242,7 +231,6 @@ def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET)
         retries=retries,
         flipped=flipped,
         max_grid_ratio=ratio,
-        post_flip_ratio=post_ratio,
         imbalance_before_flip=imbalance,
     )
 

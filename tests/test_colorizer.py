@@ -181,13 +181,39 @@ def test_color_cell_retry_budget_failure():
     pts = rng.uniform(-1, 1, size=(50, 1))
     cell = CellAssignment(center=(0.0,), members=np.arange(50))
     cst = default_constants(1, c1=1e-6, grid_budget=100)
-    with pytest.raises(ColoringFailure, match="miscalibrated"):
+    with pytest.raises(ColoringFailure, match="miscalibrated") as failure:
         color_cell(cell, pts, cst, seed=0, retry_budget=3)
+    assert failure.value.retries == 3
     with pytest.raises(ValueError, match="retry budget must be at least 1"):
         color_cell(cell, pts, cst, seed=0, retry_budget=0)
     empty = CellAssignment(center=(0.0,), members=np.array([], dtype=np.intp))
     with pytest.raises(ValueError, match="empty cell"):
         color_cell(empty, pts, cst, seed=0)
+
+
+@pytest.mark.parametrize("coords", [[0.3], [0.3, -0.4], [0.3, 0.3, -0.4]])
+def test_color_cell_fixed_coloring_failure(coords, monkeypatch):
+    # At most two unpaired points take the fixed coloring once, with no
+    # walk, whatever the budget; a failed check ends after that attempt.
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a cell of at most two unpaired points")
+
+    monkeypatch.setattr("kdecoreset.colorizer.gsw_color", no_walk)
+    pts = np.array(coords).reshape(-1, 1)
+    cell = CellAssignment(center=(0.0,), members=np.arange(len(coords)))
+    with pytest.raises(ColoringFailure, match="failed verification 1 times") as failure:
+        color_cell(cell, pts, default_constants(1, c1=1e-9), seed=0, retry_budget=8)
+    assert failure.value.retries == 1 and failure.value.size == len(coords)
+
+
+@pytest.mark.xfail(raises=ColoringFailure, strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("seed", range(4))
+def test_color_all_near_duplicate_lockstep(seed):
+    # Eight boundary points 1e-12 apart are not paired off as duplicates,
+    # and the walk moves their near-identical vectors in lockstep to one
+    # sign, which fails all 64 verifications.
+    pts = np.array([1.0 - k * 1e-12 for k in range(8)] + [-0.856, 0.057, -0.965])
+    color_all(pts.reshape(-1, 1), default_constants(1), seed=seed)
 
 
 def test_color_cell_retry_uses_kth_split():
