@@ -235,6 +235,8 @@ def _load_coreset_indices(cfg, points):
         artifact = json.load(fh)
     if not isinstance(artifact, dict) or artifact.get("kind") != "coreset":
         raise ValidationError(f"{cfg.coreset}: not a coreset artifact")
+    if _field(artifact, "schema_version", int, cfg.coreset) != SCHEMA_VERSION:
+        raise ValidationError(f"{cfg.coreset}: schema_version is not {SCHEMA_VERSION}")
     source = artifact.get("input")
     recorded = source.get("sha256") if isinstance(source, dict) else None
     actual = file_sha256(cfg.input)
@@ -290,7 +292,13 @@ def cmd_verify(cfg):
             "emit_colorings=false?)"
         )
     d = points.shape[1]
-    constants = cfg.constants_for(d)
+    # Recheck the build's own certificate: its resolved configuration, with
+    # none of this process's flags, environment or config file.
+    built = _field(artifact, "config", dict, cfg.coreset)
+    try:
+        constants = resolve_config(built, environ={}).constants_for(d)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{cfg.coreset}: malformed 'config' ({exc})") from None
     if artifact.get("presample_indices") is not None:
         current = _int_array(artifact, "presample_indices", cfg.coreset, n)
     else:
@@ -357,7 +365,7 @@ def cmd_verify(cfg):
 
 def cmd_bench(cfg):
     points = read_points(cfg.input, cfg.dim)
-    sizes = cfg.sizes or (32, 64, 128, 256)
+    sizes = (32, 64, 128, 256) if cfg.sizes is None else cfg.sizes
     if not sizes:
         raise ValidationError("bench requires a nonempty size list")
     sizes = sorted(int(s) for s in sizes)
@@ -441,28 +449,6 @@ def fit_loglog_slope(pairs):
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _add_common(p):
-    p.add_argument("--input", help="input point file (CSV or JSON)")
-    p.add_argument("--output", help="output artifact path (JSON)")
-    p.add_argument("--dim", type=int, help="expected dimension (validated)")
-    p.add_argument("--seed", type=int, help="root RNG seed (default 0)")
-    p.add_argument("--c0", type=float, help="grid-resolution constant")
-    p.add_argument("--c1", type=float, help="threshold constant")
-    p.add_argument("--c-big", dest="c_big", type=float, help="balance cap constant")
-    p.add_argument("--strict-constants", dest="strict_constants",
-                   action="store_const", const=True,
-                   help="theory-faithful constants and literal grid widths")
-    p.add_argument("--grid-budget", dest="grid_budget", type=int,
-                   help="max enumerated points per verification grid")
-    p.add_argument("--retry-budget", dest="retry_budget", type=int,
-                   help="per-cell Las Vegas retries before failing")
-    p.add_argument("--resolution", type=int,
-                   help="per-axis query grid resolution for evaluation")
-    p.add_argument("--eval-budget", dest="eval_budget", type=int,
-                   help="max enumerated query points for evaluation")
-    p.add_argument("--config", help="JSON config file (lower precedence than flags)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kdecoreset",
@@ -470,9 +456,30 @@ def build_parser():
                     "recursive discrepancy halving.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flag groups; each command takes exactly the groups it reads.
+    files, halving, query, stored = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    files.add_argument("--input", help="input point file (CSV or JSON)")
+    files.add_argument("--output", help="output artifact path (JSON)")
+    files.add_argument("--dim", type=int, help="expected dimension (validated)")
+    files.add_argument("--config", help="JSON config file (lower precedence than flags)")
+    halving.add_argument("--seed", type=int, help="root RNG seed (default 0)")
+    halving.add_argument("--c0", type=float, help="grid-resolution constant")
+    halving.add_argument("--c1", type=float, help="threshold constant")
+    halving.add_argument("--c-big", dest="c_big", type=float, help="balance cap constant")
+    halving.add_argument("--strict-constants", dest="strict_constants",
+                         action="store_const", const=True,
+                         help="theory-faithful constants and literal grid widths")
+    halving.add_argument("--grid-budget", dest="grid_budget", type=int,
+                         help="max enumerated points per verification grid")
+    halving.add_argument("--retry-budget", dest="retry_budget", type=int,
+                         help="per-cell Las Vegas retries before failing")
+    query.add_argument("--resolution", type=int,
+                       help="per-axis query grid resolution for evaluation")
+    query.add_argument("--eval-budget", dest="eval_budget", type=int,
+                       help="max enumerated query points for evaluation")
+    stored.add_argument("--coreset", help="coreset artifact from `build`")
 
-    p = sub.add_parser("build", help="construct a coreset")
-    _add_common(p)
+    p = sub.add_parser("build", help="construct a coreset", parents=[files, halving])
     p.add_argument("--target-size", dest="target_size", type=int,
                    help="stop halving at this size")
     p.add_argument("--epsilon", type=float, help="error budget; sets the target size")
@@ -480,17 +487,12 @@ def build_parser():
                    help="uniform presample to ~1/eps^2 before halving")
     p.add_argument("--no-colorings", dest="emit_colorings", action="store_const",
                    const=False, help="omit per-round colorings from the artifact")
-
-    p = sub.add_parser("eval", help="sup-error report for a stored coreset")
-    _add_common(p)
-    p.add_argument("--coreset", help="coreset artifact from `build`")
-
-    p = sub.add_parser("verify", help="recheck a stored coloring")
-    _add_common(p)
-    p.add_argument("--coreset", help="coreset artifact from `build`")
-
-    p = sub.add_parser("bench", help="compare against random sampling")
-    _add_common(p)
+    sub.add_parser("eval", help="sup-error report for a stored coreset",
+                   parents=[files, query, stored])
+    sub.add_parser("verify", help="recheck a stored coloring under the constants "
+                   "the artifact was built with", parents=[files, stored])
+    p = sub.add_parser("bench", help="compare against random sampling",
+                       parents=[files, halving, query])
     p.add_argument("--sizes", help="comma-separated coreset sizes")
     p.add_argument("--num-seeds", dest="num_seeds", type=int,
                    help="seeds per size (default 20)")

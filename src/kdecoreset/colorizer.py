@@ -149,7 +149,7 @@ def verify(points_centered, signs, schedule, tables=None):
         disc = cell_tables.sum(sigma)
         max_ratio = max(max_ratio, float(np.max(np.abs(disc) / thresholds)))
     imbalance = int(np.sum(sigma))
-    passed = max_ratio < 1.0 and abs(imbalance) <= schedule.c_big
+    passed = max_ratio < 1.0 and abs(imbalance) <= schedule.constants.c_big
     return passed, max_ratio, imbalance
 
 

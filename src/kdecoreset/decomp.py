@@ -153,8 +153,10 @@ def kernel_factor(points):
     (first index on ties) is the next pivot, and the factorization stops
     once it is at most 1e-12. The r x n triangular factor L is then rotated
     onto the eigenvectors of L L^T, truncated by psd_factor's rule, so
-    dim_m is psd_factor's numerical rank. Entries of the reconstructed Gram
-    are within ~1e-11 of build_gram's.
+    dim_m is psd_factor's numerical rank. The reconstructed Gram's error
+    against build_gram is set by that 1e-12 * lambda_max truncation floor,
+    not by rounding: measured errors reach 8.8e-11 (d = 3, spread 0.05)
+    and 1.006e-10 (a 419-point d = 3 cell within 0.01).
 
     Cells of at most 256 points, and cells whose pivot count passes n / 4,
     return psd_factor(build_gram(points)) unchanged.

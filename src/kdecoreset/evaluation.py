@@ -50,8 +50,9 @@ class EvalReport:
 
     @property
     def upper_bound(self):
-        """Analytic upper bound on the true sup over all of R^d."""
-        return max(self.sup_error + self.discretization_bound, self.tail_bound)
+        """Analytic upper bound on the true sup over all of R^d, at most 1:
+        two KDEs both lie in [0, 1]."""
+        return min(max(self.sup_error + self.discretization_bound, self.tail_bound), 1.0)
 
 
 def expansion_margin(n):

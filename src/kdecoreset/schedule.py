@@ -215,14 +215,6 @@ class GridSchedule:
     grids: tuple
     degenerate: bool = False
 
-    @property
-    def c1(self):
-        return self.constants.c1
-
-    @property
-    def c_big(self):
-        return self.constants.c_big
-
     def verification_grids(self):
         """Per-level grids to check during verification, coarsened to the
         constants' budget (strict mode checks the literal width)."""
@@ -236,7 +228,7 @@ class GridSchedule:
         per-axis factors. Computed once per schedule; read-only."""
         levels = []
         for level, grid in enumerate(self.verification_grids()):
-            thresholds = np.float64(self.c1 * self.seq[level + 1])
+            thresholds = np.float64(self.constants.c1 * self.seq[level + 1])
             for axis, c in zip(grid.axes(), grid.center):
                 thresholds = np.multiply.outer(thresholds, np.exp(-(2.0 / 3.0) * (axis - c) ** 2))
             thresholds = thresholds.reshape(-1)
@@ -288,4 +280,4 @@ def threshold_batch(schedule, level, points):
     pts = np.asarray(points, dtype=np.float64)
     off = pts - np.asarray(schedule.grids[level].center)[None, :]
     sq = np.einsum("nd,nd->n", off, off)
-    return schedule.c1 * schedule.seq[level + 1] * np.exp(-(2.0 / 3.0) * sq)
+    return schedule.constants.c1 * schedule.seq[level + 1] * np.exp(-(2.0 / 3.0) * sq)

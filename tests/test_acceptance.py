@@ -105,11 +105,11 @@ def criterion_3():
             passed, ratio, _ = verify(centered, accepted, sch)
             grids = [g.points() for g in sch.verification_grids()]
             naive_pass, naive_ratio = naive.verify_cell(
-                centered, accepted, grids, sch.c1, sch.seq, sch.c_big)
+                centered, accepted, grids, sch.constants.c1, sch.seq, sch.constants.c_big)
             assert passed and naive_pass, f"run {run}: accepted coloring fails recheck"
             assert naive_ratio < 1.0
             assert abs(naive_ratio - rep.max_grid_ratio) <= 1e-9 * max(1.0, naive_ratio)
-            assert abs(int(accepted.sum())) <= sch.c_big
+            assert abs(int(accepted.sum())) <= sch.constants.c_big
             cells_checked += 1
     return f"100 runs, {cells_checked} cells rechecked, zero disagreements"
 

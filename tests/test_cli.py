@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from kdecoreset.cli import (
     EXIT_IO,
     EXIT_VALIDATION,
     ValidationError,
+    build_parser,
     fit_loglog_slope,
     main,
     read_points,
@@ -313,6 +315,65 @@ def test_verify_report_ratios_are_the_builds(spread_artifact, tmp_path):
         assert check["max_grid_ratio"].hex() == worst.hex()
 
 
+@pytest.mark.parametrize("flags", [["--c1", "2000"], ["--grid-budget", "9"]],
+                         ids=["c1", "grid_budget"])
+def test_verify_rechecks_the_builds_constants(tmp_path, monkeypatch, flags):
+    # verify takes c0, c1, c_big and the grid budget from the config the
+    # artifact embeds; its own flags, environment and config file do not
+    # enter, so it reports the build's per-round ratios bit for bit.
+    pts = np.random.default_rng(3).normal(0, 2, size=(240, 2))
+    path = tmp_path / "spread.csv"
+    write_csv(path, pts)
+    coreset = tmp_path / "spread.json"
+    assert main(["build", "--input", str(path), "--output", str(coreset),
+                 "--target-size", "60"] + flags) == 0
+    built = [max(cell["max_grid_ratio"] for cell in rnd["cells"]).hex()
+             for rnd in json.loads(coreset.read_text())["rounds"]]
+    assert len(built) > 1
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"c1": 1e-9, "grid_budget": 1}))
+    report = tmp_path / "verify.json"
+
+    def check(*extra):
+        assert main(["verify", "--input", str(path), "--coreset", str(coreset),
+                     "--output", str(report), *extra]) == 0
+        rounds = json.loads(report.read_text())["rounds"]
+        assert [r["max_grid_ratio"].hex() for r in rounds] == built
+
+    check()
+    check("--config", str(cfg_file))
+    monkeypatch.setenv(ENV_PREFIX + "C1", "1e-9")
+    check()
+
+
+def test_verify_rejects_malformed_config(spread_artifact, capsys):
+    path, coreset = spread_artifact
+    original = coreset.read_text()
+
+    def set_config(value):
+        def tamper(data):
+            data["config"] = value
+        return tamper
+
+    for value in (None, [1], {"c1": [1]}, {"c1": -1.0}, {"strict_constants": "maybe"}):
+        assert verify_tampered(path, coreset, original, set_config(value)
+                               ) == EXIT_VALIDATION, value
+        assert "'config'" in capsys.readouterr().err, value
+
+
+def test_eval_and_verify_reject_other_schema_versions(spread_artifact, capsys):
+    path, coreset = spread_artifact
+    original = coreset.read_text()
+    for value in (99, 0, "1", True, None):
+        data = json.loads(original)
+        data["schema_version"] = value
+        coreset.write_text(json.dumps(data))
+        for command in ("eval", "verify"):
+            assert main([command, "--input", str(path), "--coreset", str(coreset)]
+                        ) == EXIT_VALIDATION, (command, value)
+            assert "schema_version" in capsys.readouterr().err, (command, value)
+
+
 def verify_tampered(path, coreset, original, tamper):
     data = json.loads(original)
     tamper(data)
@@ -431,6 +492,42 @@ def test_budgets_below_one_rejected(square_csv, tmp_path, capsys):
         assert main(["bench", "--input", str(path), "--sizes", "4,8",
                      "--num-seeds", seeds]) == EXIT_VALIDATION
         assert "bench seed count must be at least 1" in capsys.readouterr().err
+
+
+def test_bench_rejects_empty_size_list(square_csv, capsys):
+    path, _ = square_csv
+    assert main(["bench", "--input", str(path), "--sizes", ""]) == EXIT_VALIDATION
+    assert "bench requires a nonempty size list" in capsys.readouterr().err
+
+
+# Each command takes exactly the flags it reads.
+COMMAND_FLAGS = {
+    "build": {"--input", "--output", "--dim", "--config", "--seed", "--c0", "--c1",
+              "--c-big", "--strict-constants", "--grid-budget", "--retry-budget",
+              "--target-size", "--epsilon", "--presample", "--no-colorings"},
+    "eval": {"--input", "--output", "--dim", "--config", "--resolution",
+             "--eval-budget", "--coreset"},
+    "verify": {"--input", "--output", "--dim", "--config", "--coreset"},
+    "bench": {"--input", "--output", "--dim", "--config", "--seed", "--c0", "--c1",
+              "--c-big", "--strict-constants", "--grid-budget", "--retry-budget",
+              "--resolution", "--eval-budget", "--sizes", "--num-seeds"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_subcommand_flags(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert options - {"-h", "--help"} == COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [["eval", "--c1", "5"], ["verify", "--seed", "3"]])
+def test_unread_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--input", "points.csv"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_build_halving_stall_exit_code(tmp_path, capsys):

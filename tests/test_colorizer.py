@@ -123,7 +123,7 @@ def test_verify_matches_naive_recheck():
         passed, ratio, _ = verify(pts, signs, sch)
         grids = [g.points() for g in sch.verification_grids()]
         naive_pass, naive_ratio = naive.verify_cell(
-            pts, signs, grids, sch.c1, sch.seq, sch.c_big)
+            pts, signs, grids, sch.constants.c1, sch.seq, sch.constants.c_big)
         assert passed == naive_pass
         assert ratio == pytest.approx(naive_ratio, rel=1e-9)
 

@@ -42,6 +42,19 @@ def test_linf_symmetry():
     assert a.grid == b.grid
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_linf_upper_bound_at_most_one(d):
+    # Both KDEs lie in [0, 1]. At d = 3 the budgeted lattice is so coarse
+    # that sup + discretization passes 1, and the bound is clamped there;
+    # at d = 2 it stays below 1 and is reported as is.
+    rng = np.random.default_rng(0)
+    p = rng.normal(0, 1, size=(4096, d))
+    report = linf_error(p, p[rng.choice(4096, 64, replace=False)])
+    raw = max(report.sup_error + report.discretization_bound, report.tail_bound)
+    assert report.upper_bound == min(raw, 1.0)
+    assert (raw > 1.0) == (d == 3)
+
+
 def test_linf_refinement_changes_bounded_by_lipschitz():
     rng = np.random.default_rng(2)
     p = rng.uniform(-1, 1, size=(40, 1))

@@ -107,7 +107,7 @@ def test_build_schedule_million_d1():
 def test_threshold_at_center_and_monotone():
     sch = build_schedule(1000, 2)
     assert threshold_batch(sch, 0, [[0.0, 0.0]])[0] == pytest.approx(
-        sch.c1 * sch.seq[1], rel=1e-12)
+        sch.constants.c1 * sch.seq[1], rel=1e-12)
     radii = [0.0, 0.5, 1.0, 2.0, 4.0]
     vals = [threshold_batch(sch, 0, [[r, 0.0]])[0] for r in radii]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -129,7 +129,7 @@ def test_threshold_batch_matches_scalar():
     pts = np.random.default_rng(0).uniform(-3, 3, size=(20, 2))
     batch = threshold_batch(sch, 0, pts)
     for i, p in enumerate(pts):
-        expected = sch.c1 * sch.seq[1] * math.exp(-(2.0 / 3.0) * float(p @ p))
+        expected = sch.constants.c1 * sch.seq[1] * math.exp(-(2.0 / 3.0) * float(p @ p))
         assert batch[i] == pytest.approx(expected, rel=1e-12)
 
 
