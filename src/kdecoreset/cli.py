@@ -279,6 +279,10 @@ def cmd_eval(cfg):
     return EXIT_OK
 
 
+# The configuration keys whose values verify takes from the artifact.
+_VERIFY_KEYS = ("c0", "c1", "c_big", "strict_constants", "grid_budget")
+
+
 def cmd_verify(cfg):
     points = read_points(cfg.input, cfg.dim)
     if not cfg.coreset:
@@ -292,13 +296,16 @@ def cmd_verify(cfg):
             "emit_colorings=false?)"
         )
     d = points.shape[1]
-    # Recheck the build's own certificate: its resolved configuration, with
-    # none of this process's flags, environment or config file.
-    built = _field(artifact, "config", dict, cfg.coreset)
+    # Recheck the build's own certificate: the constants its configuration
+    # records, with none of this process's flags, environment or config file.
+    recorded = _field(artifact, "config", dict, cfg.coreset)
     try:
-        constants = resolve_config(built, environ={}).constants_for(d)
-    except (TypeError, ValueError) as exc:
+        built = resolve_config({k: recorded.get(k) for k in _VERIFY_KEYS}, environ={})
+        constants = built.constants_for(d)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{cfg.coreset}: malformed 'config' ({exc})") from None
+    print(f"constants from artifact: c0 {constants.c0:.6g}, c1 {constants.c1:.6g}, "
+          f"c_big {constants.c_big:.6g}, grid budget {constants.grid_budget}")
     if artifact.get("presample_indices") is not None:
         current = _int_array(artifact, "presample_indices", cfg.coreset, n)
     else:
@@ -355,6 +362,7 @@ def cmd_verify(cfg):
         print("indices: FAIL (not the kept set of the last round)")
     if cfg.output:
         payload = _base_payload("verify_report", cfg, cfg.input)
+        payload["config"].update({k: getattr(built, k) for k in _VERIFY_KEYS})
         payload["rounds"] = results
         payload["passed"] = all_ok
         write_artifact(cfg.output, payload)

@@ -327,9 +327,12 @@ def test_verify_rechecks_the_builds_constants(tmp_path, monkeypatch, flags):
     coreset = tmp_path / "spread.json"
     assert main(["build", "--input", str(path), "--output", str(coreset),
                  "--target-size", "60"] + flags) == 0
+    artifact = json.loads(coreset.read_text())
     built = [max(cell["max_grid_ratio"] for cell in rnd["cells"]).hex()
-             for rnd in json.loads(coreset.read_text())["rounds"]]
+             for rnd in artifact["rounds"]]
     assert len(built) > 1
+    keys = ("c0", "c1", "c_big", "strict_constants", "grid_budget")
+    built_config = {k: artifact["config"][k] for k in keys}
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"c1": 1e-9, "grid_budget": 1}))
     report = tmp_path / "verify.json"
@@ -337,13 +340,17 @@ def test_verify_rechecks_the_builds_constants(tmp_path, monkeypatch, flags):
     def check(*extra):
         assert main(["verify", "--input", str(path), "--coreset", str(coreset),
                      "--output", str(report), *extra]) == 0
-        rounds = json.loads(report.read_text())["rounds"]
-        assert [r["max_grid_ratio"].hex() for r in rounds] == built
+        checked = json.loads(report.read_text())
+        assert [r["max_grid_ratio"].hex() for r in checked["rounds"]] == built
+        # The report records the constants it checked under.
+        assert {k: checked["config"][k] for k in keys} == built_config
 
     check()
     check("--config", str(cfg_file))
     monkeypatch.setenv(ENV_PREFIX + "C1", "1e-9")
+    monkeypatch.setenv(ENV_PREFIX + "GRID_BUDGET", "1")
     check()
+    assert built_config["c1" if "--c1" in flags else "grid_budget"] == float(flags[1])
 
 
 def test_verify_rejects_malformed_config(spread_artifact, capsys):
@@ -355,10 +362,14 @@ def test_verify_rejects_malformed_config(spread_artifact, capsys):
             data["config"] = value
         return tamper
 
-    for value in (None, [1], {"c1": [1]}, {"c1": -1.0}, {"strict_constants": "maybe"}):
+    for value in (None, [1], {"c1": [1]}, {"c1": -1.0}, {"strict_constants": "maybe"},
+                  {"grid_budget": float("inf")}):
         assert verify_tampered(path, coreset, original, set_config(value)
                                ) == EXIT_VALIDATION, value
         assert "'config'" in capsys.readouterr().err, value
+    # Keys verify does not read are not checked.
+    assert verify_tampered(path, coreset, original,
+                           set_config({"target_size": "x", "sizes": 7})) == 0
 
 
 def test_eval_and_verify_reject_other_schema_versions(spread_artifact, capsys):
