@@ -17,11 +17,12 @@ import hashlib
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .colorizer import ColoringFailure, partition, verify
+from .colorizer import ColoringFailure, balance_flips, partition, verify
 from .config import resolve_config
 from .coreset import HalvingFailure, build_coreset, random_baseline
 from .evaluation import build_query_grid, expansion_margin, linf_error
@@ -186,12 +187,14 @@ def cmd_build(cfg):
     if cfg.target_size is None and cfg.epsilon is None:
         raise ValidationError("build requires --target-size or --epsilon")
     d = points.shape[1]
+    constants = cfg.constants_for(d)
     result = build_coreset(
         points, target=cfg.target_size, epsilon=cfg.epsilon, seed=cfg.seed,
-        presample=cfg.presample, constants=cfg.constants_for(d),
-        retry_budget=cfg.retry_budget,
+        presample=cfg.presample, constants=constants, retry_budget=cfg.retry_budget,
     )
     payload = _base_payload("coreset", cfg, cfg.input)
+    # Resolved constants, not null defaults: verify rechecks these, whatever the defaults.
+    payload["config"].update(asdict(constants))
     payload["input"]["n"] = int(points.shape[0])
     payload["input"]["dim"] = d
     payload.update({
@@ -231,6 +234,8 @@ def _int_array(obj, key, where, bound=None):
 
 
 def _load_coreset_indices(cfg, points):
+    if not cfg.coreset:
+        raise ValidationError("a --coreset artifact is required")
     with open(cfg.coreset, "r", encoding="utf-8") as fh:
         artifact = json.load(fh)
     if not isinstance(artifact, dict) or artifact.get("kind") != "coreset":
@@ -245,13 +250,14 @@ def _load_coreset_indices(cfg, points):
             f"{cfg.coreset}: coreset was built from a different input "
             f"(sha256 {recorded[:12]}... != {actual[:12]}...)"
         )
-    return artifact, _int_array(artifact, "indices", cfg.coreset, points.shape[0])
+    indices = _int_array(artifact, "indices", cfg.coreset, points.shape[0])
+    if len(set(indices.tolist())) != indices.size:
+        raise ValidationError(f"{cfg.coreset}: 'indices' repeats an entry")
+    return artifact, indices
 
 
 def cmd_eval(cfg):
     points = read_points(cfg.input, cfg.dim)
-    if not cfg.coreset:
-        raise ValidationError("eval requires --coreset")
     artifact, idx = _load_coreset_indices(cfg, points)
     report = linf_error(points, points[idx], resolution=cfg.resolution,
                         budget=cfg.eval_budget)
@@ -285,16 +291,12 @@ _VERIFY_KEYS = ("c0", "c1", "c_big", "strict_constants", "grid_budget")
 
 def cmd_verify(cfg):
     points = read_points(cfg.input, cfg.dim)
-    if not cfg.coreset:
-        raise ValidationError("verify requires --coreset")
     artifact, indices = _load_coreset_indices(cfg, points)
     n = points.shape[0]
     rounds = _field(artifact, "rounds", list, cfg.coreset)
     if any(isinstance(rnd, dict) and "coloring" not in rnd for rnd in rounds):
-        raise ValidationError(
-            f"{cfg.coreset}: artifact has no stored colorings (built with "
-            "emit_colorings=false?)"
-        )
+        raise ValidationError(f"{cfg.coreset}: artifact has no stored colorings "
+                              "(built with emit_colorings=false?)")
     d = points.shape[1]
     # Recheck the build's own certificate: the constants its configuration
     # records, with none of this process's flags, environment or config file.
@@ -306,10 +308,8 @@ def cmd_verify(cfg):
         raise ValidationError(f"{cfg.coreset}: malformed 'config' ({exc})") from None
     print(f"constants from artifact: c0 {constants.c0:.6g}, c1 {constants.c1:.6g}, "
           f"c_big {constants.c_big:.6g}, grid budget {constants.grid_budget}")
-    if artifact.get("presample_indices") is not None:
-        current = _int_array(artifact, "presample_indices", cfg.coreset, n)
-    else:
-        current = np.arange(n, dtype=np.intp)
+    current = (np.arange(n, dtype=np.intp) if artifact.get("presample_indices") is None
+               else _int_array(artifact, "presample_indices", cfg.coreset, n))
     all_ok = True
     results = []
     for rno, rnd in enumerate(rounds):
@@ -335,29 +335,26 @@ def cmd_verify(cfg):
                     or _field(meta, "size", int, where) != size):
                 raise ValidationError(f"{where}: center or size does not match input")
             # The Las Vegas check certified the pre-flip coloring; undo the
-            # recorded flips to recheck exactly what was accepted, then
-            # check the post-flip balance separately.
+            # recorded flips to recheck exactly what was accepted. Those
+            # flips must be the accepted coloring's own balance flips.
             flipped = _int_array(meta, "flipped_positions", where, size)
-            count = _field(meta, "flipped", int, where)
-            if len(set(flipped.tolist())) != flipped.size or flipped.size != count:
-                raise ValidationError(f"{where}: flipped positions are not {count} distinct members")
-            final = coloring[cell.members]
-            accepted = final.copy()
+            accepted = coloring[cell.members]
             accepted[flipped] *= -1
+            if (flipped.tolist() != balance_flips(accepted).tolist()
+                    or _field(meta, "flipped", int, where) != flipped.size):
+                raise ValidationError(f"{where}: flipped positions are not the "
+                                      "accepted coloring's balance flips")
             centered = pts[cell.members] - np.asarray(cell.center)
             passed, ratio, _ = verify(centered, accepted, build_schedule(size, d, constants))
             worst = max(worst, ratio)
-            if not passed or abs(int(final.sum())) > 1:
-                ok = False
-        recomputed_kept = current[np.flatnonzero(coloring == 1)]
-        if not np.array_equal(np.sort(recomputed_kept), np.sort(kept)):
-            ok = False
+            ok = ok and passed
+        ok = ok and np.array_equal(current[coloring == 1], kept)
         results.append({"round": rno, "passed": ok, "max_grid_ratio": worst})
         all_ok = all_ok and ok
         current = kept
         print(f"round {rno}: {'pass' if ok else 'FAIL'} (max ratio {worst:.4g})")
     # The coreset is the last round's kept set, or the starting set if none ran.
-    if not np.array_equal(np.sort(current), np.sort(indices)):
+    if not np.array_equal(current, indices):
         all_ok = False
         print("indices: FAIL (not the kept set of the last round)")
     if cfg.output:

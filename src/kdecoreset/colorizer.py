@@ -30,6 +30,7 @@ __all__ = [
     "ColoringFailure",
     "partition",
     "verify",
+    "balance_flips",
     "color_cell",
     "color_all",
 ]
@@ -168,17 +169,13 @@ def _pair_duplicates(group):
     return signs, np.array(sorted(unpaired.values()), dtype=np.intp)
 
 
-def _balance_flip(signs):
-    """Flip the minimum number of majority-sign entries (lowest index
-    first) so that |#(+1) - #(-1)| <= 1. Returns flipped positions."""
+def balance_flips(signs):
+    """Positions to flip so that a ±1 coloring has |#(+1) - #(-1)| <= 1: the
+    fewest majority-sign entries, ascending from the lowest; `signs` is unchanged."""
     total = int(signs.sum())
-    n_flips = abs(total) // 2
-    if n_flips == 0:
+    if abs(total) < 2:
         return np.empty(0, dtype=np.intp)
-    majority = 1 if total > 0 else -1
-    positions = np.flatnonzero(signs == majority)[:n_flips]
-    signs[positions] *= -1
-    return positions
+    return (signs == (1 if total > 0 else -1)).nonzero()[0][:abs(total) // 2]
 
 
 def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET):
@@ -223,7 +220,8 @@ def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET)
             break
     else:
         raise ColoringFailure(cell.center, n, budget, schedule.constants, ratio)
-    flipped = _balance_flip(signs)
+    flipped = balance_flips(signs)
+    signs[flipped] *= -1
     return CellColoringReport(
         center=cell.center,
         members=cell.members,

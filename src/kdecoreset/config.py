@@ -71,15 +71,24 @@ def _parse_bool(value):
     raise ValueError(f"cannot parse boolean config value {value!r}")
 
 
+def _parse_int(value):
+    """An int, an integral float or a decimal string as an int; bools,
+    fractions and non-finite floats raise ValueError."""
+    if (isinstance(value, (int, str)) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"cannot parse integer config value {value!r}")
+
+
 def _parse_sizes(value):
     if isinstance(value, str):
         value = [v for v in value.split(",") if v]
-    return tuple(int(v) for v in value)
+    return tuple(_parse_int(v) for v in value)
 
 
 # Parsers follow the field annotations, which must stay plain types.
-_COERCERS = {f.name: {bool: _parse_bool, tuple: _parse_sizes}.get(f.type, f.type)
-             for f in fields(RunConfig)}
+_PARSERS = {bool: _parse_bool, int: _parse_int, tuple: _parse_sizes}
+_COERCERS = {f.name: _PARSERS.get(f.type, f.type) for f in fields(RunConfig)}
 
 
 def resolve_config(cli_values, config_path=None, environ=None):

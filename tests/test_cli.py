@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,10 @@ from kdecoreset.cli import (
     main,
     read_points,
 )
+from kdecoreset.colorizer import partition
 from kdecoreset.config import ENV_PREFIX, RunConfig, resolve_config
 from kdecoreset.evaluation import linf_error
+from kdecoreset.schedule import default_constants
 
 import naive
 
@@ -363,13 +366,41 @@ def test_verify_rejects_malformed_config(spread_artifact, capsys):
         return tamper
 
     for value in (None, [1], {"c1": [1]}, {"c1": -1.0}, {"strict_constants": "maybe"},
-                  {"grid_budget": float("inf")}):
+                  {"grid_budget": float("inf")}, {"grid_budget": 9.7}, {"grid_budget": True}):
         assert verify_tampered(path, coreset, original, set_config(value)
                                ) == EXIT_VALIDATION, value
         assert "'config'" in capsys.readouterr().err, value
     # Keys verify does not read are not checked.
     assert verify_tampered(path, coreset, original,
                            set_config({"target_size": "x", "sizes": 7})) == 0
+
+
+def test_verify_rechecks_recorded_constants_after_a_default_changes(
+        spread_artifact, tmp_path, monkeypatch):
+    # A default-constant build records the constants it resolved, not null,
+    # so a later change to a default does not change what verify rechecks.
+    path, coreset = spread_artifact
+    artifact = json.loads(coreset.read_text())
+    recorded = {k: artifact["config"][k] for k in ("c0", "c1", "c_big", "grid_budget")}
+    assert recorded == asdict(default_constants(2))
+    built = [max(cell["max_grid_ratio"] for cell in rnd["cells"]).hex()
+             for rnd in artifact["rounds"]]
+    monkeypatch.setattr("kdecoreset.schedule._BASE_C1", 1e-6)
+    report = tmp_path / "verify.json"
+    assert main(["verify", "--input", str(path), "--coreset", str(coreset),
+                 "--output", str(report)]) == 0
+    assert [r["max_grid_ratio"].hex() for r in json.loads(report.read_text())["rounds"]
+            ] == built
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("strict", [False, True])
+def test_recorded_constants_resolve_to_themselves(d, strict):
+    cfg = RunConfig(c0=30.0, c1=7.0, strict_constants=strict)
+    constants = cfg.constants_for(d)
+    again = resolve_config({**asdict(constants), "strict_constants": strict}, environ={})
+    assert again.constants_for(d) == constants
+    assert (constants.grid_budget is None) == strict
 
 
 def test_eval_and_verify_reject_other_schema_versions(spread_artifact, capsys):
@@ -412,6 +443,48 @@ def test_verify_rejects_bad_flipped_positions(spread_artifact, capsys):
         code = verify_tampered(path, coreset, original, set_positions(positions, count))
         assert code == EXIT_VALIDATION, (positions, count)
         assert f"round 0 cell {cno}" in capsys.readouterr().err
+
+
+def test_verify_rejects_flips_beyond_the_balance_flips(spread_artifact, capsys):
+    # Negate one more +1 and one more -1 member of a cell of the last round
+    # and record both as flips: undoing the flips still gives the certified
+    # coloring and the balance is unchanged, but the kept half is one the
+    # build never produced. Only the balance flips of the accepted coloring
+    # may be recorded.
+    path, coreset = spread_artifact
+    points = read_points(str(path))
+    data = json.loads(coreset.read_text())
+    rno = len(data["rounds"]) - 1
+    rnd = data["rounds"][rno]
+    current = np.asarray(data["rounds"][rno - 1]["kept"] if rno else range(len(points)))
+    coloring = np.asarray(rnd["coloring"])
+    for cno, cell in enumerate(partition(points[current])):
+        meta = rnd["cells"][cno]
+        free = [p for p in range(cell.members.size) if p not in meta["flipped_positions"]]
+        extra = [next((p for p in free if coloring[cell.members[p]] == s), None)
+                 for s in (1, -1)]
+        if None not in extra:
+            break
+    coloring[cell.members[extra]] *= -1
+    meta["flipped_positions"] = sorted(meta["flipped_positions"] + extra)
+    meta["flipped"] = len(meta["flipped_positions"])
+    rnd["coloring"] = coloring.tolist()
+    rnd["kept"] = data["indices"] = current[coloring == 1].tolist()
+    coreset.write_text(json.dumps(data))
+    assert main(["verify", "--input", str(path), "--coreset", str(coreset)]
+                ) == EXIT_VALIDATION
+    assert f"round {rno} cell {cno}" in capsys.readouterr().err
+
+
+def test_verify_requires_stored_colorings(spread_artifact, tmp_path, capsys):
+    path, _ = spread_artifact
+    bare = tmp_path / "bare.json"
+    assert main(["build", "--input", str(path), "--output", str(bare),
+                 "--target-size", "120", "--no-colorings"]) == 0
+    assert all("coloring" not in rnd for rnd in json.loads(bare.read_text())["rounds"])
+    assert main(["verify", "--input", str(path), "--coreset", str(bare)]
+                ) == EXIT_VALIDATION
+    assert "no stored colorings" in capsys.readouterr().err
 
 
 def test_verify_checks_cell_center_and_size(spread_artifact, capsys):
@@ -458,6 +531,14 @@ def test_malformed_artifact_exit_codes(spread_artifact, capsys):
     coreset.write_text(json.dumps(data))
     assert main(["eval", "--input", str(path), "--coreset", str(coreset)]) == EXIT_VALIDATION
     assert "missing or malformed 'indices'" in capsys.readouterr().err
+    # Repeated indices are rejected where eval and verify read them.
+    data = json.loads(original)
+    data["indices"] = [data["indices"][0]] * len(data["indices"])
+    coreset.write_text(json.dumps(data))
+    for command in ("eval", "verify"):
+        assert main([command, "--input", str(path), "--coreset", str(coreset)]
+                    ) == EXIT_VALIDATION, command
+        assert "'indices' repeats an entry" in capsys.readouterr().err, command
     coreset.write_text("[1, 2]")
     assert main(["eval", "--input", str(path), "--coreset", str(coreset)]) == EXIT_VALIDATION
 
@@ -560,6 +641,32 @@ def test_env_and_config_file_precedence(tmp_path, monkeypatch):
     assert cfg.c1 == 5.0       # config file beats defaults
     cfg = resolve_config({"seed": 33}, config_path=str(cfg_file))
     assert cfg.seed == 33      # flags beat env
+
+
+def test_build_config_integers_are_strict(square_csv, tmp_path, capsys):
+    # Integer keys take ints, integral floats and decimal strings; a bool, a
+    # fraction or a non-finite float is a validation error, not a truncation.
+    path, _ = square_csv
+    out = tmp_path / "coreset.json"
+    cfg_file = tmp_path / "cfg.json"
+
+    def build(text):
+        cfg_file.write_text(text)
+        return main(["build", "--input", str(path), "--output", str(out),
+                     "--target-size", "90", "--config", str(cfg_file)])
+
+    for text in ('{"grid_budget": 9.7, "seed": true}', '{"grid_budget": 9.7}',
+                 '{"seed": true}', '{"grid_budget": 1e999}'):
+        assert build(text) == EXIT_VALIDATION, text
+        assert "cannot parse integer config value" in capsys.readouterr().err, text
+        assert not out.exists()
+    assert build('{"seed": 3.0}') == 0
+    data = json.loads(out.read_text())
+    assert data["seed"] == data["config"]["seed"] == 3
+    assert type(data["config"]["seed"]) is int
+    assert resolve_config({}, environ={ENV_PREFIX + "GRID_BUDGET": "12"}).grid_budget == 12
+    with pytest.raises(ValueError):
+        resolve_config({}, environ={ENV_PREFIX + "GRID_BUDGET": "9.7"})
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kdecoreset.colorizer import (
     CellAssignment,
     ColoringFailure,
+    balance_flips,
     color_all,
     color_cell,
     partition,
@@ -173,6 +174,26 @@ def test_color_cell_balance_and_acceptance():
         assert report.flipped.size <= math.ceil(cst.c_big / 2) + 1
         retries.append(report.retries)
     assert np.mean(retries) <= 4.0
+
+
+def test_balance_flips_takes_fewest_majority_entries_lowest_first():
+    for signs, flips in [([1, -1, 1, 1, 1, -1, 1, 1], [0, 2]), ([-1, 1, -1, -1], [0]),
+                         ([1, 1, 1], [0]), ([1, -1, -1, 1], []), ([-1], []), ([], [])]:
+        signs = np.array(signs, dtype=np.int64)
+        before = signs.copy()
+        assert balance_flips(signs).tolist() == flips, before
+        assert np.array_equal(signs, before)
+        signs[flips] *= -1
+        assert abs(int(signs.sum())) <= 1
+
+
+def test_color_cell_flips_are_the_accepted_colorings_balance_flips():
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-1, 1, size=(60, 1))
+    cell = CellAssignment(center=(0.0,), members=np.arange(60))
+    for seed in range(4):
+        report = color_cell(cell, pts, small_constants(1), seed=seed)
+        assert report.flipped.tolist() == balance_flips(report.accepted_coloring).tolist()
 
 
 def test_color_cell_retry_budget_failure():
