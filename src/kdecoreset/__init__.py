@@ -25,14 +25,7 @@ from .evaluation import (
     truncation_order,
     truncation_audit,
 )
-from .kernel import (
-    gauss,
-    kde_batch,
-    lattice_kde,
-    lattice_sum,
-    signed_discrepancy,
-    signed_discrepancy_batch,
-)
+from .kernel import kernel_sum, lattice_kde, lattice_sum
 from .schedule import (
     Constants,
     Grid,
@@ -54,8 +47,7 @@ __all__ = [
     "GramFactor", "augment", "build_gram", "psd_factor",
     "EvalReport", "build_query_grid", "linf_error",
     "truncation_order", "truncation_audit",
-    "gauss", "kde_batch", "lattice_kde", "lattice_sum",
-    "signed_discrepancy", "signed_discrepancy_batch",
+    "kernel_sum", "lattice_kde", "lattice_sum",
     "Constants", "Grid", "GridSchedule", "build_schedule", "default_constants",
     "ell", "ilog", "n_sequence",
     "WalkOutput", "gsw_color", "subgaussian_audit",

@@ -292,6 +292,8 @@ _VERIFY_KEYS = ("c0", "c1", "c_big", "strict_constants", "grid_budget")
 def cmd_verify(cfg):
     points = read_points(cfg.input, cfg.dim)
     artifact, indices = _load_coreset_indices(cfg, points)
+    if _field(artifact, "size", int, cfg.coreset) != indices.size:
+        raise ValidationError(f"{cfg.coreset}: 'size' is not the length of 'indices'")
     n = points.shape[0]
     rounds = _field(artifact, "rounds", list, cfg.coreset)
     if any(isinstance(rnd, dict) and "coloring" not in rnd for rnd in rounds):
@@ -304,7 +306,7 @@ def cmd_verify(cfg):
     try:
         built = resolve_config({k: recorded.get(k) for k in _VERIFY_KEYS}, environ={})
         constants = built.constants_for(d)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"{cfg.coreset}: malformed 'config' ({exc})") from None
     print(f"constants from artifact: c0 {constants.c0:.6g}, c1 {constants.c1:.6g}, "
           f"c_big {constants.c_big:.6g}, grid budget {constants.grid_budget}")
@@ -322,6 +324,10 @@ def cmd_verify(cfg):
                 f"round {rno}: coloring length {coloring.size} does not match "
                 f"expected size {current.size}"
             )
+        if (_field(rnd, "size_before", int, where) != coloring.size
+                or _field(rnd, "size_after", int, where) != kept.size):
+            raise ValidationError(f"{where}: size_before or size_after does not "
+                                  "match the coloring or kept set")
         pts = points[current]
         cells = partition(pts)
         if len(cells) != len(metas):
@@ -345,7 +351,11 @@ def cmd_verify(cfg):
                 raise ValidationError(f"{where}: flipped positions are not the "
                                       "accepted coloring's balance flips")
             centered = pts[cell.members] - np.asarray(cell.center)
-            passed, ratio, _ = verify(centered, accepted, build_schedule(size, d, constants))
+            passed, ratio, imbalance = verify(centered, accepted,
+                                              build_schedule(size, d, constants))
+            if _field(meta, "imbalance_before_flip", int, where) != imbalance:
+                raise ValidationError(f"{where}: imbalance_before_flip is not the "
+                                      "accepted coloring's sum")
             worst = max(worst, ratio)
             ok = ok and passed
         ok = ok and np.array_equal(current[coloring == 1], kept)

@@ -80,14 +80,28 @@ def _parse_int(value):
     raise ValueError(f"cannot parse integer config value {value!r}")
 
 
+def _parse_float(value):
+    """A non-bool int, a float or a numeric string as a float; anything
+    else raises ValueError."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"cannot parse float config value {value!r}")
+
+
 def _parse_sizes(value):
+    """A comma-separated string or a list of sizes as a tuple of ints."""
     if isinstance(value, str):
         value = [v for v in value.split(",") if v]
+    if not isinstance(value, list):
+        raise ValueError(f"cannot parse sizes config value {value!r}")
     return tuple(_parse_int(v) for v in value)
 
 
 # Parsers follow the field annotations, which must stay plain types.
-_PARSERS = {bool: _parse_bool, int: _parse_int, tuple: _parse_sizes}
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, tuple: _parse_sizes}
 _COERCERS = {f.name: _PARSERS.get(f.type, f.type) for f in fields(RunConfig)}
 
 
@@ -95,6 +109,8 @@ def resolve_config(cli_values, config_path=None, environ=None):
     """Merge defaults, config file, environment, and CLI values.
 
     cli_values: mapping of field name -> value or None (None = not given).
+    A config-file value of null is likewise not given, so the `config` of a
+    build artifact works as a config file.
     """
     environ = os.environ if environ is None else environ
     cfg = RunConfig()
@@ -106,7 +122,8 @@ def resolve_config(cli_values, config_path=None, environ=None):
         for key, value in data.items():
             if key not in _COERCERS:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _COERCERS[key](value))
+            if value is not None:
+                setattr(cfg, key, _COERCERS[key](value))
     for name, coerce in _COERCERS.items():
         env_val = environ.get(ENV_PREFIX + name.upper())
         if env_val is not None:

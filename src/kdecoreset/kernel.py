@@ -1,27 +1,26 @@
-"""Gaussian kernel evaluation, KDE, and signed kernel discrepancy.
+"""Weighted Gaussian kernel sums: the KDE and the signed kernel discrepancy.
 
 Points are rows of float64 arrays and the kernel bandwidth is fixed at 1,
 i.e. k(x, y) = exp(-||x - y||^2). To use bandwidth h, rescale coordinates
 by 1/h before calling into this module.
 
+Both quantities are sum_p w_p exp(-||x - p||^2): the KDE with w_p = 1/n,
+the signed discrepancy with w_p = sigma(p). kernel_sum evaluates it at
+arbitrary queries and lattice_sum on a tensor lattice, factoring the
+kernel per axis there.
+
 All functions are pure; they can be called concurrently from any number of
-threads. Batched evaluations at arbitrary queries reduce with numpy's
-pairwise summation. Sums over a tensor lattice (lattice_sum) factor the
-kernel per axis and reduce through a BLAS matrix product, so their results
-are reproducible for a fixed numpy and BLAS build (and are the same from
-run to run on one machine), not for a fixed numpy alone.
+threads. Both evaluators reduce through a BLAS matrix product, so their
+results are reproducible for a fixed numpy and BLAS build (and are the
+same from run to run on one machine), not for a fixed numpy alone.
 """
 
 import numpy as np
 
 __all__ = [
-    "as_point",
     "as_points",
     "as_coloring",
-    "gauss",
-    "kde_batch",
-    "signed_discrepancy",
-    "signed_discrepancy_batch",
+    "kernel_sum",
     "LatticeTables",
     "lattice_sum",
     "lattice_kde",
@@ -29,18 +28,6 @@ __all__ = [
 
 # Cap on temporary floats per block in batched evaluations.
 _BLOCK_ELEMS = 8_000_000
-
-
-def as_point(x, dim=None):
-    """Coerce x to a finite float64 vector, optionally checking its length."""
-    p = np.asarray(x, dtype=np.float64).reshape(-1)
-    if p.size == 0:
-        raise ValueError("point must have at least one coordinate")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point has non-finite coordinates")
-    if dim is not None and p.size != dim:
-        raise ValueError(f"dimension mismatch: point has {p.size} coordinates, expected {dim}")
-    return p
 
 
 def as_points(points, dim=None, allow_empty=False):
@@ -86,56 +73,23 @@ def _sq_dists(queries, points):
     return np.einsum("qnd,qnd->qn", diff, diff)
 
 
-def _blocked(queries, points, fn):
-    """Apply fn(sq_dists_block) over query blocks and concatenate."""
-    q, n = queries.shape[0], points.shape[0]
-    block = max(1, _BLOCK_ELEMS // max(1, n * points.shape[1]))
-    if q <= block:
-        return fn(_sq_dists(queries, points))
-    parts = [fn(_sq_dists(queries[i:i + block], points)) for i in range(0, q, block)]
-    return np.concatenate(parts)
+def kernel_sum(points, weights, queries):
+    """sum_p w_p exp(-||x - p||^2) at every query row x, shape (q,).
 
-
-def gauss(x, y):
-    """Gaussian kernel exp(-||x - y||^2); symmetric, in (0, 1], and 1 iff x == y."""
-    p = as_point(x)
-    q = as_point(y, dim=p.size)
-    d = p - q
-    return float(np.exp(-np.dot(d, d)))
-
-
-def kde_batch(points, queries):
-    """KDE of a nonempty point set at every query row:
-    mean_p exp(-||x - p||^2) per query x. An empty query set yields an
-    empty vector.
+    A 1-D query is one point, and an empty query set gives an empty vector.
+    Queries are taken in blocks whose distance temporaries hold at most
+    _BLOCK_ELEMS floats.
     """
     pts = as_points(points)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (pts.shape[0],):
+        raise ValueError(f"expected {pts.shape[0]} weights, got shape {w.shape}")
     qs = as_points(queries, dim=pts.shape[1], allow_empty=True)
-    if qs.shape[0] == 0:
-        return np.empty(0, dtype=np.float64)
-    return _blocked(qs, pts, lambda sq: np.mean(np.exp(-sq), axis=1))
-
-
-def signed_discrepancy(points, signs, x):
-    """Signed discrepancy sum_p sigma(p) exp(-||x - p||^2).
-
-    Flipping every sign negates the result exactly.
-    """
-    pts = as_points(points)
-    sigma = as_coloring(signs, n=pts.shape[0])
-    q = as_point(x, dim=pts.shape[1])
-    d = q[None, :] - pts
-    return float(np.sum(sigma * np.exp(-np.einsum("nd,nd->n", d, d))))
-
-
-def signed_discrepancy_batch(points, signs, queries):
-    """Signed discrepancy evaluated at every query row, shape (q,)."""
-    pts = as_points(points)
-    sigma = as_coloring(signs, n=pts.shape[0]).astype(np.float64)
-    qs = as_points(queries, dim=pts.shape[1], allow_empty=True)
-    if qs.shape[0] == 0:
-        return np.empty(0, dtype=np.float64)
-    return _blocked(qs, pts, lambda sq: np.exp(-sq) @ sigma)
+    block = max(1, _BLOCK_ELEMS // max(1, pts.size))
+    out = np.empty(qs.shape[0])
+    for start in range(0, qs.shape[0], block):
+        out[start:start + block] = np.exp(-_sq_dists(qs[start:start + block], pts)) @ w
+    return out
 
 
 class LatticeTables:

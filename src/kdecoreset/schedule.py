@@ -128,8 +128,9 @@ def ell(n):
     return max(k - 3, 0)
 
 
-def n_sequence(n, levels=None):
-    """The decreasing sequence [n_0, ..., n_L] for a cell of n points.
+def n_sequence(n):
+    """The decreasing sequence [n_0, ..., n_L] for a cell of n points, with
+    L = max(ell(n), 1).
 
     n_0 = log^2 n, n_1 = sqrt(3 log n) + 3, and
     n_{i+1} = sqrt(3 * 2^(L - i) * log n_i) for i = 1, ..., L - 1.
@@ -138,7 +139,7 @@ def n_sequence(n, levels=None):
     """
     if n < N_MIN:
         raise ValueError(f"n_sequence: n = {n} is below the degenerate threshold {N_MIN}")
-    L = max(ell(n), 1) if levels is None else levels
+    L = max(ell(n), 1)
     logn = math.log(n)
     seq = [logn * logn, math.sqrt(3.0 * logn) + 3.0]
     for i in range(1, L):
@@ -263,8 +264,8 @@ def _schedule(n, d, cst):
         grid = Grid(1.0 / (cst.c0 * n_eff), radius, d)
         return GridSchedule(n=n, dim=d, ell=1, seq=(n_eff, radius), constants=cst,
                             grids=(grid,), degenerate=True)
-    L = max(ell(n), 1)
-    seq = n_sequence(n, levels=L)
+    seq = n_sequence(n)
+    L = len(seq) - 1
     grids = tuple(Grid(1.0 / (cst.c0 * seq[i]), seq[i + 1], d) for i in range(L))
     return GridSchedule(n=n, dim=d, ell=L, seq=tuple(seq), constants=cst, grids=grids)
 

@@ -15,7 +15,7 @@ import pytest
 import kdecoreset as kc
 from kdecoreset.cli import main as cli_main
 from kdecoreset.colorizer import partition, verify
-from kdecoreset.kernel import kde_batch, signed_discrepancy, signed_discrepancy_batch
+from kdecoreset.kernel import kernel_sum
 from kdecoreset.schedule import build_schedule, default_constants, threshold_batch
 from kdecoreset.walk import gsw_color, subgaussian_audit
 
@@ -167,9 +167,9 @@ def criterion_6():
             signs = rng.choice([-1, 1], size=n)
             s = rng.uniform(-2.5, 2.5, size=d)
             x = s * rng.uniform(0.0, 0.95, size=d)
-            lhs = abs(signed_discrepancy(pts, signs, x)
-                      - signed_discrepancy(pts, signs, s))
-            rhs = (s @ s - x @ x) * abs(signed_discrepancy(pts, signs, x))
+            lhs = abs(kernel_sum(pts, signs, x)[0]
+                      - kernel_sum(pts, signs, s)[0])
+            rhs = (s @ s - x @ x) * abs(kernel_sum(pts, signs, x)[0])
             ts = np.linspace(0.0, 1.0, n_samples)
             for j in range(d):
                 xi = np.tile(np.concatenate([x[:j], [0.0], s[j + 1:]]), (n_samples, 1))
@@ -207,15 +207,16 @@ def criterion_8():
     pts = mixture_points()
     grid = kc.build_query_grid(pts, budget=131072)
     # KDEs on the whole query lattice come from the separable evaluator;
-    # every 97th query is cross-checked against the pairwise kde_batch for
+    # every 97th query is cross-checked against the pairwise kernel_sum for
     # the base KDE and for the seed-0 coreset of each size.
     probes = grid.points()[::97]
 
     def kde_on_grid(subset, cross_check):
         values = kc.lattice_kde(subset, grid)
         if cross_check:
-            gap = float(np.abs(values[::97] - kde_batch(subset, probes)).max())
-            assert gap <= 1e-12, f"lattice KDE off kde_batch by {gap:.3e}"
+            pairwise = kernel_sum(subset, np.ones(len(subset)), probes) / len(subset)
+            gap = float(np.abs(values[::97] - pairwise).max())
+            assert gap <= 1e-12, f"lattice KDE off the pairwise kernel_sum by {gap:.3e}"
         return values
 
     base = kde_on_grid(pts, True)
@@ -259,7 +260,7 @@ def criterion_9():
         pts = rng.uniform(-1, 1, size=(n, 1))
         signs, _ = kc.color_all(pts, constants, seed=trial)
         queries = np.linspace(-4.0, 4.0, 101).reshape(-1, 1)
-        pipeline_sup = float(np.abs(signed_discrepancy_batch(pts, signs, queries)).max())
+        pipeline_sup = float(np.abs(kernel_sum(pts, signs, queries)).max())
         sup_a, signs_a = kc.oracle_min_discrepancy(pts, queries)
         sup_b, signs_b = naive.oracle_enumerate(pts, queries)
         assert sup_a == sup_b, f"trial {trial}: enumerators differ ({sup_a!r} vs {sup_b!r})"

@@ -221,6 +221,25 @@ def test_build_determinism_modulo_timestamp(square_csv, tmp_path):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+def test_build_reproduces_from_its_artifact_config(square_csv, tmp_path):
+    # The artifact's config, nulls included, is a valid --config file that
+    # rebuilds the same artifact.
+    path, _ = square_csv
+    first, second = tmp_path / "c1.json", tmp_path / "c2.json"
+    assert main(["build", "--input", str(path), "--output", str(first),
+                 "--target-size", "45", "--seed", "3"]) == 0
+    d1 = json.loads(first.read_text())
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(d1["config"]))
+    assert None in d1["config"].values()
+    assert main(["build", "--config", str(cfg_file), "--output", str(second)]) == 0
+    d2 = json.loads(second.read_text())
+    for d in (d1, d2):
+        d.pop("timestamp")
+        d["config"].pop("output")
+    assert d1 == d2
+
+
 def test_build_eval_roundtrip(square_csv, tmp_path):
     path, pts = square_csv
     coreset = tmp_path / "coreset.json"
@@ -259,7 +278,7 @@ def test_verify_accepts_stored_coloring(square_csv, tmp_path):
     assert all(r["passed"] for r in data["rounds"])
 
 
-def test_verify_detects_tampering(square_csv, tmp_path):
+def test_verify_detects_tampering(square_csv, tmp_path, capsys):
     path, _ = square_csv
     coreset = tmp_path / "coreset.json"
     assert main(["build", "--input", str(path), "--output", str(coreset),
@@ -274,12 +293,28 @@ def test_verify_detects_tampering(square_csv, tmp_path):
         # Every round still verifies; only the final index set is swapped.
         data["indices"] = list(range(len(data["indices"])))
 
-    for tamper in (flip_coloring, replace_indices):
+    def shift(*keys):
+        # Move one recorded integer summary off the value verify re-derives.
+        def tamper(data):
+            obj = data
+            for key in keys[:-1]:
+                obj = obj[key]
+            obj[keys[-1]] += 1
+        tamper.__name__ = "/".join(map(str, keys))
+        return tamper
+
+    for tamper, where in [(flip_coloring, ""), (replace_indices, ""),
+                          (shift("rounds", 0, "size_before"), "round 0"),
+                          (shift("rounds", 0, "size_after"), "round 0"),
+                          (shift("size"), "'size'"),
+                          (shift("rounds", 0, "cells", 0, "imbalance_before_flip"),
+                           "round 0 cell 0")]:
         data = json.loads(original)
         tamper(data)
         coreset.write_text(json.dumps(data))
         assert main(["verify", "--input", str(path), "--coreset", str(coreset)]
                     ) == EXIT_VALIDATION, tamper.__name__
+        assert where in capsys.readouterr().err, tamper.__name__
 
 
 def test_verify_zero_round_artifact(square_csv, tmp_path):
@@ -366,7 +401,8 @@ def test_verify_rejects_malformed_config(spread_artifact, capsys):
         return tamper
 
     for value in (None, [1], {"c1": [1]}, {"c1": -1.0}, {"strict_constants": "maybe"},
-                  {"grid_budget": float("inf")}, {"grid_budget": 9.7}, {"grid_budget": True}):
+                  {"grid_budget": float("inf")}, {"grid_budget": 9.7}, {"grid_budget": True},
+                  {"c1": True}, {"c_big": "many"}, {"c0": 10**400}):
         assert verify_tampered(path, coreset, original, set_config(value)
                                ) == EXIT_VALIDATION, value
         assert "'config'" in capsys.readouterr().err, value
@@ -646,24 +682,36 @@ def test_env_and_config_file_precedence(tmp_path, monkeypatch):
 def test_build_config_integers_are_strict(square_csv, tmp_path, capsys):
     # Integer keys take ints, integral floats and decimal strings; a bool, a
     # fraction or a non-finite float is a validation error, not a truncation.
+    # Float keys take non-bool numbers and numeric strings, and sizes a
+    # string or a list; null means not given.
     path, _ = square_csv
     out = tmp_path / "coreset.json"
     cfg_file = tmp_path / "cfg.json"
 
-    def build(text):
+    def run(text, command="build"):
         cfg_file.write_text(text)
-        return main(["build", "--input", str(path), "--output", str(out),
-                     "--target-size", "90", "--config", str(cfg_file)])
+        args = ["--target-size", "90", "--output", str(out)] if command == "build" else []
+        return main([command, "--input", str(path), "--config", str(cfg_file)] + args)
 
-    for text in ('{"grid_budget": 9.7, "seed": true}', '{"grid_budget": 9.7}',
-                 '{"seed": true}', '{"grid_budget": 1e999}'):
-        assert build(text) == EXIT_VALIDATION, text
-        assert "cannot parse integer config value" in capsys.readouterr().err, text
+    for text, command, message in [
+            ('{"grid_budget": 9.7, "seed": true}', "build", "integer"),
+            ('{"grid_budget": 9.7}', "build", "integer"),
+            ('{"seed": true}', "build", "integer"),
+            ('{"grid_budget": 1e999}', "build", "integer"),
+            ('{"c1": [1]}', "build", "float"),
+            ('{"c1": true}', "build", "float"),
+            ('{"c0": {}}', "build", "float"),
+            ('{"c0": 1' + "0" * 400 + '}', "build", "float"),
+            ('{"sizes": 7}', "bench", "sizes"),
+            ('{"sizes": {"32": 1}}', "bench", "sizes")]:
+        assert run(text, command) == EXIT_VALIDATION, text
+        assert f"cannot parse {message} config value" in capsys.readouterr().err, text
         assert not out.exists()
-    assert build('{"seed": 3.0}') == 0
+    assert run('{"seed": 3.0, "c_big": null, "epsilon": null}') == 0
     data = json.loads(out.read_text())
     assert data["seed"] == data["config"]["seed"] == 3
     assert type(data["config"]["seed"]) is int
+    assert data["config"]["c_big"] == default_constants(2).c_big
     assert resolve_config({}, environ={ENV_PREFIX + "GRID_BUDGET": "12"}).grid_budget == 12
     with pytest.raises(ValueError):
         resolve_config({}, environ={ENV_PREFIX + "GRID_BUDGET": "9.7"})

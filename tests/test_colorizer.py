@@ -15,7 +15,7 @@ from kdecoreset.colorizer import (
 )
 from kdecoreset.coreset import oracle_min_discrepancy
 from kdecoreset.decomp import augment, kernel_factor
-from kdecoreset.kernel import signed_discrepancy_batch
+from kdecoreset.kernel import kernel_sum
 from kdecoreset.schedule import build_schedule, default_constants
 from kdecoreset.walk import gsw_color
 
@@ -270,8 +270,8 @@ def test_color_cell_flip_perturbation_bound():
         after = report.coloring
         for grid in sch.verification_grids():
             qs = grid.points()
-            d_before = signed_discrepancy_batch(pts, before, qs)
-            d_after = signed_discrepancy_batch(pts, after, qs)
+            d_before = kernel_sum(pts, before, qs)
+            d_after = kernel_sum(pts, after, qs)
             diff = qs[:, None, :] - pts[None, :, :]
             kern_max = np.exp(-np.einsum("qnd,qnd->qn", diff, diff)).max(axis=1)
             bound = report.flipped.size * 2.0 * kern_max
@@ -326,7 +326,7 @@ def test_color_all_oracle_comparison_d1():
         pts = rng.uniform(-1, 1, size=(n, 1))
         signs, _ = color_all(pts, cst, seed=trial)
         queries = np.linspace(-3, 3, 121).reshape(-1, 1)
-        pipeline_sup = float(np.abs(signed_discrepancy_batch(pts, signs, queries)).max())
+        pipeline_sup = float(np.abs(kernel_sum(pts, signs, queries)).max())
         oracle_sup, _ = oracle_min_discrepancy(pts, queries)
         assert pipeline_sup >= oracle_sup - 1e-12
         ratios.append(pipeline_sup / max(oracle_sup, 1e-12))

@@ -9,7 +9,7 @@ from kdecoreset.coreset import (
     oracle_min_discrepancy,
     random_baseline,
 )
-from kdecoreset.kernel import kde_batch, signed_discrepancy_batch
+from kdecoreset.kernel import kernel_sum
 from kdecoreset.schedule import default_constants
 
 import naive
@@ -54,8 +54,9 @@ def test_halve_kde_identity():
     kept, signs, _ = halve_indices(pts, seed=2, constants=small_constants(2))
     n, m = len(pts), len(kept)
     queries = rng.uniform(-2, 2, size=(50, 2))
-    disc = signed_discrepancy_batch(pts, signs, queries)
-    lhs = kde_batch(pts, queries) - kde_batch(pts[kept], queries)
+    disc = kernel_sum(pts, signs, queries)
+    lhs = (kernel_sum(pts, np.ones(n), queries) / n
+           - kernel_sum(pts[kept], np.ones(m), queries) / m)
     if 2 * m == n:
         assert np.abs(lhs + disc / n).max() <= 1e-12
     assert np.abs(lhs + disc / n).max() <= abs(n - 2 * m) / n + 1e-12

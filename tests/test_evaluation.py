@@ -12,7 +12,7 @@ from kdecoreset.evaluation import (
     truncation_audit,
 )
 from kdecoreset.colorizer import verify
-from kdecoreset.kernel import signed_discrepancy_batch
+from kdecoreset.kernel import kernel_sum
 from kdecoreset.schedule import build_schedule, default_constants, threshold_batch
 
 
@@ -127,7 +127,7 @@ def test_truncation_order_value():
 
 def test_profile_duplicates_cancel():
     pts = np.array([[0.1], [0.1]])
-    disc = signed_discrepancy_batch(pts, [1, -1], np.linspace(-2, 2, 11).reshape(-1, 1))
+    disc = kernel_sum(pts, [1, -1], np.linspace(-2, 2, 11).reshape(-1, 1))
     assert np.all(disc == 0.0)
 
 
@@ -136,8 +136,8 @@ def test_profile_sign_flip_invariant():
     pts = rng.uniform(-1, 1, size=(12, 2))
     signs = rng.choice([-1, 1], size=12)
     qs = rng.uniform(-2, 2, size=(30, 2))
-    a = np.abs(signed_discrepancy_batch(pts, signs, qs))
-    b = np.abs(signed_discrepancy_batch(pts, -signs, qs))
+    a = np.abs(kernel_sum(pts, signs, qs))
+    b = np.abs(kernel_sum(pts, -signs, qs))
     assert np.array_equal(a, b)
 
 
@@ -152,6 +152,6 @@ def test_profile_matches_verify_numerator():
     best = 0.0
     for level, grid in enumerate(sch.verification_grids()):
         qs = grid.points()
-        ratios = np.abs(signed_discrepancy_batch(pts, signs, qs)) / threshold_batch(sch, level, qs)
+        ratios = np.abs(kernel_sum(pts, signs, qs)) / threshold_batch(sch, level, qs)
         best = max(best, float(ratios.max()))
     assert best == pytest.approx(max_ratio, rel=1e-12)

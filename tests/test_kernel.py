@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdecoreset.evaluation import build_query_grid
-from kdecoreset.kernel import (
-    LatticeTables,
-    as_points,
-    gauss,
-    kde_batch,
-    lattice_sum,
-    signed_discrepancy,
-    signed_discrepancy_batch,
-)
+from kdecoreset.kernel import LatticeTables, as_coloring, as_points, kernel_sum, lattice_sum
 from kdecoreset.schedule import Grid
 
 import naive
+
+
+def gauss(x, y):
+    """One kernel value exp(-||x - y||^2), through kernel_sum."""
+    return kernel_sum([y], [1.0], x)[0]
+
+
+def kde(points, queries):
+    """The KDE of `points` at every query row, through kernel_sum."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    return kernel_sum(points, np.ones(n), queries) / n
 
 
 def test_gauss_zero_distance():
@@ -53,27 +57,27 @@ def test_gauss_dim_mismatch():
 
 
 def test_kde_singleton_and_duplicates():
-    assert kde_batch([[1.0, 2.0]], [[1.0, 2.0]])[0] == 1.0
+    assert kde([[1.0, 2.0]], [[1.0, 2.0]])[0] == 1.0
     p = [0.4, -0.2]
     x = [1.0, 1.0]
-    assert kde_batch([p, p], [x])[0] == pytest.approx(gauss(x, p), rel=1e-15)
+    assert kde([p, p], [x])[0] == pytest.approx(gauss(x, p), rel=1e-15)
 
 
 def test_kde_composed_forced_values():
     pts = [[0.0], [math.sqrt(math.log(2.0))]]
-    assert kde_batch(pts, [[0.0]])[0] == pytest.approx(0.75, abs=1e-15)
+    assert kde(pts, [[0.0]])[0] == pytest.approx(0.75, abs=1e-15)
 
 
 def test_kde_empty_rejected():
     with pytest.raises(ValueError, match="empty"):
-        kde_batch(np.empty((0, 2)), [[0.0, 0.0]])
+        kde(np.empty((0, 2)), [[0.0, 0.0]])
 
 
 def test_kde_matches_naive():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-2, 2, size=(17, 3))
     queries = rng.uniform(-2, 2, size=(5, 3))
-    batch = kde_batch(pts, queries)
+    batch = kde(pts, queries)
     for i, x in enumerate(queries):
         assert batch[i] == pytest.approx(naive.kde(pts, x), abs=1e-13)
 
@@ -81,13 +85,13 @@ def test_kde_matches_naive():
 def test_signed_discrepancy_single_point():
     p = np.array([[0.2, 0.3]])
     x = [1.0, -1.0]
-    assert signed_discrepancy(p, [1], x) == pytest.approx(gauss(x, p[0]), rel=1e-15)
-    assert signed_discrepancy(p, [-1], x) == pytest.approx(-gauss(x, p[0]), rel=1e-15)
+    assert kernel_sum(p, [1], x)[0] == pytest.approx(gauss(x, p[0]), rel=1e-15)
+    assert kernel_sum(p, [-1], x)[0] == pytest.approx(-gauss(x, p[0]), rel=1e-15)
 
 
 def test_signed_discrepancy_cancellation():
     p = [0.4, -0.1]
-    assert signed_discrepancy([p, p], [1, -1], [0.0, 0.0]) == 0.0
+    assert kernel_sum([p, p], [1, -1], [0.0, 0.0])[0] == 0.0
 
 
 def test_signed_discrepancy_matches_naive():
@@ -96,7 +100,7 @@ def test_signed_discrepancy_matches_naive():
     signs = rng.choice([-1, 1], size=8)
     for _ in range(5):
         x = rng.uniform(-3, 3, size=2)
-        assert signed_discrepancy(pts, signs, x) == pytest.approx(
+        assert kernel_sum(pts, signs, x)[0] == pytest.approx(
             naive.signed_discrepancy(pts, signs, x), abs=1e-12)
 
 
@@ -105,7 +109,7 @@ def test_sign_antisymmetry():
     pts = rng.uniform(-1, 1, size=(12, 2))
     signs = rng.choice([-1, 1], size=12)
     x = rng.uniform(-2, 2, size=2)
-    assert signed_discrepancy(pts, -signs, x) == -signed_discrepancy(pts, signs, x)
+    assert kernel_sum(pts, -signs, x)[0] == -kernel_sum(pts, signs, x)[0]
 
 
 def test_triangle_bound():
@@ -115,31 +119,32 @@ def test_triangle_bound():
     for _ in range(10):
         x = rng.uniform(-4, 4, size=2)
         bound = len(pts) * max(gauss(x, p) for p in pts)
-        assert abs(signed_discrepancy(pts, signs, x)) <= bound + 1e-12
+        assert abs(kernel_sum(pts, signs, x)[0]) <= bound + 1e-12
 
 
 def test_coloring_validation():
-    pts = np.zeros((3, 1))
     with pytest.raises(ValueError, match="exactly -1 or \\+1"):
-        signed_discrepancy(pts, [1, 0, -1], [0.0])
+        as_coloring([1, 0, -1])
     with pytest.raises(ValueError, match="length"):
-        signed_discrepancy(pts, [1, -1], [0.0])
+        as_coloring([1, -1], n=3)
+    with pytest.raises(ValueError, match="expected 3 weights"):
+        kernel_sum(np.zeros((3, 1)), [1, -1], [0.0])
 
 
 def test_kde_batch_trivial_and_empty():
     p = np.array([[0.5, 0.5]])
-    out = kde_batch(p, p)
+    out = kde(p, p)
     assert out.shape == (1,) and out[0] == 1.0
-    assert kde_batch(p, np.empty((0, 2))).shape == (0,)
+    assert kde(p, np.empty((0, 2))).shape == (0,)
 
 
 def test_kde_batch_matches_per_point():
     rng = np.random.default_rng(6)
     pts = rng.uniform(-2, 2, size=(40, 2))
     queries = rng.uniform(-3, 3, size=(25, 2))
-    batch = kde_batch(pts, queries)
+    batch = kde(pts, queries)
     for i, q in enumerate(queries):
-        assert batch[i] == pytest.approx(kde_batch(pts, q[None, :])[0], abs=1e-12)
+        assert batch[i] == pytest.approx(kde(pts, q[None, :])[0], abs=1e-12)
         assert batch[i] == pytest.approx(naive.kde(pts, q), abs=1e-12)
 
 
@@ -148,9 +153,21 @@ def test_signed_discrepancy_batch_matches_scalar():
     pts = rng.uniform(-1, 1, size=(15, 3))
     signs = rng.choice([-1, 1], size=15)
     queries = rng.uniform(-2, 2, size=(9, 3))
-    batch = signed_discrepancy_batch(pts, signs, queries)
+    batch = kernel_sum(pts, signs, queries)
     for i, q in enumerate(queries):
-        assert batch[i] == pytest.approx(signed_discrepancy(pts, signs, q), abs=1e-12)
+        assert batch[i] == pytest.approx(kernel_sum(pts, signs, q)[0], abs=1e-12)
+
+
+def test_kernel_sum_blocks_queries(monkeypatch):
+    # Seven-row query blocks (the last one short) give the unblocked values
+    # up to rounding; the BLAS product may round rows by their position.
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1, 1, size=(30, 2))
+    weights = rng.uniform(-1, 1, size=30)
+    queries = rng.uniform(-2, 2, size=(50, 2))
+    whole = kernel_sum(pts, weights, queries)
+    monkeypatch.setattr("kdecoreset.kernel._BLOCK_ELEMS", 7 * 30 * 2)
+    assert np.abs(kernel_sum(pts, weights, queries) - whole).max() <= 1e-12
 
 
 def test_pointset_validation():
@@ -186,9 +203,9 @@ def lipschitz_decomposition_holds(rng, d, n_points=12, n_samples=1500, slack=1e-
     signs = rng.choice([-1, 1], size=n_points)
     s = rng.uniform(-2.5, 2.5, size=d)
     x = s * rng.uniform(0.0, 0.95, size=d)  # same signs, |x_j| <= |s_j|
-    dx = abs(signed_discrepancy(pts, signs, x))
-    ds = signed_discrepancy(pts, signs, s)
-    lhs = abs(signed_discrepancy(pts, signs, x) - ds)
+    dx = abs(kernel_sum(pts, signs, x)[0])
+    ds = kernel_sum(pts, signs, s)[0]
+    lhs = abs(kernel_sum(pts, signs, x)[0] - ds)
     rhs = (s @ s - x @ x) * dx
     ts = np.linspace(0.0, 1.0, n_samples)
     for j in range(d):
@@ -210,7 +227,8 @@ def test_lipschitz_decomposition(d):
 
 @st.composite
 def lattice_cases(draw):
-    """Points, +-1 signs and a coarsened off-origin grid in d = 1..6.
+    """Points, +-1 signs, real weights in [-1, 1] and a coarsened
+    off-origin grid in d = 1..6.
 
     Coordinates mix the interior of a unit cell with its boundary (+-1),
     so duplicates and boundary ties occur, all shifted by an offset of up
@@ -224,35 +242,37 @@ def lattice_cases(draw):
     pts = np.asarray(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
                                    min_size=n, max_size=n))) + offset
     signs = np.asarray(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    weights = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
     shift = np.asarray(draw(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d)))
     grid = Grid(width=draw(st.floats(0.05, 1.0)), radius=draw(st.floats(0.5, 4.0)),
                 dim=d, center=tuple(offset + shift))
-    return pts, signs, grid.coarsened(draw(st.integers(1, 2000)))
+    return pts, signs, weights, grid.coarsened(draw(st.integers(1, 2000)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(lattice_cases())
 def test_lattice_sum_matches_pairwise_signed(case):
-    pts, signs, grid = case
-    expect = signed_discrepancy_batch(pts, signs, grid.points())
-    got = lattice_sum(pts, signs, grid)
-    assert got.shape == (grid.count(),)
-    assert np.abs(got - expect).max() <= 1e-12
+    pts, signs, weights, grid = case
+    for w in (signs, weights):
+        expect = kernel_sum(pts, w, grid.points())
+        got = lattice_sum(pts, w, grid)
+        assert got.shape == (grid.count(),)
+        assert np.abs(got - expect).max() <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
 @given(lattice_cases())
 def test_lattice_sum_matches_pairwise_kde(case):
-    pts, _, grid = case
+    pts, _, _, grid = case
     n = pts.shape[0]
     got = lattice_sum(pts, np.full(n, 1.0 / n), grid)
-    assert np.abs(got - kde_batch(pts, grid.points())).max() <= 1e-12
+    assert np.abs(got - kde(pts, grid.points())).max() <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(lattice_cases(), st.randoms(use_true_random=False))
 def test_lattice_sum_cancelling_duplicates_exact(case, rnd):
-    pts, signs, grid = case
+    pts, signs, _, grid = case
     order = list(range(pts.shape[0]))
     rnd.shuffle(order)
     doubled = np.concatenate([pts, pts[order]])
@@ -318,5 +338,5 @@ def test_lattice_sum_memory_bounded(n, d, spread):
         tracemalloc.stop()
     assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
     sample = rng.choice(grid.count(), size=40, replace=False)
-    expect = n * kde_batch(pts, grid.points()[sample])
+    expect = kernel_sum(pts, np.ones(n), grid.points()[sample])
     assert np.abs(got[sample] - expect).max() <= 1e-9
