@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .colorizer import ColoringFailure, balance_flips, partition, verify
+from .colorizer import ColoringFailure, _verify_stack, balance_flips, partition
 from .config import resolve_config
 from .coreset import HalvingFailure, build_coreset, random_baseline
 from .evaluation import build_query_grid, expansion_margin, linf_error
@@ -332,8 +332,9 @@ def cmd_verify(cfg):
         cells = partition(pts)
         if len(cells) != len(metas):
             raise ValidationError(f"round {rno}: cell layout does not match input")
-        ok = True
-        worst = 0.0
+        # The artifact's own records first; then the certificate, one stack
+        # of cells per cell size (one schedule), so each stack shares its tables.
+        stacks = {}
         for cno, (cell, meta) in enumerate(zip(cells, metas)):
             where = f"round {rno} cell {cno}"
             size = cell.members.size
@@ -350,19 +351,29 @@ def cmd_verify(cfg):
                     or _field(meta, "flipped", int, where) != flipped.size):
                 raise ValidationError(f"{where}: flipped positions are not the "
                                       "accepted coloring's balance flips")
-            centered = pts[cell.members] - np.asarray(cell.center)
-            passed, ratio, imbalance = verify(centered, accepted,
-                                              build_schedule(size, d, constants))
-            if _field(meta, "imbalance_before_flip", int, where) != imbalance:
+            if _field(meta, "imbalance_before_flip", int, where) != int(accepted.sum()):
                 raise ValidationError(f"{where}: imbalance_before_flip is not the "
                                       "accepted coloring's sum")
-            worst = max(worst, ratio)
-            ok = ok and passed
-        ok = ok and np.array_equal(current[coloring == 1], kept)
+            stacks.setdefault(size, []).append((cno, accepted))
+        failed = []
+        worst = 0.0
+        for size, stack in stacks.items():
+            members = np.array([cells[cno].members for cno, _ in stack])
+            centers = np.array([cells[cno].center for cno, _ in stack])
+            checked = _verify_stack(pts[members] - centers[:, None, :],
+                                    np.array([signs for _, signs in stack]),
+                                    build_schedule(size, d, constants))
+            for (cno, _), (passed, ratio, imbalance) in zip(stack, checked):
+                worst = max(worst, ratio)
+                if not passed:
+                    failed.append((cno, ratio, imbalance))
+        ok = not failed and np.array_equal(current[coloring == 1], kept)
         results.append({"round": rno, "passed": ok, "max_grid_ratio": worst})
         all_ok = all_ok and ok
         current = kept
         print(f"round {rno}: {'pass' if ok else 'FAIL'} (max ratio {worst:.4g})")
+        for cno, ratio, imbalance in sorted(failed):
+            print(f"round {rno} cell {cno}: FAIL (ratio {ratio:.4g}, imbalance {imbalance})")
     # The coreset is the last round's kept set, or the starting set if none ran.
     if not np.array_equal(current, indices):
         all_ok = False

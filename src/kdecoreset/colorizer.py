@@ -8,7 +8,10 @@ are translation invariant, so cells are processed centered and never
 un-centered. Identical points in a cell are paired off with opposite signs
 and only the rest is walked. Verification grids are lattices in centered
 coordinates; each cell tabulates its kernel per grid axis once and reuses
-the tables for every coloring it checks.
+the tables for every coloring it checks. Re-verification checks cells of
+one size as a stack (_verify_stack): they share one broadcast per table
+and one stacked matrix product per level, in chunks of bounded memory,
+and each cell's result is the one it gets alone, bit for bit.
 
 Cells could be colored concurrently (seeds are split per cell); this
 implementation processes them sequentially in lexicographic center order,
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .decomp import augment, kernel_factor
 from .kernel import LatticeTables, as_coloring, as_points
 from .schedule import build_schedule
@@ -123,9 +127,27 @@ def partition(points):
 
 
 def _cell_tables(points_centered, schedule):
-    # The per-axis tables depend on the cell's points and the grids, not on
-    # the signs: built once per cell, then each check is one matrix product.
+    # The per-axis tables depend on the cells' points and the grids, not on
+    # the signs: built once per cell or stack, then each check is one matrix
+    # product per level.
     return [LatticeTables(points_centered, grid) for grid, _ in schedule.verification_levels]
+
+
+def _check(sigma, schedule, tables):
+    """The (passed, max_ratio, imbalance) of each coloring, a list: sigma
+    is one cell's (n,) or a stack's (C, n), as `tables` were built."""
+    ratio = None
+    for (_, thresholds), level in zip(schedule.verification_levels, tables):
+        disc = level.sum(sigma)
+        np.abs(disc, out=disc)
+        disc /= thresholds
+        worst = disc.max(axis=-1)
+        ratio = worst if ratio is None else np.maximum(ratio, worst)
+    ratios, sums = ratio.tolist(), sigma.sum(axis=-1).tolist()
+    if sigma.ndim == 1:
+        ratios, sums = [ratios], [sums]
+    c_big = schedule.constants.c_big
+    return [(r < 1.0 and abs(i) <= c_big, r, i) for r, i in zip(ratios, sums)]
 
 
 def verify(points_centered, signs, schedule, tables=None):
@@ -137,7 +159,9 @@ def verify(points_centered, signs, schedule, tables=None):
     per level, to reuse them across colorings of the same cell.
 
     Returns (passed, max_ratio, imbalance) where max_ratio is the worst
-    |discrepancy| / threshold over all checked points.
+    |discrepancy| / threshold over all checked points. _verify_stack
+    checks many cells of one size at once through the same _check and
+    gives each cell this result bit for bit.
     """
     pts = as_points(points_centered)
     if len(signs) != pts.shape[0]:
@@ -145,13 +169,32 @@ def verify(points_centered, signs, schedule, tables=None):
     sigma = as_coloring(signs)
     if tables is None:
         tables = _cell_tables(pts, schedule)
-    max_ratio = 0.0
-    for (_, thresholds), cell_tables in zip(schedule.verification_levels, tables):
-        disc = cell_tables.sum(sigma)
-        max_ratio = max(max_ratio, float(np.max(np.abs(disc) / thresholds)))
-    imbalance = int(np.sum(sigma))
-    passed = max_ratio < 1.0 and abs(imbalance) <= schedule.constants.c_big
-    return passed, max_ratio, imbalance
+    return _check(sigma, schedule, tables)[0]
+
+
+def _verify_stack(points_centered, signs, schedule):
+    """verify for a stack of C cells of one size: points (C, n, d) and
+    signs (C, n). Returns each cell's (passed, max_ratio, imbalance), in
+    stack order.
+
+    The cells share each level's LatticeTables. They are taken in chunks
+    that hold at most _BLOCK_ELEMS floats of discrepancies, matrix-product
+    results and tables together: 2 G + n * (sum of axis sizes) per cell on
+    the largest grid, of G points.
+    """
+    pts = np.asarray(points_centered, dtype=np.float64)
+    sigma = as_coloring(np.ravel(signs)).reshape(np.shape(signs))
+    if pts.ndim != 3 or sigma.shape != pts.shape[:2]:
+        raise ValueError(f"expected signs of shape {pts.shape[:2]} for points of "
+                         f"shape {pts.shape}, got {sigma.shape}")
+    grid, thresholds = max(schedule.verification_levels, key=lambda level: level[1].size)
+    per_cell = 2 * thresholds.size + pts.shape[1] * grid.dim * (2 * grid.axis_steps() + 1)
+    step = max(1, kernel._BLOCK_ELEMS // per_cell)
+    results = []
+    for start in range(0, len(pts), step):
+        part = slice(start, start + step)
+        results += _check(sigma[part], schedule, _cell_tables(pts[part], schedule))
+    return results
 
 
 def _pair_duplicates(group):

@@ -91,6 +91,13 @@ def _parse_float(value):
     raise ValueError(f"cannot parse float config value {value!r}")
 
 
+def _parse_path(value):
+    """A string, as it is; anything else raises ValueError."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"cannot parse path config value {value!r}")
+
+
 def _parse_sizes(value):
     """A comma-separated string or a list of sizes as a tuple of ints."""
     if isinstance(value, str):
@@ -101,8 +108,9 @@ def _parse_sizes(value):
 
 
 # Parsers follow the field annotations, which must stay plain types.
-_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, tuple: _parse_sizes}
-_COERCERS = {f.name: _PARSERS.get(f.type, f.type) for f in fields(RunConfig)}
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: _parse_path,
+            tuple: _parse_sizes}
+_COERCERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def resolve_config(cli_values, config_path=None, environ=None):

@@ -93,7 +93,7 @@ def kernel_sum(points, weights, queries):
 
 
 class LatticeTables:
-    """Per-axis Gaussian tables of a point set on a tensor-lattice Grid.
+    """Per-axis Gaussian tables of point sets on a tensor-lattice Grid.
 
     exp(-||s - p||^2) = prod_j exp(-(s_j - p_j)^2), so a weighted kernel sum
     at every lattice point needs one (2k + 1) x m table per axis instead of
@@ -101,37 +101,72 @@ class LatticeTables:
     weights are summed in sum()), so weights that cancel on duplicates give
     an exact 0 rather than the residue of a fused multiply-add. The merged
     rows are in lexicographic order, the order np.unique(axis=0) gives, and
-    inverse maps each input row to its merged row.
+    rows[inverse] gives back the points.
 
-    The merged rows are taken in chunks whose d tables together hold at
-    most _BLOCK_ELEMS floats, and the chunks' sums are added. When all rows
-    fit in one chunk the tables are kept, so one instance serves any number
-    of weight vectors at one matrix product each; otherwise each sum()
-    rebuilds them chunk by chunk, so memory stays bounded for any n and k.
+    `points` is one (n, d) set, or a stack of C sets of equal size,
+    (C, n, d). The sets of a stack share the work: one broadcast exp per
+    axis builds their tables in a (C, 2k + 1, m) layout, and one stacked
+    matrix product contracts them. Sets are stacked only with sets that
+    merge to the same row count m, so each keeps the matrix shapes it has
+    alone and its sums are the same bit for bit as in a stack of one
+    (padding to a common m would change them). For a stack, rows holds
+    every set's merged rows in turn and inverse is (C, n).
+
+    Tables are built in blocks of at most _BLOCK_ELEMS floats: as many
+    whole sets as fit, or one set's rows in chunks whose sums are added.
+    Tables that fit in one block are kept, so one instance serves any
+    number of weight vectors at one matrix product each; otherwise each
+    sum() rebuilds them block by block, so memory stays bounded for any C,
+    n and k.
     """
 
-    __slots__ = ("axes", "rows", "inverse", "_chunk", "_tables")
+    __slots__ = ("axes", "rows", "inverse", "_per_block", "_groups")
 
     def __init__(self, points, grid):
-        pts = as_points(points, dim=grid.dim)
-        # A lexsort (first column most significant) avoids np.unique's
-        # structured-dtype view, which dominates on small cells.
-        order = np.lexsort(pts.T[::-1])
-        ranked = pts[order]
+        pts = np.asarray(points, dtype=np.float64)
+        stacked = pts.ndim == 3
+        flat = as_points(pts.reshape(-1, pts.shape[2]) if stacked else pts, dim=grid.dim)
+        cells = pts.shape[0] if stacked else 1
+        n, d = flat.shape[0] // cells, flat.shape[1]
+        # A lexsort (set, then first column most significant) avoids
+        # np.unique's structured-dtype view, which dominates on small cells.
+        keys = flat.T[::-1]
+        order = np.lexsort((*keys, np.repeat(np.arange(cells), n)) if cells > 1 else keys)
+        ranked = flat[order]
         new = np.empty(order.size, dtype=bool)
-        new[0] = True
         np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+        new[::n] = True  # each set's first row starts a merged row
+        merged = np.cumsum(new) - 1
         self.rows = ranked[new]
         self.inverse = np.empty(order.size, dtype=np.intp)
-        self.inverse[order] = np.cumsum(new) - 1
+        self.inverse[order] = merged
+        if stacked:
+            self.inverse = self.inverse.reshape(cells, n)
         self.axes = grid.axes()
-        self._chunk = max(1, _BLOCK_ELEMS // sum(axis.size for axis in self.axes))
-        self._tables = self._build(self.rows) if self.rows.shape[0] <= self._chunk else None
+        self._per_block = max(1, _BLOCK_ELEMS // sum(axis.size for axis in self.axes))
+        # Sets with one merged row count m form a group: their stack
+        # positions, the (c, m) indices of their merged rows (None when one
+        # group holds every set in order), those rows (c, m, d), and their
+        # tables when these fit in one block.
+        if cells > 1:
+            first = merged[::n]
+            counts = np.diff(first, append=self.rows.shape[0])
+        if cells == 1 or (counts == counts[0]).all():
+            groups = [(slice(None), None, self.rows.reshape(cells, -1, d))]
+        else:
+            groups = []
+            for m in np.unique(counts):
+                sets = np.flatnonzero(counts == m)
+                index = first[sets, None] + np.arange(m)
+                groups.append((sets, index, self.rows[index]))
+        self._groups = [(sets, index, rows, self._build(rows) if rows[..., 0].size <= self._per_block
+                         else None) for sets, index, rows in groups]
 
     def _build(self, rows):
+        """Tables (c, 2k + 1, m) per axis of a (c, m, d) stack of rows."""
         tables = []
         for j, axis in enumerate(self.axes):
-            t = np.subtract.outer(axis, rows[:, j])
+            t = axis[None, :, None] - rows[:, None, :, j]
             np.square(t, out=t)
             np.negative(t, out=t)
             tables.append(np.exp(t, out=t))
@@ -139,18 +174,39 @@ class LatticeTables:
 
     def sum(self, weights):
         """sum_p w_p exp(-||s - p||^2) at every grid point s, in
-        Grid.points() order."""
+        Grid.points() order: shape (G,) for one set's (n,) weights, or
+        (C, G) for a stack's (C, n)."""
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != self.inverse.shape:
-            raise ValueError(f"expected {self.inverse.size} weights, got shape {w.shape}")
-        merged = np.bincount(self.inverse, weights=w, minlength=self.rows.shape[0])
-        if self._tables is not None:
-            return _contract(self._tables, merged)
-        out = 0.0
-        for start in range(0, merged.size, self._chunk):
-            part = slice(start, start + self._chunk)
-            out = out + _contract(self._build(self.rows[part]), merged[part])
-        return out
+            raise ValueError(f"expected weights of shape {self.inverse.shape}, got shape {w.shape}")
+        merged = np.bincount(self.inverse.reshape(-1), weights=w.reshape(-1),
+                             minlength=self.rows.shape[0])
+        out = None
+        for sets, index, rows, tables in self._groups:
+            if index is None:
+                out = self._group_sum(rows, tables, merged.reshape(rows.shape[:2]))
+                break
+            part = self._group_sum(rows, tables, merged[index])
+            if out is None:
+                out = np.empty((len(w), part.shape[1]))
+            out[sets] = part
+        return out if w.ndim == 2 else out[0]
+
+    def _group_sum(self, rows, tables, merged):
+        """_contract of one group, on its kept tables or block by block."""
+        if tables is not None:
+            return _contract(tables, merged)
+        cells, m = merged.shape
+        step = max(1, self._per_block // m)
+        parts = []
+        for start in range(0, cells, step):
+            acc = None
+            for row in range(0, m, self._per_block):
+                block = (slice(start, start + step), slice(row, row + self._per_block))
+                part = _contract(self._build(rows[block]), merged[block])
+                acc = part if acc is None else acc + part
+            parts.append(acc)
+        return np.concatenate(parts)
 
 
 def lattice_sum(points, weights, grid):
@@ -170,31 +226,42 @@ def lattice_kde(points, grid):
 
 
 def _contract(tables, w):
-    """sum_m w_m prod_j tables[j][i_j, m] for every index tuple (i_1..i_d),
-    flattened in C order.
+    """For each stack item c, sum_m w[c, m] prod_j tables[j][c, i_j, m] for
+    every index tuple (i_1..i_d), flattened in C order: shape (C, G).
 
     The leading axes form the rows of a Khatri-Rao product that is
-    multiplied against the last axis table. Its trailing (inner) axes are
-    built once; the outer ones, if the whole product would exceed
-    _BLOCK_ELEMS floats, are looped over, each outer index scaling the
-    inner block by its row of weights.
+    multiplied against the last axis table, in one stacked matrix product
+    whose items have the shapes a stack of one would have. Its trailing
+    (inner) axes are built once per chunk of items; the outer ones, if one
+    item's product would exceed _BLOCK_ELEMS floats, are looped over, each
+    outer index scaling the inner block by its row of weights. Items are
+    taken in chunks whose inner blocks hold at most _BLOCK_ELEMS floats.
     """
     *lead, last = tables
-    m = w.size
+    cells, m = w.shape
     split = len(lead)
     rows = 1
-    while split > 0 and rows * lead[split - 1].shape[0] * m <= _BLOCK_ELEMS:
+    while split > 0 and rows * lead[split - 1].shape[1] * m <= _BLOCK_ELEMS:
         split -= 1
-        rows *= lead[split].shape[0]
-    # The first inner table starts the product as it is, uncopied.
-    inner = lead[split] if split < len(lead) else np.ones((1, m))
-    for t in lead[split + 1:]:
-        inner = (inner[:, None, :] * t[None, :, :]).reshape(-1, m)
-    outer = tuple(t.shape[0] for t in lead[:split])
-    out = np.empty(outer + (rows, last.shape[0]))
-    for index in np.ndindex(*outer):
-        scale = w
-        for t, i in zip(lead, index):
-            scale = scale * t[i]
-        out[index] = (inner * scale) @ last.T
-    return out.reshape(-1)
+        rows *= lead[split].shape[1]
+    outer = tuple(t.shape[1] for t in lead[:split])
+    step = max(1, _BLOCK_ELEMS // (rows * m))
+    # With one chunk and no outer loop, the one product is the result.
+    whole = not outer and step >= cells
+    out = None if whole else np.empty((cells,) + outer + (rows, last.shape[1]))
+    for start in range(0, cells, step):
+        items = slice(start, start + step)
+        # The first inner table starts the product as it is, uncopied.
+        inner = lead[split][items] if split < len(lead) else np.ones((1, 1, m))
+        for t in lead[split + 1:]:
+            inner = (inner[:, :, None, :] * t[items, None, :, :]).reshape(inner.shape[0], -1, m)
+        last_t = last[items].transpose(0, 2, 1)
+        for index in np.ndindex(*outer):
+            scale = w[items, None, :]
+            for t, i in zip(lead, index):
+                scale = scale * t[items, None, i]
+            product = (inner * scale) @ last_t
+            if whole:
+                return product.reshape(cells, -1)
+            out[(items,) + index] = product
+    return out.reshape(cells, -1)

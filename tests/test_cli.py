@@ -459,6 +459,30 @@ def verify_tampered(path, coreset, original, tamper):
     return main(["verify", "--input", str(path), "--coreset", str(coreset)])
 
 
+def test_verify_names_the_failing_cells(spread_artifact, capsys):
+    # Lower the recorded c1 to just below the build's largest round-0 ratio
+    # times c1: each cell whose recorded ratio exceeds that cut now fails,
+    # and verify names exactly those, with their ratio and imbalance.
+    path, coreset = spread_artifact
+    original = coreset.read_text()
+    data = json.loads(original)
+    ratios = sorted({c["max_grid_ratio"] for c in data["rounds"][0]["cells"]})
+    cut = (ratios[-1] + ratios[-2]) / 2
+    expected = [f"round {rno} cell {cno}: FAIL (ratio {c['max_grid_ratio'] / cut:.4g}, "
+                f"imbalance {c['imbalance_before_flip']})"
+                for rno, rnd in enumerate(data["rounds"])
+                for cno, c in enumerate(rnd["cells"]) if c["max_grid_ratio"] > cut]
+    assert expected
+
+    def lower_c1(data):
+        data["config"]["c1"] *= cut
+
+    assert verify_tampered(path, coreset, original, lower_c1) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "cell" in line] == expected
+    assert "round 0: FAIL" in out
+
+
 def test_verify_rejects_bad_flipped_positions(spread_artifact, capsys):
     path, coreset = spread_artifact
     original = coreset.read_text()
@@ -715,6 +739,23 @@ def test_build_config_integers_are_strict(square_csv, tmp_path, capsys):
     assert resolve_config({}, environ={ENV_PREFIX + "GRID_BUDGET": "12"}).grid_budget == 12
     with pytest.raises(ValueError):
         resolve_config({}, environ={ENV_PREFIX + "GRID_BUDGET": "9.7"})
+
+
+def test_build_config_paths_must_be_strings(square_csv, tmp_path, capsys, monkeypatch):
+    # input, output and coreset take strings only; another JSON value is a
+    # validation error, not a file name.
+    path, _ = square_csv
+    monkeypatch.chdir(tmp_path)
+    cfg_file = tmp_path / "cfg.json"
+    flags = {"input": ["--input", str(path)], "output": ["--output", "c.json"]}
+    for key, value in [("output", 5), ("input", [str(path)]), ("coreset", 1.5),
+                       ("output", True), ("input", {"path": str(path)})]:
+        cfg_file.write_text(json.dumps({key: value}))
+        args = [a for k, f in flags.items() if k != key for a in f]
+        assert main(["build", "--config", str(cfg_file), "--target-size", "90"] + args
+                    ) == EXIT_VALIDATION, (key, value)
+        assert "cannot parse path config value" in capsys.readouterr().err, (key, value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "points.csv"]
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kdecoreset import colorizer
 from kdecoreset.colorizer import (
     CellAssignment,
     ColoringFailure,
     balance_flips,
     color_all,
     color_cell,
+    _verify_stack,
     partition,
     verify,
 )
@@ -127,6 +130,118 @@ def test_verify_matches_naive_recheck():
             pts, signs, grids, sch.constants.c1, sch.seq, sch.constants.c_big)
         assert passed == naive_pass
         assert ratio == pytest.approx(naive_ratio, rel=1e-9)
+
+
+@st.composite
+def verify_stacks(draw):
+    """1-8 cells of one size in d = 1..6 with their colorings. Each cell's
+    rows come from a small pool (duplicates), coordinates include the cell
+    boundary +-1 and +-0.0, and some cells are moved by a large offset."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 24))
+    coord = st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(-1.0, 1.0))
+    cells = []
+    for _ in range(draw(st.integers(1, 8))):
+        pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=n))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        offset = draw(st.sampled_from([0.0, 0.0, 1e3, -1234.5, 2.0 ** 53]))
+        cells.append(np.asarray([pool[i] for i in picks]) + offset)
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(cells) * n,
+                          max_size=len(cells) * n))
+    return np.stack(cells), np.asarray(signs).reshape(len(cells), n)
+
+
+def results_bits(results):
+    return [(passed, ratio.hex(), imbalance) for passed, ratio, imbalance in results]
+
+
+@settings(max_examples=150, deadline=None)
+@given(verify_stacks(), st.sampled_from([None, 64, 3000]))
+def test_verify_stack_matches_each_cell_alone(stack, block):
+    # Every cell of a stack gets the (passed, ratio, imbalance) it gets
+    # alone, bit for bit, also when a small _BLOCK_ELEMS splits the stack.
+    pts, signs = stack
+    sch = build_schedule(pts.shape[1], pts.shape[2], small_constants(pts.shape[2], budget=300))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
+        got = _verify_stack(pts, signs, sch)
+        alone = [verify(p, s, sch) for p, s in zip(pts, signs)]
+    assert results_bits(got) == results_bits(alone)
+
+
+def test_verify_stack_chunked(monkeypatch):
+    # With _BLOCK_ELEMS at 5000, a d = 2 cell of 20 points on a 17 x 17
+    # grid needs 2 * 289 + 20 * 34 = 1258 floats, so 30 cells go in chunks
+    # of 3; each chunk's tables and products keep the unpatched shapes.
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-1, 1, size=(30, 20, 2))
+    signs = rng.choice([-1, 1], size=(30, 20))
+    sch = build_schedule(20, 2, small_constants(2, budget=300))
+    assert sch.verification_levels[0][1].size == 289
+    alone = [verify(p, s, sch) for p, s in zip(pts, signs)]
+    chunks = []
+    build = colorizer._cell_tables
+    monkeypatch.setattr(colorizer, "_cell_tables",
+                        lambda p, schedule: chunks.append(len(p)) or build(p, schedule))
+    monkeypatch.setattr("kdecoreset.kernel._BLOCK_ELEMS", 5000)
+    assert results_bits(_verify_stack(pts, signs, sch)) == results_bits(alone)
+    assert chunks == [3] * 10
+
+
+def test_verify_stack_memory_bounded():
+    # 4000 cells of 20 points on the default d = 2 grid (63 x 63): their
+    # discrepancies alone would take 127 MB, and products and tables twice
+    # that; in chunks the peak stays under 150 MB.
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1, 1, size=(4000, 20, 2))
+    signs = rng.choice([-1, 1], size=(4000, 20))
+    sch = build_schedule(20, 2, default_constants(2))
+    tracemalloc.start()
+    try:
+        got = _verify_stack(pts, signs, sch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6, f"peak {peak / 1e6:.0f} MB"
+    assert results_bits(got[::997]) == results_bits(
+        [verify(p, s, sch) for p, s in zip(pts[::997], signs[::997])])
+
+
+def test_verify_stack_failing_cell_leaves_the_others():
+    # All +1 on 300 points in d = 1 fails both the grid check (ratio 4-5.3,
+    # ROADMAP item 7) and the balance cap; only that cell of the stack
+    # fails, and the others keep their results.
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-1, 1, size=(4, 300, 1))
+    cell = CellAssignment(center=(0.0,), members=np.arange(300))
+    signs = np.stack([color_cell(cell, p, None, seed=s).accepted_coloring
+                      for s, p in enumerate(pts)])
+    sch = build_schedule(300, 1, default_constants(1))
+    before = _verify_stack(pts, signs, sch)
+    signs[2] = 1
+    after = _verify_stack(pts, signs, sch)
+    assert [passed for passed, _, _ in before] == [True] * 4
+    assert [passed for passed, _, _ in after] == [True, True, False, True]
+    assert after[2][1] > 1.0 and after[2][2] == 300
+    assert results_bits(after[:2] + after[3:]) == results_bits(before[:2] + before[3:])
+
+
+item_7 = pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 7")
+
+
+@pytest.mark.parametrize("d, n", [
+    (1, 300),
+    pytest.param(2, 50, marks=item_7),
+    pytest.param(3, 1000, marks=item_7),
+    pytest.param(6, 1000, marks=item_7),
+])
+def test_verify_rejects_constant_coloring(d, n):
+    # A certificate that passes the constant coloring certifies nothing.
+    pts = np.random.default_rng(9).uniform(-1, 1, size=(n, d))
+    passed, ratio, _ = verify(pts, np.ones(n, dtype=np.int64),
+                              build_schedule(n, d, default_constants(d)))
+    assert not passed, f"all +1 passes with max ratio {ratio:.3g}"
 
 
 def test_color_cell_singleton():

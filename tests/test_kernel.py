@@ -309,6 +309,34 @@ def test_lattice_tables_rows_match_unique(pts):
     assert np.all(tables.rows[tables.inverse] == pts)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([None, 40, 300, 3000]))
+def test_lattice_tables_stack_matches_each_set(data, block):
+    # A stack's sums are each set's own sums bit for bit, also where the
+    # sets merge to different row counts and where the tables are built in
+    # blocks (a small _BLOCK_ELEMS); rows[inverse] gives back the points.
+    sets = [data.draw(repeated_rows())]
+    n, d = sets[0].shape
+    for _ in range(data.draw(st.integers(0, 5))):
+        sets.append(np.resize(data.draw(repeated_rows()), (n, d)))
+    stack = np.stack(sets)
+    signs = np.asarray(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                          min_size=stack[..., 0].size,
+                                          max_size=stack[..., 0].size))).reshape(len(sets), n)
+    grid = Grid(0.5, 2.0, d).coarsened(400)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
+        tables = LatticeTables(stack, grid)
+        got = tables.sum(signs)
+        alone = [LatticeTables(pts, grid).sum(sigma) for pts, sigma in zip(sets, signs)]
+    assert tables.inverse.shape == (len(sets), n)
+    assert np.all(tables.rows[tables.inverse] == stack)
+    assert got.shape == (len(sets), grid.count())
+    for row, one in zip(got, alone):
+        assert row.tobytes() == one.tobytes()
+
+
 def test_lattice_sum_rejects_weight_count():
     with pytest.raises(ValueError, match="weights"):
         lattice_sum(np.zeros((3, 2)), [1.0, 1.0], Grid(0.5, 1.0, 2))
