@@ -7,15 +7,17 @@ unit ball, which is the precondition of the per-cell guarantees. Colorings
 are translation invariant, so cells are processed centered and never
 un-centered. Identical points in a cell are paired off with opposite signs
 and only the rest is walked. Verification grids are lattices in centered
-coordinates; each cell tabulates its kernel per grid axis once and reuses
-the tables for every coloring it checks. Re-verification checks cells of
-one size as a stack (_verify_stack): they share one broadcast per table
-and one stacked matrix product per level, in chunks of bounded memory,
-and each cell's result is the one it gets alone, bit for bit.
+coordinates, and the kernel is tabulated per grid axis.
 
-Cells could be colored concurrently (seeds are split per cell); this
-implementation processes them sequentially in lexicographic center order,
-which is also the deterministic report order.
+Cells are independent (seeds are split per cell, in lexicographic center
+order, which is also the report order), so cells of one size are colored
+as a stack, in chunks of bounded memory: they share one broadcast per
+table and one stacked matrix product per level, one check of every first
+walk attempt, and one dense factorization per chunk of cells with one
+unpaired count. Walks stay per cell, and cells whose first attempt fails
+are retried afterwards in center order, each retry an attempt on a stack
+of one. Re-verification (_verify_stack) checks stacks the same way. Each
+cell's result is the one it gets alone, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -128,14 +130,14 @@ def partition(points):
 
 def _cell_tables(points_centered, schedule):
     # The per-axis tables depend on the cells' points and the grids, not on
-    # the signs: built once per cell or stack, then each check is one matrix
+    # the signs: built once per stack, then each check is one matrix
     # product per level.
     return [LatticeTables(points_centered, grid) for grid, _ in schedule.verification_levels]
 
 
 def _check(sigma, schedule, tables):
-    """The (passed, max_ratio, imbalance) of each coloring, a list: sigma
-    is one cell's (n,) or a stack's (C, n), as `tables` were built."""
+    """The (passed, max_ratio, imbalance) of each coloring of a stack's
+    (C, n) sigma, a list, on the stack's tables."""
     ratio = None
     for (_, thresholds), level in zip(schedule.verification_levels, tables):
         disc = level.sum(sigma)
@@ -143,53 +145,51 @@ def _check(sigma, schedule, tables):
         disc /= thresholds
         worst = disc.max(axis=-1)
         ratio = worst if ratio is None else np.maximum(ratio, worst)
-    ratios, sums = ratio.tolist(), sigma.sum(axis=-1).tolist()
-    if sigma.ndim == 1:
-        ratios, sums = [ratios], [sums]
     c_big = schedule.constants.c_big
-    return [(r < 1.0 and abs(i) <= c_big, r, i) for r, i in zip(ratios, sums)]
+    return [(r < 1.0 and abs(i) <= c_big, r, i)
+            for r, i in zip(ratio.tolist(), sigma.sum(axis=-1).tolist())]
 
 
-def verify(points_centered, signs, schedule, tables=None):
+def verify(points_centered, signs, schedule):
     """Check a cell coloring against every grid threshold.
 
     Passes iff |sum_p sigma(p) e^(-||s - p||^2)| < c1 * n_{i+1} *
     e^(-(2/3)||s||^2) strictly at every checked grid point s of every level
-    and |sum sigma| <= c_big. `tables` may carry the cell's LatticeTables
-    per level, to reuse them across colorings of the same cell.
+    and |sum sigma| <= c_big.
 
     Returns (passed, max_ratio, imbalance) where max_ratio is the worst
-    |discrepancy| / threshold over all checked points. _verify_stack
-    checks many cells of one size at once through the same _check and
-    gives each cell this result bit for bit.
+    |discrepancy| / threshold over all checked points. This is
+    _verify_stack's stack of one, and a cell checked in any stack gets
+    this result bit for bit.
     """
     pts = as_points(points_centered)
     if len(signs) != pts.shape[0]:
         raise ValueError("coloring length does not match the cell size")
-    sigma = as_coloring(signs)
-    if tables is None:
-        tables = _cell_tables(pts, schedule)
-    return _check(sigma, schedule, tables)[0]
+    return _verify_stack(pts[None], as_coloring(signs)[None], schedule)[0]
+
+
+def _stack_step(n, schedule):
+    """Cells of n points per stack chunk: as many as hold at most
+    _BLOCK_ELEMS floats of discrepancies, matrix-product results and tables
+    together, 2 G + n * (sum of axis sizes) per cell on the largest grid,
+    of G points."""
+    grid, thresholds = max(schedule.verification_levels, key=lambda level: level[1].size)
+    per_cell = 2 * thresholds.size + n * grid.dim * (2 * grid.axis_steps() + 1)
+    return max(1, kernel._BLOCK_ELEMS // per_cell)
 
 
 def _verify_stack(points_centered, signs, schedule):
     """verify for a stack of C cells of one size: points (C, n, d) and
     signs (C, n). Returns each cell's (passed, max_ratio, imbalance), in
-    stack order.
-
-    The cells share each level's LatticeTables. They are taken in chunks
-    that hold at most _BLOCK_ELEMS floats of discrepancies, matrix-product
-    results and tables together: 2 G + n * (sum of axis sizes) per cell on
-    the largest grid, of G points.
+    stack order. The cells share each level's LatticeTables, in chunks of
+    _stack_step cells.
     """
     pts = np.asarray(points_centered, dtype=np.float64)
     sigma = as_coloring(np.ravel(signs)).reshape(np.shape(signs))
     if pts.ndim != 3 or sigma.shape != pts.shape[:2]:
         raise ValueError(f"expected signs of shape {pts.shape[:2]} for points of "
                          f"shape {pts.shape}, got {sigma.shape}")
-    grid, thresholds = max(schedule.verification_levels, key=lambda level: level[1].size)
-    per_cell = 2 * thresholds.size + pts.shape[1] * grid.dim * (2 * grid.axis_steps() + 1)
-    step = max(1, kernel._BLOCK_ELEMS // per_cell)
+    step = _stack_step(pts.shape[1], schedule)
     results = []
     for start in range(0, len(pts), step):
         part = slice(start, start + step)
@@ -237,43 +237,94 @@ def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET)
         attempt at the fixed coloring (+1, -1) and no walk.
 
     Returns a CellColoringReport. The gram factorization is deterministic,
-    so it is built once and only the walk reruns on retries.
+    and a retry recomputes it; only the walk's seed changes. color_all
+    colors its cells through the same code, this cell being a stack of one.
+    """
+    if cell.members.size == 0:
+        raise ValueError("cannot color an empty cell")
+    pts = np.asarray(points, dtype=np.float64)
+    as_points(pts[cell.members])
+    return _color_cells([cell], pts, constants, [seed], retry_budget)[0]
+
+
+def _attempt(cells, points, schedule, roots):
+    """One attempt at each of a stack of cells of one size: a walk with
+    the root's next split for a cell left with more than two unpaired
+    points, the fixed coloring for the others. Returns each cell's
+    (signs, unpaired positions, (passed, max_ratio, imbalance)).
+
+    The cells share one LatticeTables per level, whose inverse rows give
+    their duplicate pairing, and one _check; walked cells with one
+    unpaired count share their dense factors (kernel_factor of a stack).
+    """
+    centers = np.array([cell.center for cell in cells], dtype=np.float64)
+    pts = points[np.stack([cell.members for cell in cells])] - centers[:, None, :]
+    tables = _cell_tables(pts, schedule)
+    paired = [_pair_duplicates(inverse) for inverse in tables[0].inverse]
+    sigma = np.stack([signs for signs, _ in paired])
+    walked = {}
+    for j, (_, rest) in enumerate(paired):
+        if rest.size > 2:
+            walked.setdefault(rest.size, []).append(j)
+        else:
+            # One or two points left bypass the walk: alternate signs, lowest +1.
+            sigma[j, rest] = [1, -1][:rest.size]
+    for items in walked.values():
+        stack = np.stack([pts[j, paired[j][1]] for j in items])
+        for j, factor, rows in zip(items, kernel_factor(stack), stack):
+            vectors = augment(factor, rows, points.shape[1])
+            sigma[j, paired[j][1]] = gsw_color(vectors, roots[j].spawn(1)[0]).signs
+    return [(signs.copy(), rest, result)
+            for signs, (_, rest), result in zip(sigma, paired, _check(sigma, schedule, tables))]
+
+
+def _color_cells(cells, points, constants, seeds, retry_budget):
+    """color_cell of each of `cells` with its seed, in order; `points` is
+    the float64 array their members index into.
+
+    First attempts go in stacks of _stack_step cells of one size. Cells
+    whose first attempt fails are retried afterwards in the order of
+    `cells`, one at a time and one attempt per stack of one, so the first
+    to exhaust its budget raises what it raises alone.
     """
     if retry_budget < 1:
         raise ValueError(f"retry budget must be at least 1, got {retry_budget}")
-    if cell.members.size == 0:
-        raise ValueError("cannot color an empty cell")
-    pts = as_points(np.asarray(points, dtype=np.float64)[cell.members]) - np.asarray(cell.center)
-    n, d = pts.shape
-    schedule = build_schedule(n, d, constants)
-    tables = _cell_tables(pts, schedule)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    signs, rest = _pair_duplicates(tables[0].inverse)
-    if rest.size > 2:
-        walked = pts[rest]
-        vectors = augment(kernel_factor(walked), walked, d)
-        draw, budget = lambda: gsw_color(vectors, root.spawn(1)[0]).signs, retry_budget
-    else:
-        # One or two points left bypass the walk: alternate signs, lowest +1.
-        draw, budget = lambda: [1, -1][:rest.size], 1
-    for retries in range(budget):
-        signs[rest] = draw()
-        passed, ratio, imbalance = verify(pts, signs, schedule, tables)
-        if passed:
-            break
-    else:
-        raise ColoringFailure(cell.center, n, budget, schedule.constants, ratio)
-    flipped = balance_flips(signs)
-    signs[flipped] *= -1
-    return CellColoringReport(
-        center=cell.center,
-        members=cell.members,
-        coloring=signs,
-        retries=retries,
-        flipped=flipped,
-        max_grid_ratio=ratio,
-        imbalance_before_flip=imbalance,
-    )
+    roots = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
+             for s in seeds]
+    sizes = {}
+    for i, cell in enumerate(cells):
+        sizes.setdefault(cell.members.size, []).append(i)
+    schedules = {n: build_schedule(n, points.shape[1], constants) for n in sizes}
+    first = {}
+    for n, group in sizes.items():
+        step = _stack_step(n, schedules[n])
+        for start in range(0, len(group), step):
+            part = group[start:start + step]
+            first.update(zip(part, _attempt([cells[i] for i in part], points, schedules[n],
+                                            [roots[i] for i in part])))
+    reports = []
+    for i, cell in enumerate(cells):
+        schedule = schedules[cell.members.size]
+        signs, rest, (passed, ratio, imbalance) = first.pop(i)
+        budget = retry_budget if rest.size > 2 else 1
+        retries = 0
+        while not passed:
+            retries += 1
+            if retries == budget:
+                raise ColoringFailure(cell.center, cell.members.size, budget, schedule.constants, ratio)
+            [(signs, _, (passed, ratio, imbalance))] = _attempt([cell], points, schedule, [roots[i]])
+        flipped = balance_flips(signs)
+        signs[flipped] *= -1
+        reports.append(CellColoringReport(
+            center=cell.center,
+            members=cell.members,
+            coloring=signs,
+            retries=retries,
+            flipped=flipped,
+            max_grid_ratio=ratio,
+            imbalance_before_flip=imbalance,
+        ))
+    return reports
 
 
 def color_all(points, constants=None, seed=0, retry_budget=DEFAULT_RETRY_BUDGET):
@@ -288,15 +339,13 @@ def color_all(points, constants=None, seed=0, retry_budget=DEFAULT_RETRY_BUDGET)
 
     Returns (signs, reports): the global int64 coloring assembled from the
     per-cell colorings, and the list of CellColoringReports in cell order.
+    Each report is the one color_cell gives the cell with its split.
     """
     pts = as_points(points)
     cells = partition(pts)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = root.spawn(len(cells))
+    reports = _color_cells(cells, pts, constants, root.spawn(len(cells)), retry_budget)
     signs = np.zeros(pts.shape[0], dtype=np.int64)
-    reports = []
-    for cell, cell_seed in zip(cells, seeds):
-        report = color_cell(cell, pts, constants, cell_seed, retry_budget)
-        signs[cell.members] = report.coloring
-        reports.append(report)
+    for report in reports:
+        signs[report.members] = report.coloring
     return signs, reports

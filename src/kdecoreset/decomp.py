@@ -11,7 +11,11 @@ float64 array (plus `psd_factor`'s working set of the same order); callers
 cap g via the schedule's grid budget. `kernel_factor`, which the colorizer
 uses, factors a data-only cell by pivoted partial Cholesky on kernel
 columns computed on demand: O(n r) memory and O(n r^2) time for numerical
-rank r, instead of O(n^2) memory and O(n^3) time.
+rank r, instead of O(n^2) memory and O(n^3) time. Small cells take the
+dense route, which factors a stack of cells of one size at once: one
+`build_gram` and one stacked eigh per chunk of cells, whose Gram
+temporaries hold no more floats than those of one `_DENSE_MAX`-point
+cell. A single cell is a stack of one.
 """
 
 import math
@@ -49,7 +53,8 @@ def build_gram(points, grids=()):
 
     Args:
       points: (n, d) data points, required to lie in the unit sup-norm ball
-        (cells are centered before calling).
+        (cells are centered before calling), or a stack (C, n, d) of such
+        sets of one size.
       grids: iterable of Grid descriptors or (g_i, d) arrays contributing
         witness points.
 
@@ -57,22 +62,29 @@ def build_gram(points, grids=()):
       (N, N) symmetric matrix with unit diagonal, N = n + total grid points,
       ordered data first. Entries are exp(-||a - b||^2) after scaling data
       points by sqrt(3) and grid points by 1/sqrt(3); in particular the
-      data/data block is exp(-3 ||p - q||^2).
+      data/data block is exp(-3 ||p - q||^2). A stack gives (C, N, N),
+      each matrix the one its set gets alone, bit for bit.
     """
     pts = _cell_points(points)
     blocks = [np.sqrt(3.0) * pts]
     for g in grids:
         gp = g.points() if hasattr(g, "points") and callable(getattr(g, "points")) else np.asarray(g, dtype=np.float64)
-        if gp.ndim != 2 or gp.shape[1] != pts.shape[1]:
+        if gp.ndim != 2 or gp.shape[1] != pts.shape[-1]:
             raise ValueError("grid points must be a 2-D array matching the data dimension")
         if gp.shape[0]:
-            blocks.append(gp / np.sqrt(3.0))
-    scaled = np.concatenate(blocks, axis=0)
+            blocks.append(np.broadcast_to(gp / np.sqrt(3.0), pts.shape[:-2] + gp.shape))
+    scaled = np.concatenate(blocks, axis=-2)
     return np.exp(-_sq_dists(scaled, scaled))
 
 
 def _cell_points(points):
-    pts = as_points(points)
+    """`points` as one (n, d) set or a (C, n, d) stack, checked finite,
+    nonempty and in the unit sup-norm ball."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 3:
+        as_points(pts.reshape(-1, pts.shape[2]))
+    else:
+        pts = as_points(pts)
     if np.abs(pts).max() > 1.0 + _BALL_SLACK:
         raise ValueError("data point outside the unit sup-norm ball; center the cell first")
     return pts
@@ -130,7 +142,14 @@ def psd_factor(matrix, n_data=None):
     # the tolerance check.
     if not ((m == m.T).all() or np.allclose(m, m.T, atol=1e-12)):
         raise ValueError("matrix must be symmetric")
-    w, q = np.linalg.eigh(m)
+    n = m.shape[0] if n_data is None else int(n_data)
+    if not 0 <= n <= m.shape[0]:
+        raise ValueError("n_data out of range")
+    return _eigen_factor(*np.linalg.eigh(m), n)
+
+
+def _eigen_factor(w, q, n_data):
+    """psd_factor's PSD check and truncation of one eigendecomposition."""
     lam_max = max(float(w[-1]), 0.0)
     if float(w[0]) < -EIG_TOL * max(lam_max, 1.0):
         raise ValueError(
@@ -139,10 +158,7 @@ def psd_factor(matrix, n_data=None):
         )
     keep = _above_noise_floor(w)
     cols = (q[:, keep] * np.sqrt(w[keep])).T
-    n = m.shape[0] if n_data is None else int(n_data)
-    if not 0 <= n <= m.shape[0]:
-        raise ValueError("n_data out of range")
-    return GramFactor(columns=np.ascontiguousarray(cols), n_data=n)
+    return GramFactor(columns=np.ascontiguousarray(cols), n_data=n_data)
 
 
 def kernel_factor(points):
@@ -160,11 +176,35 @@ def kernel_factor(points):
 
     Cells of at most 256 points, and cells whose pivot count passes n / 4,
     return psd_factor(build_gram(points)) unchanged.
+
+    `points` may be a stack of C cells of one size, (C, n, d); the result
+    is then an iterator over the cells' factors, computed as they are
+    taken. Cells of at most 256 points are factored in chunks that share
+    one build_gram and one stacked eigh, each factor the one its cell gets
+    alone, bit for bit.
     """
     pts = _cell_points(points)
+    stack = pts if pts.ndim == 3 else pts[None]
+    factors = _dense_factors(stack) if stack.shape[1] <= _DENSE_MAX else map(_pivoted_factor, stack)
+    return factors if pts.ndim == 3 else next(factors)
+
+
+def _dense_factors(stack):
+    """psd_factor(build_gram(cell)) for each cell of a (C, n, d) stack,
+    lazily, in chunks whose Gram temporaries hold no more floats than one
+    _DENSE_MAX-point cell's. build_gram frees its distance temporaries
+    before eigh starts."""
+    cells, n, _ = stack.shape
+    step = max(1, _DENSE_MAX ** 2 // n ** 2)
+    for start in range(0, cells, step):
+        w, q = np.linalg.eigh(build_gram(stack[start:start + step]))
+        for item in zip(w, q):
+            yield _eigen_factor(*item, n)
+
+
+def _pivoted_factor(pts):
+    """kernel_factor of one cell of more than _DENSE_MAX points."""
     n = pts.shape[0]
-    if n <= _DENSE_MAX:
-        return psd_factor(build_gram(pts))
     s = np.sqrt(3.0) * pts
     max_rank = n // _RANK_FRACTION
     resid = np.ones(n)
@@ -176,7 +216,7 @@ def kernel_factor(points):
         if pivot <= _PIVOT_TOL:
             break
         if k == max_rank:
-            return psd_factor(build_gram(pts))
+            return next(_dense_factors(pts[None]))
         if k == rows.shape[0]:
             grown = np.empty((min(2 * k, max_rank), n))
             grown[:k] = rows

@@ -64,13 +64,14 @@ def as_coloring(signs, n=None):
 
 
 def _sq_dists(queries, points):
-    """Squared euclidean distances, shape (q, n), by direct differences.
+    """Squared euclidean distances, shape (q, n), by direct differences;
+    stacks (C, q, d) and (C, n, d) give (C, q, n).
 
     Direct differencing (rather than the norm expansion) keeps each entry
     bit-compatible with a per-pair loop, which the naive oracles rely on.
     """
-    diff = queries[:, None, :] - points[None, :, :]
-    return np.einsum("qnd,qnd->qn", diff, diff)
+    diff = queries[..., :, None, :] - points[..., None, :, :]
+    return np.einsum("...qnd,...qnd->...qn", diff, diff)
 
 
 def kernel_sum(points, weights, queries):
@@ -155,7 +156,8 @@ class LatticeTables:
             groups = [(slice(None), None, self.rows.reshape(cells, -1, d))]
         else:
             groups = []
-            for m in np.unique(counts):
+            # Not np.unique: its first call imports numpy.ma.
+            for m in sorted(set(counts.tolist())):
                 sets = np.flatnonzero(counts == m)
                 index = first[sets, None] + np.arange(m)
                 groups.append((sets, index, self.rows[index]))

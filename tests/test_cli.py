@@ -839,3 +839,35 @@ def test_python_dash_m_runs_the_cli():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: kdecoreset")
+
+
+def test_build_verify_eval_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique's first call imports numpy.ma (about 10 ms and 1 MB of RSS).
+    # 40 cells of 6 points in d = 2, every third with a repeated row, give
+    # stacks whose cells merge to different row counts.
+    rng = np.random.default_rng(12)
+    cells = []
+    for c in range(40):
+        pts = rng.uniform(-0.9, 0.9, size=(6, 2)) + 2.0 * np.array([c % 8, c // 8])
+        if c % 3 == 0:
+            pts[1] = pts[0]
+        cells.append(pts)
+    path = tmp_path / "points.csv"
+    write_csv(path, np.concatenate(cells))
+    coreset, report = tmp_path / "coreset.json", tmp_path / "report.json"
+    script = "\n".join([
+        "import sys",
+        "from kdecoreset.cli import main",
+        f"assert main(['build', '--input', {str(path)!r}, '--output', {str(coreset)!r},"
+        " '--target-size', '130']) == 0",
+        f"assert main(['verify', '--input', {str(path)!r}, '--coreset', {str(coreset)!r},"
+        f" '--output', {str(report)!r}]) == 0",
+        f"assert main(['eval', '--input', {str(path)!r}, '--coreset', {str(coreset)!r},"
+        f" '--output', {str(report)!r}, '--eval-budget', '2000']) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"

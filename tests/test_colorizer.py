@@ -395,13 +395,119 @@ def test_color_cell_flip_perturbation_bound():
     pytest.skip("no seed produced a flip for this instance")
 
 
+def report_fields(report):
+    """Every field of a CellColoringReport, floats by their bits."""
+    return (repr(report.center), report.members.tolist(), report.coloring.tolist(),
+            report.coloring.dtype.str, report.retries, report.flipped.tolist(),
+            report.flipped.dtype.str, report.max_grid_ratio.hex(), report.imbalance_before_flip)
+
+
+def outcome(color):
+    """The report fields of color(), or the fields of its ColoringFailure."""
+    try:
+        return [report_fields(report) for report in color()]
+    except ColoringFailure as exc:
+        return ("failed", repr(exc.cell_center), exc.size, exc.retries, exc.max_ratio.hex())
+
+
+def color_one_by_one(pts, constants, seed, retry_budget=colorizer.DEFAULT_RETRY_BUDGET):
+    """color_cell of each cell in center order, with color_all's seed splits."""
+    cells = partition(pts)
+    seeds = np.random.SeedSequence(seed).spawn(len(cells))
+    return [color_cell(cell, pts, constants, s, retry_budget) for cell, s in zip(cells, seeds)]
+
+
 def test_color_all_single_cell_matches_color_cell():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1, 1, size=(30, 2))
     signs, reports = color_all(pts, small_constants(2), seed=11)
     assert len(reports) == 1
     assert np.array_equal(signs, reports[0].coloring)
-    assert np.array_equal(signs[reports[0].members], reports[0].coloring)
+    cell_seed = np.random.SeedSequence(11).spawn(1)[0]
+    alone = color_cell(partition(pts)[0], pts, small_constants(2), seed=cell_seed)
+    assert report_fields(reports[0]) == report_fields(alone)
+
+
+@st.composite
+def same_size_cells(draw):
+    """2-24 cells in d = 1..4 on sites along the first axis: three in four
+    of one size, the rest of a second (maybe the same), each 1-12 points.
+    Rows repeat a small pool per cell, so cells have duplicates and some
+    are left with at most two unpaired points; coordinates include the
+    cell boundary 1.0 and +-0.0."""
+    d = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=2))
+    coord = st.one_of(st.sampled_from([1.0, 0.0, -0.0]), st.floats(-0.99, 1.0))
+    cells = []
+    for c in range(draw(st.integers(2, 24))):
+        n = sizes[c % 4 == 3]
+        pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=n))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        site = np.zeros(d)
+        site[0] = 2.0 * c
+        cells.append(np.asarray([pool[i] for i in picks]) + site)
+    return np.concatenate(cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_size_cells(), st.integers(0, 2**32 - 1), st.sampled_from([None, 300]))
+def test_color_all_stacks_match_color_cell(pts, seed, block):
+    # Stacked cells get color_cell's report bit for bit, also when a small
+    # _BLOCK_ELEMS takes them one or two per chunk.
+    cst = small_constants(pts.shape[1], budget=64)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
+        got = outcome(lambda: color_all(pts, cst, seed=seed)[1])
+        alone = outcome(lambda: color_one_by_one(pts, cst, seed))
+    assert got == alone
+
+
+def test_color_all_retries_match_color_cell():
+    # c1 = 4.3 (the d = 2 default is 73.2) rejects the first attempts
+    # of cells 3, 11 and 13 of a stack of 16; cell 11 passes at its 8th.
+    # Each is retried with its k-th split, as alone. With a budget of 2,
+    # cell 3 passes at its second attempt and cell 11 raises, as alone;
+    # with a budget of 1, cell 3 raises, the first of the three.
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.uniform(-0.95, 0.95, (20, 2)) + 2.0 * np.array([c % 4, c // 4])
+                          for c in range(16)])
+    cst = default_constants(2, c1=4.3, grid_budget=400)
+    _, reports = color_all(pts, cst, seed=6)
+    assert [report_fields(r) for r in reports] == outcome(lambda: color_one_by_one(pts, cst, 6))
+    assert [r.retries for r in reports if r.retries] == [1, 7, 1]
+    for report, cell_seed in zip(reports, np.random.SeedSequence(6).spawn(16)):
+        if report.retries:
+            centered = pts[report.members] - np.asarray(report.center)
+            vectors = augment(kernel_factor(centered), centered, 2)
+            kth = cell_seed.spawn(report.retries + 1)[report.retries]
+            assert np.array_equal(report.accepted_coloring, gsw_color(vectors, kth).signs)
+    failed = outcome(lambda: color_all(pts, cst, seed=6, retry_budget=2)[1])
+    assert failed == outcome(lambda: color_one_by_one(pts, cst, 6, retry_budget=2))
+    assert failed[:4] == ("failed", repr(reports[11].center), 20, 2)
+    failed = outcome(lambda: color_all(pts, cst, seed=6, retry_budget=1)[1])
+    assert failed == outcome(lambda: color_one_by_one(pts, cst, 6, retry_budget=1))
+    assert failed[:4] == ("failed", repr(reports[3].center), 20, 1)
+
+
+def test_color_all_memory_bounded():
+    # 2500 cells of 3 points on the default d = 2 grid (63 x 63): their
+    # first attempts' discrepancies alone take 79 MB in one stack (peak
+    # 94 MB); in chunks of 962 cells the peak is 38 MB.
+    rng = np.random.default_rng(12)
+    sites = 2.0 * np.stack([np.arange(2500) % 50, np.arange(2500) // 50], axis=1)
+    pts = (rng.uniform(-0.95, 0.95, size=(2500, 3, 2)) + sites[:, None, :]).reshape(-1, 2)
+    tracemalloc.start()
+    try:
+        _, reports = color_all(pts, default_constants(2), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6, f"peak {peak / 1e6:.0f} MB"
+    seeds = np.random.SeedSequence(1).spawn(2500)
+    assert [report_fields(r) for r in reports[::499]] == [
+        report_fields(color_cell(CellAssignment(r.center, r.members), pts, None, seeds[i]))
+        for i, r in zip(range(0, 2500, 499), reports[::499])]
 
 
 def test_color_all_composition_across_cells():

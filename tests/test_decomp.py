@@ -241,3 +241,48 @@ def test_kernel_factor_memory_bounded_20k():
     assert peak <= 300e6
     assert f.columns.shape[1] == 20_000
     assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 1e-9
+
+
+@st.composite
+def dense_stacks(draw):
+    """1-12 cells of one size in d = 1..6, small (one chunk) or of 60-120
+    points (chunks of 4-18 cells), tight or wide, with coordinates snapped
+    to the cell boundary +-1 and duplicated rows."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(60, 120)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.stack([_cell(rng, n, d, draw(st.sampled_from([0.005, 0.05, 0.5])))
+                      for _ in range(draw(st.integers(1, 12)))])
+    snap = rng.random(stack.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    stack[snap] = rng.choice([-1.0, 1.0], int(snap.sum()))
+    for cell in stack:
+        n_dup = int(rng.integers(0, n // 2 + 1))
+        cell[rng.choice(n, n_dup, replace=False)] = cell[rng.integers(0, n, n_dup)]
+    return stack
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_stacks())
+def test_kernel_factor_stack_bit_identical(stack):
+    # Each cell of a stack gets psd_factor(build_gram(cell)) bit for bit.
+    factors = list(kernel_factor(stack))
+    assert len(factors) == len(stack)
+    for cell, f in zip(stack, factors):
+        alone = psd_factor(build_gram(cell))
+        assert f.n_data == alone.n_data
+        assert f.columns.shape == alone.columns.shape
+        assert f.columns.tobytes() == alone.columns.tobytes()
+
+
+def test_kernel_factor_stack_memory_bounded():
+    # 1000 cells of 60 points: their Grams and distance temporaries at once
+    # would take 86 MB at d = 2; in chunks of 18 cells the peak is 2.2 MB.
+    stack = np.random.default_rng(21).uniform(-1, 1, size=(1000, 60, 2))
+    tracemalloc.start()
+    try:
+        ranks = [f.dim_m for f in kernel_factor(stack)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, f"peak {peak / 1e6:.1f} MB"
+    assert ranks == [kernel_factor(cell).dim_m for cell in stack]
