@@ -26,7 +26,6 @@ from .colorizer import ColoringFailure, _verify_stack, balance_flips, partition
 from .config import resolve_config
 from .coreset import HalvingFailure, build_coreset, random_baseline
 from .evaluation import build_query_grid, expansion_margin, linf_error
-from .kernel import lattice_kde
 from .schedule import build_schedule
 
 __all__ = ["main", "read_points", "write_artifact", "SCHEMA_VERSION"]
@@ -151,13 +150,14 @@ def write_artifact(path, payload):
         fh.write("\n")
 
 
-def _base_payload(kind, cfg, input_path):
+def _base_payload(kind, cfg, digest):
+    """The fields every artifact shares; `digest` is file_sha256(cfg.input)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": cfg.to_dict(),
-        "input": {"path": str(input_path), "sha256": file_sha256(input_path)},
+        "input": {"path": str(cfg.input), "sha256": digest},
     }
 
 
@@ -192,7 +192,7 @@ def cmd_build(cfg):
         points, target=cfg.target_size, epsilon=cfg.epsilon, seed=cfg.seed,
         presample=cfg.presample, constants=constants, retry_budget=cfg.retry_budget,
     )
-    payload = _base_payload("coreset", cfg, cfg.input)
+    payload = _base_payload("coreset", cfg, file_sha256(cfg.input))
     # Resolved constants, not null defaults: verify rechecks these, whatever the defaults.
     payload["config"].update(asdict(constants))
     payload["input"]["n"] = int(points.shape[0])
@@ -234,6 +234,8 @@ def _int_array(obj, key, where, bound=None):
 
 
 def _load_coreset_indices(cfg, points):
+    """The --coreset artifact, its indices into `points`, and the input's
+    sha256, which must be the one the artifact records."""
     if not cfg.coreset:
         raise ValidationError("a --coreset artifact is required")
     with open(cfg.coreset, "r", encoding="utf-8") as fh:
@@ -253,20 +255,21 @@ def _load_coreset_indices(cfg, points):
     indices = _int_array(artifact, "indices", cfg.coreset, points.shape[0])
     if len(set(indices.tolist())) != indices.size:
         raise ValidationError(f"{cfg.coreset}: 'indices' repeats an entry")
-    return artifact, indices
+    return artifact, indices, actual
 
 
 def cmd_eval(cfg):
     points = read_points(cfg.input, cfg.dim)
-    artifact, idx = _load_coreset_indices(cfg, points)
+    artifact, idx, digest = _load_coreset_indices(cfg, points)
     report = linf_error(points, points[idx], resolution=cfg.resolution,
                         budget=cfg.eval_budget)
-    payload = _base_payload("eval_report", cfg, cfg.input)
+    payload = _base_payload("eval_report", cfg, digest)
     payload.update({
         "coreset": {"path": str(cfg.coreset), "size": int(idx.size)},
         "sup_error": report.sup_error,
         "argmax_query": list(report.argmax_query),
         "n_queries": report.n_queries,
+        "n_evaluated": report.n_evaluated,
         "discretization_bound": report.discretization_bound,
         "tail_bound": report.tail_bound,
         "upper_bound": report.upper_bound,
@@ -281,7 +284,8 @@ def cmd_eval(cfg):
         write_artifact(cfg.output, payload)
     print(f"sup error {report.sup_error:.6g} at {tuple(report.argmax_query)} "
           f"(+{report.discretization_bound:.2g} discretization, "
-          f"tail {report.tail_bound:.2g})")
+          f"tail {report.tail_bound:.2g}; summed {report.n_evaluated} "
+          f"of {report.n_queries} queries)")
     return EXIT_OK
 
 
@@ -291,7 +295,7 @@ _VERIFY_KEYS = ("c0", "c1", "c_big", "strict_constants", "grid_budget")
 
 def cmd_verify(cfg):
     points = read_points(cfg.input, cfg.dim)
-    artifact, indices = _load_coreset_indices(cfg, points)
+    artifact, indices, digest = _load_coreset_indices(cfg, points)
     if _field(artifact, "size", int, cfg.coreset) != indices.size:
         raise ValidationError(f"{cfg.coreset}: 'size' is not the length of 'indices'")
     n = points.shape[0]
@@ -379,7 +383,7 @@ def cmd_verify(cfg):
         all_ok = False
         print("indices: FAIL (not the kept set of the last round)")
     if cfg.output:
-        payload = _base_payload("verify_report", cfg, cfg.input)
+        payload = _base_payload("verify_report", cfg, digest)
         payload["config"].update({k: getattr(built, k) for k in _VERIFY_KEYS})
         payload["rounds"] = results
         payload["passed"] = all_ok
@@ -402,7 +406,6 @@ def cmd_bench(cfg):
     constants = cfg.constants_for(points.shape[1])
     grid = build_query_grid(points, resolution=cfg.resolution, budget=cfg.eval_budget,
                             margin=expansion_margin(points.shape[0]))
-    base_kde = lattice_kde(points, grid)
     rows = []
     for s in range(cfg.num_seeds):
         seed = cfg.seed + s
@@ -416,17 +419,17 @@ def cmd_bench(cfg):
             best = min((k for k in keep_by_size if k >= size),
                        default=max(keep_by_size))
             idx = keep_by_size[best]
-            err = float(np.abs(base_kde - lattice_kde(points[idx], grid)).max())
+            err = linf_error(points, points[idx], grid=grid).sup_error
             rows.append({"method": "discrepancy", "size": int(idx.size),
                          "requested_size": size, "seed": seed, "sup_error": err})
             ridx = random_baseline(points, size, seed=seed * 1_000_003 + size).indices
-            rerr = float(np.abs(base_kde - lattice_kde(points[ridx], grid)).max())
+            rerr = linf_error(points, points[ridx], grid=grid).sup_error
             rows.append({"method": "random", "size": size, "requested_size": size,
                          "seed": seed, "sup_error": rerr})
     summary = summarize_bench(rows)
     slopes = {m: fit_loglog_slope([(r["size"], r["median"]) for r in summary if r["method"] == m])
               for m in ("discrepancy", "random")}
-    payload = _base_payload("bench", cfg, cfg.input)
+    payload = _base_payload("bench", cfg, file_sha256(cfg.input))
     payload.update({"rows": rows, "summary": summary, "slopes": slopes,
                     "sizes": sizes, "num_seeds": cfg.num_seeds})
     if cfg.output:

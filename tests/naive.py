@@ -1,15 +1,19 @@
 """Independent naive reference implementations used as test oracles.
 
 Everything here is written with plain Python loops and math.exp, kept
-deliberately separate from the package's vectorized code paths. The one
-exception is `reference_walk`, which takes each direction from
-`np.linalg.lstsq` in place of the walk's maintained inverse.
+deliberately separate from the package's vectorized code paths. There are
+two exceptions: `reference_walk` takes each direction from
+`np.linalg.lstsq` in place of the walk's maintained inverse, and
+`full_lattice_gap` sums the package's lattice KDE over a whole grid, the
+unpruned sum that linf_error's far-field certificate stands in for.
 """
 
 import csv
 import math
 
 import numpy as np
+
+from kdecoreset.kernel import lattice_kde
 
 
 def gauss(x, y):
@@ -25,6 +29,12 @@ def kde(points, x):
 
 def signed_discrepancy(points, signs, x):
     return math.fsum(s * gauss(x, p) for s, p in zip(signs, points))
+
+
+def full_lattice_gap(points_p, points_q, grid):
+    """|KDE_P - KDE_Q| at every point of `grid`, in Grid.points() order,
+    summed over the whole lattice with nothing pruned."""
+    return np.abs(lattice_kde(points_p, grid) - lattice_kde(points_q, grid))
 
 
 def gram_entry(a, b, a_is_data, b_is_data):

@@ -17,6 +17,7 @@ from kdecoreset.cli import (
     EXIT_VALIDATION,
     ValidationError,
     build_parser,
+    file_sha256,
     fit_loglog_slope,
     main,
     read_points,
@@ -240,18 +241,33 @@ def test_build_reproduces_from_its_artifact_config(square_csv, tmp_path):
     assert d1 == d2
 
 
-def test_build_eval_roundtrip(square_csv, tmp_path):
+def test_build_eval_roundtrip(square_csv, tmp_path, monkeypatch, capsys):
     path, pts = square_csv
     coreset = tmp_path / "coreset.json"
     assert main(["build", "--input", str(path), "--output", str(coreset),
                  "--target-size", "45", "--seed", "1"]) == 0
     report = tmp_path / "eval.json"
+    # eval hashes its input once, for the check and the report alike.
+    digests = []
+
+    def counted(p):
+        digests.append(file_sha256(p))
+        return digests[-1]
+
+    monkeypatch.setattr("kdecoreset.cli.file_sha256", counted)
+    capsys.readouterr()
     assert main(["eval", "--input", str(path), "--coreset", str(coreset),
                  "--output", str(report), "--eval-budget", "20000"]) == 0
     data = json.loads(report.read_text())
+    assert len(digests) == 1
+    assert data["input"]["sha256"] == digests[0] == json.loads(coreset.read_text())["input"]["sha256"]
     idx = json.loads(coreset.read_text())["indices"]
     in_process = linf_error(pts, pts[np.asarray(idx)], budget=20000)
     assert data["sup_error"] == pytest.approx(in_process.sup_error, abs=1e-12)
+    assert data["n_queries"] == in_process.n_queries == in_process.grid.count()
+    assert 0 < data["n_evaluated"] == in_process.n_evaluated < data["n_queries"]
+    assert (f"summed {data['n_evaluated']} of {data['n_queries']} queries"
+            in capsys.readouterr().out)
 
 
 def test_eval_rejects_mismatched_input(square_csv, tmp_path):

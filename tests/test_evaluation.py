@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdecoreset.evaluation import (
     KERNEL_LIPSCHITZ,
@@ -13,7 +14,9 @@ from kdecoreset.evaluation import (
 )
 from kdecoreset.colorizer import verify
 from kdecoreset.kernel import kernel_sum
-from kdecoreset.schedule import build_schedule, default_constants, threshold_batch
+from kdecoreset.schedule import Grid, build_schedule, default_constants, threshold_batch
+
+import naive
 
 
 def test_linf_identical_sets_zero():
@@ -53,6 +56,76 @@ def test_linf_upper_bound_at_most_one(d):
     raw = max(report.sup_error + report.discretization_bound, report.tail_bound)
     assert report.upper_bound == min(raw, 1.0)
     assert (raw > 1.0) == (d == 3)
+
+
+@st.composite
+def eval_cases(draw):
+    """(P, Q, grid, budget, Q is a copy of P) for linf_error in d = 1..3.
+
+    P is narrow (uniform in [-1, 1]), wide (normal(0, 20)), offset by 1e3,
+    or one point repeated (a one-point box), and may repeat rows. Q is a
+    subset of P, P itself, or fresh points of P's kind. The grid is None
+    (linf_error builds one within `budget`), a query grid the caller
+    builds, or a caller's lattice that may miss the data.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["narrow", "wide", "offset", "point"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sample(size):
+        if kind == "wide":
+            return rng.normal(0.0, 20.0, (size, d))
+        if kind == "point":
+            return np.tile(rng.uniform(-1.0, 1.0, d), (size, 1))
+        return rng.uniform(-1.0, 1.0, (size, d)) + (1e3 if kind == "offset" else 0.0)
+
+    p = sample(n)
+    if draw(st.booleans()):
+        p = p[rng.integers(0, n, n)]
+    q_kind = draw(st.sampled_from(["subset", "same", "fresh"]))
+    if q_kind == "same":
+        q = p.copy()
+    elif q_kind == "subset":
+        q = p[rng.choice(n, size=draw(st.integers(1, n)), replace=False)]
+    else:
+        q = sample(draw(st.integers(1, 24)))
+    budget = draw(st.sampled_from([50, 500, 4000, 20000]))
+    union = np.concatenate([p, q])
+    grid_kind = draw(st.sampled_from(["none", "query", "caller"]))
+    if grid_kind == "query":
+        grid = build_query_grid(union, resolution=draw(st.integers(1, 64)), budget=budget)
+    elif grid_kind == "caller":
+        center = (union.min(axis=0) + union.max(axis=0)) / 2.0 + rng.normal(0.0, 3.0, d)
+        grid = Grid(width=draw(st.floats(0.01, 2.0)), radius=draw(st.floats(0.5, 30.0)),
+                    dim=d, center=tuple(center)).coarsened(budget)
+    else:
+        grid = None
+    return p, q, grid, budget, q_kind == "same"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(eval_cases())
+def test_linf_pruned_matches_full_lattice(case):
+    # The far-field certificate skips only points that cannot hold the
+    # max: sup and argmax are those of the unpruned sum over the whole
+    # grid, up to the summation order of a smaller BLAS product.
+    p, q, grid, budget, same = case
+    report = linf_error(p, q, grid=grid, budget=budget)
+    if grid is not None:
+        assert report.grid == grid
+    full = naive.full_lattice_gap(p, q, report.grid)
+    top = float(full.max())
+    assert report.n_queries == report.grid.count() == full.size
+    assert 1 <= report.n_evaluated <= report.n_queries
+    assert abs(report.sup_error - top) <= 1e-15 * top
+    index = [np.flatnonzero(axis == x) for axis, x in zip(report.grid.axes(), report.argmax_query)]
+    assert all(i.size == 1 for i in index)
+    at = np.ravel_multi_index([i[0] for i in index], [axis.size for axis in report.grid.axes()])
+    assert abs(full[at] - top) <= 1e-15 * top
+    if same:
+        assert report.sup_error == 0.0
+        assert report.n_evaluated == report.n_queries
 
 
 def test_linf_refinement_changes_bounded_by_lipschitz():

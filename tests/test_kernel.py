@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kdecoreset.evaluation import build_query_grid
 from kdecoreset.kernel import LatticeTables, as_coloring, as_points, kernel_sum, lattice_sum
-from kdecoreset.schedule import Grid
+from kdecoreset.schedule import Grid, build_schedule
 
 import naive
 
@@ -335,6 +335,38 @@ def test_lattice_tables_stack_matches_each_set(data, block):
     assert got.shape == (len(sets), grid.count())
     for row, one in zip(got, alone):
         assert row.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lattice_tables_floor_far_entries(d):
+    # Entries below tiny^(1/d) are exact zeros, so neither a table entry
+    # nor a product of d of them is subnormal; the rest are plain exps.
+    floor = np.finfo(np.float64).tiny ** (1.0 / d)
+    axis = np.arange(0.0, 40.0)
+    tables = LatticeTables(np.zeros((1, d)), [axis] * d)
+    for table in tables._build(tables.rows[None]):
+        expect = np.exp(-axis ** 2)
+        assert np.array_equal(table[0, :, 0], np.where(expect < floor, 0.0, expect))
+        assert (expect[expect < floor] > 0.0).any()  # some entry was floored
+    out = tables.sum(np.ones(1))
+    assert np.all((out == 0.0) | (out >= np.finfo(np.float64).tiny))
+    assert out[-1] == 0.0 and out[0] == 1.0
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_verification_tables_stay_above_floor(d):
+    # A cell's points lie within 1 of its center, so the smallest entry of
+    # a verification table is exp(-(r + 1)^2) for a grid of radius r. Up to
+    # e^(e^e) ~ 3.8 million points per cell and d = 6 that stays above
+    # tiny^(1/d): the floor leaves every table, and so every build, as is.
+    floor = np.finfo(np.float64).tiny ** (1.0 / d)
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * d, indexing="ij")).reshape(d, -1).T
+    for n in (1, 2, 15, 16, 17, 100, 4096, 10**5, 10**6, 3_800_000):
+        for grid in build_schedule(n, d).verification_grids():
+            reach = max(float(np.abs(axis).max()) for axis in grid.axes()) + 1.0
+            assert math.exp(-reach * reach) > floor, (n, d, reach)
+            tables = LatticeTables(corners, grid)
+            assert all(np.all(t > 0.0) for t in tables._build(tables.rows[None]))
 
 
 def test_lattice_sum_rejects_weight_count():
