@@ -22,11 +22,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .colorizer import ColoringFailure, _verify_stack, balance_flips, partition
+from .colorizer import (ColoringFailure, _cell_runs, _schedule_groups, _verify_stack,
+                        balance_flips)
 from .config import resolve_config
 from .coreset import HalvingFailure, build_coreset, random_baseline
 from .evaluation import build_query_grid, expansion_margin, linf_error
-from .schedule import build_schedule
 
 __all__ = ["main", "read_points", "write_artifact", "SCHEMA_VERSION"]
 
@@ -289,6 +289,72 @@ def cmd_eval(cfg):
     return EXIT_OK
 
 
+def _accepted_colorings(rno, centers, metas, signs, sizes):
+    """The accepted (pre-flip) colorings of round `rno`'s cells, of
+    `centers` (lists) and `sizes`, one after another in cell order, from
+    `signs`, the round's stored coloring of their members in that order; a
+    ValidationError names the first cell whose record does not match.
+
+    The Las Vegas check certified the pre-flip coloring; undoing the
+    recorded flips gives back exactly what was accepted. Those flips must
+    be the accepted coloring's own balance flips, and the center, size and
+    imbalance_before_flip must be the cell's. The records are checked in
+    bulk; only if that fails are they checked cell by cell, for the message.
+    """
+    accepted = _bulk_accepted(centers, metas, signs, sizes)
+    if accepted is not None:
+        return accepted
+    accepted, start = signs.copy(), 0
+    for cno, (center, meta, size) in enumerate(zip(centers, metas, sizes)):
+        where = f"round {rno} cell {cno}"
+        if (_field(meta, "center", list, where) != center
+                or _field(meta, "size", int, where) != size):
+            raise ValidationError(f"{where}: center or size does not match input")
+        flipped = _int_array(meta, "flipped_positions", where, size)
+        part = accepted[start:start + size]
+        start += size
+        part[flipped] *= -1
+        if (flipped.tolist() != balance_flips(part).tolist()
+                or _field(meta, "flipped", int, where) != flipped.size):
+            raise ValidationError(f"{where}: flipped positions are not the "
+                                  "accepted coloring's balance flips")
+        if _field(meta, "imbalance_before_flip", int, where) != int(part.sum()):
+            raise ValidationError(f"{where}: imbalance_before_flip is not the "
+                                  "accepted coloring's sum")
+    return accepted
+
+
+def _bulk_accepted(centers, metas, signs, sizes):
+    """_accepted_colorings without messages: the colorings when every
+    record of the round matches, else None. At least as strict as the
+    cell-by-cell checks, one numpy pass for the whole round."""
+    if not all(isinstance(meta, dict) for meta in metas):
+        return None
+    column = lambda key: [meta.get(key) for meta in metas]
+    positions, flips = column("flipped_positions"), column("flipped")
+    recorded, imbalances = column("size"), column("imbalance_before_flip")
+    if not all(isinstance(p, list) for p in positions):
+        return None
+    lengths = [len(p) for p in positions]
+    flat = [p for cell in positions for p in cell]
+    if (column("center") != centers or recorded != sizes or flips != lengths
+            or not set(map(type, flat + flips + imbalances + recorded)) <= {int}
+            or flat and not 0 <= min(flat) <= max(flat) < max(sizes)):
+        return None
+    owner = np.repeat(np.arange(len(sizes)), lengths)
+    flat = np.asarray(flat, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    if (flat >= np.asarray(sizes)[owner]).any():
+        return None
+    accepted = signs.copy()
+    accepted[starts[owner] + flat] *= -1
+    expected, counts = balance_flips(accepted, sizes)
+    if (counts.tolist() != lengths or not np.array_equal(expected, flat)
+            or np.add.reduceat(accepted, starts).tolist() != imbalances):
+        return None
+    return accepted
+
+
 # The configuration keys whose values verify takes from the artifact.
 _VERIFY_KEYS = ("c0", "c1", "c_big", "strict_constants", "grid_budget")
 
@@ -333,41 +399,24 @@ def cmd_verify(cfg):
             raise ValidationError(f"{where}: size_before or size_after does not "
                                   "match the coloring or kept set")
         pts = points[current]
-        cells = partition(pts)
-        if len(cells) != len(metas):
+        centers, members, sizes = _cell_runs(pts)
+        if len(sizes) != len(metas):
             raise ValidationError(f"round {rno}: cell layout does not match input")
         # The artifact's own records first; then the certificate, one stack
-        # of cells per cell size (one schedule), so each stack shares its tables.
-        stacks = {}
-        for cno, (cell, meta) in enumerate(zip(cells, metas)):
-            where = f"round {rno} cell {cno}"
-            size = cell.members.size
-            if (_field(meta, "center", list, where) != list(cell.center)
-                    or _field(meta, "size", int, where) != size):
-                raise ValidationError(f"{where}: center or size does not match input")
-            # The Las Vegas check certified the pre-flip coloring; undo the
-            # recorded flips to recheck exactly what was accepted. Those
-            # flips must be the accepted coloring's own balance flips.
-            flipped = _int_array(meta, "flipped_positions", where, size)
-            accepted = coloring[cell.members]
-            accepted[flipped] *= -1
-            if (flipped.tolist() != balance_flips(accepted).tolist()
-                    or _field(meta, "flipped", int, where) != flipped.size):
-                raise ValidationError(f"{where}: flipped positions are not the "
-                                      "accepted coloring's balance flips")
-            if _field(meta, "imbalance_before_flip", int, where) != int(accepted.sum()):
-                raise ValidationError(f"{where}: imbalance_before_flip is not the "
-                                      "accepted coloring's sum")
-            stacks.setdefault(size, []).append((cno, accepted))
+        # of cells per schedule, so each stack shares its tables.
+        accepted = _accepted_colorings(rno, centers.tolist(), metas, coloring[members],
+                                       sizes.tolist())
+        centered = pts[members] - np.repeat(centers, sizes, axis=0)
+        ends = np.cumsum(sizes)
         failed = []
         worst = 0.0
-        for size, stack in stacks.items():
-            members = np.array([cells[cno].members for cno, _ in stack])
-            centers = np.array([cells[cno].center for cno, _ in stack])
-            checked = _verify_stack(pts[members] - centers[:, None, :],
-                                    np.array([signs for _, signs in stack]),
-                                    build_schedule(size, d, constants))
-            for (cno, _), (passed, ratio, imbalance) in zip(stack, checked):
+        for schedule, group in _schedule_groups(sizes.tolist(), d, constants).items():
+            counts = sizes[group]
+            # The group's rows: each cell's run of rows, up to its end.
+            rows = np.repeat(ends[group] - np.cumsum(counts), counts) + np.arange(counts.sum())
+            checked = _verify_stack(centered[rows], accepted[rows], schedule, counts.tolist(),
+                                    in_ball=True)
+            for cno, (passed, ratio, imbalance) in zip(group, checked):
                 worst = max(worst, ratio)
                 if not passed:
                     failed.append((cno, ratio, imbalance))

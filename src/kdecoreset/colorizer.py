@@ -10,17 +10,19 @@ and only the rest is walked. Verification grids are lattices in centered
 coordinates, and the kernel is tabulated per grid axis.
 
 Cells are independent (seeds are split per cell, in lexicographic center
-order, which is also the report order), so cells of one size are colored
-as a stack, in chunks of bounded memory: they share one broadcast per
-table and one stacked matrix product per level, one check of every first
-walk attempt, and one dense factorization per chunk of cells with one
-unpaired count. Walks stay per cell, and cells whose first attempt fails
-are retried afterwards in center order, each retry an attempt on a stack
-of one. Re-verification (_verify_stack) checks stacks the same way. Each
-cell's result is the one it gets alone, bit for bit.
+order, which is also the report order), so cells of one schedule (one
+size, or any size below N_MIN) are colored as a stack, in chunks of
+bounded memory: they share one broadcast per table and one stacked matrix
+product per level, one check of every first walk attempt, and one dense
+factorization per chunk of cells with one unpaired count. Walks stay per
+cell, and cells whose first attempt fails are retried afterwards in center
+order, each retry an attempt on a stack of one. Re-verification
+(_verify_stack) checks stacks the same way. Each cell's result is the one
+it gets alone, bit for bit.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,6 +44,11 @@ __all__ = [
 ]
 
 DEFAULT_RETRY_BUDGET = 64
+
+# Cap on the floats of one stack chunk's checks (8 MB): about what the
+# largest stack of one cell size held on a spread 4096-point chain, so
+# that stacks of all cells below N_MIN add no memory.
+_STACK_ELEMS = 1 << 20
 
 
 class ColoringFailure(RuntimeError):
@@ -109,7 +116,15 @@ def partition(points):
     members are ascending original indices and the cells partition the
     input. Every member is within sup-norm distance 1 of its center.
     """
-    pts = as_points(points)
+    centers, members, sizes = _cell_runs(as_points(points))
+    return [CellAssignment(center=tuple(c), members=idx)
+            for c, idx in zip(centers.tolist(), np.split(members, np.cumsum(sizes)[:-1]))]
+
+
+def _cell_runs(pts):
+    """partition of a float64 (n, d) array, as runs: the cells' centers
+    (C, d), the members of every cell one cell after another, and the
+    cell sizes (C,)."""
     centers = 2.0 * np.ceil((pts - 1.0) / 2.0)
     # From 2^53 on, x - 1 can round across a site; move such centers one site toward x.
     off = pts - centers
@@ -121,33 +136,35 @@ def partition(points):
     # member supplies the cell's center. Points of dimension 0 share one cell.
     order = np.lexsort(centers.T[::-1]) if pts.shape[1] else np.arange(len(pts))
     ranked = centers[order]
-    starts = np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1
-    return [
-        CellAssignment(center=tuple(c), members=idx)
-        for c, idx in zip(ranked[np.r_[0, starts]].tolist(), np.split(order, starts))
-    ]
+    starts = np.r_[0, np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1]
+    return ranked[starts], order, np.diff(starts, append=len(pts))
 
 
-def _cell_tables(points_centered, schedule):
+def _cell_tables(points_centered, schedule, counts, in_ball):
     # The per-axis tables depend on the cells' points and the grids, not on
     # the signs: built once per stack, then each check is one matrix
-    # product per level.
-    return [LatticeTables(points_centered, grid) for grid, _ in schedule.verification_levels]
+    # product per level. in_ball: the points are cells centered by
+    # partition, so within the unit ball.
+    return [LatticeTables(points_centered, grid, counts, _in_ball=in_ball)
+            for grid, _ in schedule.verification_levels]
 
 
-def _check(sigma, schedule, tables):
-    """The (passed, max_ratio, imbalance) of each coloring of a stack's
-    (C, n) sigma, a list, on the stack's tables."""
+def _check(sigma, counts, schedule, tables):
+    """The (passed, max_ratio, imbalance) of each coloring in sigma, the
+    colorings of cells of `counts` points one after another, on the
+    stack's tables; a list in stack order."""
     ratio = None
     for (_, thresholds), level in zip(schedule.verification_levels, tables):
-        disc = level.sum(sigma)
-        np.abs(disc, out=disc)
-        disc /= thresholds
-        worst = disc.max(axis=-1)
+        worst = np.empty(len(counts))
+        for sets, disc in level._group_sums(sigma):
+            np.abs(disc, out=disc)
+            disc /= thresholds
+            worst[sets] = disc.max(axis=-1)
         ratio = worst if ratio is None else np.maximum(ratio, worst)
     c_big = schedule.constants.c_big
+    imbalance = np.add.reduceat(sigma, [0, *accumulate(counts[:-1])])
     return [(r < 1.0 and abs(i) <= c_big, r, i)
-            for r, i in zip(ratio.tolist(), sigma.sum(axis=-1).tolist())]
+            for r, i in zip(ratio.tolist(), imbalance.tolist())]
 
 
 def verify(points_centered, signs, schedule):
@@ -159,41 +176,74 @@ def verify(points_centered, signs, schedule):
 
     Returns (passed, max_ratio, imbalance) where max_ratio is the worst
     |discrepancy| / threshold over all checked points. This is
-    _verify_stack's stack of one, and a cell checked in any stack gets
-    this result bit for bit.
+    _verify_stack's stack of one, and a cell checked in any stack of cells
+    of one schedule gets this result bit for bit.
     """
     pts = as_points(points_centered)
     if len(signs) != pts.shape[0]:
         raise ValueError("coloring length does not match the cell size")
-    return _verify_stack(pts[None], as_coloring(signs)[None], schedule)[0]
+    return _verify_stack(pts, signs, schedule, [pts.shape[0]])[0]
 
 
-def _stack_step(n, schedule):
-    """Cells of n points per stack chunk: as many as hold at most
-    _BLOCK_ELEMS floats of discrepancies, matrix-product results and tables
-    together, 2 G + n * (sum of axis sizes) per cell on the largest grid,
-    of G points."""
+def _schedule_groups(sizes, d, constants):
+    """{schedule: positions} of cells of `sizes` points in R^d, each
+    position list ascending: cells of one size share a schedule, and so do
+    all cells of fewer than N_MIN points."""
+    groups = {}
+    slot = {n: groups.setdefault(build_schedule(n, d, constants), [])
+            for n in dict.fromkeys(sizes)}
+    for i, n in enumerate(sizes):
+        slot[n].append(i)
+    return groups
+
+
+def _stack_chunks(counts, schedule):
+    """Slices of consecutive cells, of `counts` points each, that form one
+    stack chunk: as many cells as hold at most _STACK_ELEMS floats (and no
+    more than _BLOCK_ELEMS) of discrepancies, matrix-product results and
+    tables together, 2 G + n * (sum of axis sizes) per cell of n points on
+    the largest grid, of G points; at least one cell."""
     grid, thresholds = max(schedule.verification_levels, key=lambda level: level[1].size)
-    per_cell = 2 * thresholds.size + n * grid.dim * (2 * grid.axis_steps() + 1)
-    return max(1, kernel._BLOCK_ELEMS // per_cell)
+    fixed, per_point = 2 * thresholds.size, grid.dim * (2 * grid.axis_steps() + 1)
+    budget = min(_STACK_ELEMS, kernel._BLOCK_ELEMS)
+    chunks, start, used = [], 0, 0
+    for i, n in enumerate(counts):
+        cost = fixed + n * per_point
+        if i > start and used + cost > budget:
+            chunks.append(slice(start, i))
+            start, used = i, 0
+        used += cost
+    chunks.append(slice(start, len(counts)))
+    return chunks
 
 
-def _verify_stack(points_centered, signs, schedule):
-    """verify for a stack of C cells of one size: points (C, n, d) and
-    signs (C, n). Returns each cell's (passed, max_ratio, imbalance), in
-    stack order. The cells share each level's LatticeTables, in chunks of
-    _stack_step cells.
+def _verify_stack(points_centered, signs, schedule, counts=None, in_ball=False):
+    """verify for a stack of cells of one schedule: points (N, d) and signs
+    (N,) of cells of `counts` points one after another, or, without counts,
+    a stack of C cells of one size, points (C, n, d) and signs (C, n).
+    Returns each cell's (passed, max_ratio, imbalance), in stack order.
+    The cells share each level's LatticeTables, in chunks of
+    _stack_chunks. in_ball: every point lies in the unit sup-norm ball,
+    as partition's centered cells do.
     """
     pts = np.asarray(points_centered, dtype=np.float64)
-    sigma = as_coloring(np.ravel(signs)).reshape(np.shape(signs))
-    if pts.ndim != 3 or sigma.shape != pts.shape[:2]:
-        raise ValueError(f"expected signs of shape {pts.shape[:2]} for points of "
-                         f"shape {pts.shape}, got {sigma.shape}")
-    step = _stack_step(pts.shape[1], schedule)
+    sigma = as_coloring(np.ravel(signs))
+    if counts is None:
+        if pts.ndim != 3 or np.shape(signs) != pts.shape[:2]:
+            raise ValueError(f"expected signs of shape {pts.shape[:2]} for points of "
+                             f"shape {pts.shape}, got {np.shape(signs)}")
+        counts = [pts.shape[1]] * pts.shape[0]
+        pts = pts.reshape(-1, pts.shape[2])
+    elif pts.ndim != 2 or not len(pts) == sigma.size == sum(counts):
+        raise ValueError(f"expected {sum(counts)} points and signs, got points of "
+                         f"shape {pts.shape} and {sigma.size} signs")
+    counts = list(counts)
+    starts = [0, *accumulate(counts)]
     results = []
-    for start in range(0, len(pts), step):
-        part = slice(start, start + step)
-        results += _check(sigma[part], schedule, _cell_tables(pts[part], schedule))
+    for part in _stack_chunks(counts, schedule):
+        rows = slice(starts[part.start], starts[part.stop])
+        results += _check(sigma[rows], counts[part], schedule,
+                          _cell_tables(pts[rows], schedule, counts[part], in_ball))
     return results
 
 
@@ -212,13 +262,33 @@ def _pair_duplicates(group):
     return signs, np.array(sorted(unpaired.values()), dtype=np.intp)
 
 
-def balance_flips(signs):
+def balance_flips(signs, counts=None):
     """Positions to flip so that a ±1 coloring has |#(+1) - #(-1)| <= 1: the
-    fewest majority-sign entries, ascending from the lowest; `signs` is unchanged."""
-    total = int(signs.sum())
-    if abs(total) < 2:
-        return np.empty(0, dtype=np.intp)
-    return (signs == (1 if total > 0 else -1)).nonzero()[0][:abs(total) // 2]
+    fewest majority-sign entries, ascending from the lowest; `signs` is
+    unchanged.
+
+    With counts, `signs` holds len(counts) colorings one after another, of
+    counts[c] entries each, and the result is (positions, flips): every
+    coloring's positions in turn, each relative to its coloring's start,
+    and the number of them per coloring. One coloring is a batch of one.
+    """
+    s = np.asarray(signs)
+    sizes = np.asarray([s.size] if counts is None else counts, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    sums = np.concatenate(([0], np.cumsum(s, dtype=np.int64)))
+    totals = sums[starts + sizes] - sums[starts]
+    want = np.where(np.abs(totals) < 2, 0, np.abs(totals) // 2)
+    hit = s == np.where(totals > 0, 1, -1)[owner]
+    # Rank of each majority entry within its coloring, from 1.
+    ranks = np.concatenate(([0], np.cumsum(hit)))
+    rank = ranks[1:] - ranks[starts][owner]
+    positions = np.flatnonzero(hit & (rank <= want[owner]))
+    cell = owner[positions]
+    positions -= starts[cell]
+    if counts is None:
+        return positions
+    return positions, np.bincount(cell, minlength=sizes.size)
 
 
 def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET):
@@ -248,7 +318,7 @@ def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET)
 
 
 def _attempt(cells, points, schedule, roots):
-    """One attempt at each of a stack of cells of one size: a walk with
+    """One attempt at each of a stack of cells of one schedule: a walk with
     the root's next split for a cell left with more than two unpaired
     points, the fixed coloring for the others. Returns each cell's
     (signs, unpaired positions, (passed, max_ratio, imbalance)).
@@ -257,63 +327,71 @@ def _attempt(cells, points, schedule, roots):
     their duplicate pairing, and one _check; walked cells with one
     unpaired count share their dense factors (kernel_factor of a stack).
     """
+    counts = [cell.members.size for cell in cells]
+    starts = [0, *accumulate(counts)]
     centers = np.array([cell.center for cell in cells], dtype=np.float64)
-    pts = points[np.stack([cell.members for cell in cells])] - centers[:, None, :]
-    tables = _cell_tables(pts, schedule)
-    paired = [_pair_duplicates(inverse) for inverse in tables[0].inverse]
-    sigma = np.stack([signs for signs, _ in paired])
+    pts = (points[np.concatenate([cell.members for cell in cells])]
+           - np.repeat(centers, counts, axis=0))
+    tables = _cell_tables(pts, schedule, counts, True)
+    inverse = tables[0].inverse
+    paired = [_pair_duplicates(inverse[a:b]) for a, b in zip(starts, starts[1:])]
+    sigma = np.concatenate([signs for signs, _ in paired])
     walked = {}
     for j, (_, rest) in enumerate(paired):
         if rest.size > 2:
             walked.setdefault(rest.size, []).append(j)
         else:
             # One or two points left bypass the walk: alternate signs, lowest +1.
-            sigma[j, rest] = [1, -1][:rest.size]
+            sigma[starts[j] + rest] = [1, -1][:rest.size]
     for items in walked.values():
-        stack = np.stack([pts[j, paired[j][1]] for j in items])
-        for j, factor, rows in zip(items, kernel_factor(stack), stack):
-            vectors = augment(factor, rows, points.shape[1])
-            sigma[j, paired[j][1]] = gsw_color(vectors, roots[j].spawn(1)[0]).signs
-    return [(signs.copy(), rest, result)
-            for signs, (_, rest), result in zip(sigma, paired, _check(sigma, schedule, tables))]
+        stack = np.stack([pts[starts[j] + paired[j][1]] for j in items])
+        factors = kernel_factor(stack)
+        for j, rows in zip(items, stack):
+            # No name keeps the factor: it is freed before the walk starts.
+            vectors = augment(next(factors), rows, points.shape[1])
+            sigma[starts[j] + paired[j][1]] = gsw_color(vectors, roots[j].spawn(1)[0]).signs
+    return [(sigma[a:b].copy(), rest, result) for a, b, (_, rest), result
+            in zip(starts, starts[1:], paired, _check(sigma, counts, schedule, tables))]
 
 
 def _color_cells(cells, points, constants, seeds, retry_budget):
     """color_cell of each of `cells` with its seed, in order; `points` is
     the float64 array their members index into.
 
-    First attempts go in stacks of _stack_step cells of one size. Cells
-    whose first attempt fails are retried afterwards in the order of
-    `cells`, one at a time and one attempt per stack of one, so the first
-    to exhaust its budget raises what it raises alone.
+    First attempts go in stack chunks (_stack_chunks) of cells of one
+    schedule. Cells whose first attempt fails are retried afterwards in the
+    order of `cells`, one at a time and one attempt per stack of one, so
+    the first to exhaust its budget raises what it raises alone. The
+    accepted colorings' balance flips are taken as one batch.
     """
     if retry_budget < 1:
         raise ValueError(f"retry budget must be at least 1, got {retry_budget}")
     roots = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
              for s in seeds]
-    sizes = {}
-    for i, cell in enumerate(cells):
-        sizes.setdefault(cell.members.size, []).append(i)
-    schedules = {n: build_schedule(n, points.shape[1], constants) for n in sizes}
+    d = points.shape[1]
+    sizes = [cell.members.size for cell in cells]
     first = {}
-    for n, group in sizes.items():
-        step = _stack_step(n, schedules[n])
-        for start in range(0, len(group), step):
-            part = group[start:start + step]
-            first.update(zip(part, _attempt([cells[i] for i in part], points, schedules[n],
-                                            [roots[i] for i in part])))
-    reports = []
+    for schedule, group in _schedule_groups(sizes, d, constants).items():
+        for part in _stack_chunks([sizes[i] for i in group], schedule):
+            ids = group[part]
+            first.update(zip(ids, _attempt([cells[i] for i in ids], points, schedule,
+                                           [roots[i] for i in ids])))
+    accepted = []
     for i, cell in enumerate(cells):
-        schedule = schedules[cell.members.size]
         signs, rest, (passed, ratio, imbalance) = first.pop(i)
         budget = retry_budget if rest.size > 2 else 1
         retries = 0
         while not passed:
             retries += 1
+            schedule = build_schedule(sizes[i], d, constants)
             if retries == budget:
-                raise ColoringFailure(cell.center, cell.members.size, budget, schedule.constants, ratio)
+                raise ColoringFailure(cell.center, sizes[i], budget, schedule.constants, ratio)
             [(signs, _, (passed, ratio, imbalance))] = _attempt([cell], points, schedule, [roots[i]])
-        flipped = balance_flips(signs)
+        accepted.append((signs, retries, ratio, imbalance))
+    positions, flips = balance_flips(np.concatenate([signs for signs, *_ in accepted]), sizes)
+    reports = []
+    for cell, (signs, retries, ratio, imbalance), flipped in zip(
+            cells, accepted, np.split(positions, np.cumsum(flips)[:-1])):
         signs[flipped] *= -1
         reports.append(CellColoringReport(
             center=cell.center,

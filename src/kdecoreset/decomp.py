@@ -253,5 +253,8 @@ def augment(factor, points, d=None):
     scale = 1.0 / math.sqrt(1.0 + math.exp(4.0 * d))
     out = np.empty((pts.shape[0], factor.dim_m + 1), dtype=np.float64)
     out[:, 0] = scale
-    out[:, 1:] = (factor.data_columns * weights).T * scale
+    # (v_p * w_p) * scale, written in place: no n x dim_m temporaries.
+    columns = out[:, 1:]
+    np.multiply(factor.data_columns.T, weights[:, None], out=columns)
+    columns *= scale
     return out

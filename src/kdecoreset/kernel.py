@@ -16,13 +16,18 @@ contraction, where subnormal arithmetic runs many times slower on x86.
 The floor changes no verification table for d <= 6: a cell's
 points lie within 1 of its center and its grids within sqrt(3 ln n) + 3,
 so each per-axis exponent is at most (sqrt(3 ln n) + 4)^2 <= 115.4 for
-cells of up to e^(e^e) ~ 3.8 million points, below 708/6.
+cells of up to e^(e^e) ~ 3.8 million points, below 708/6. So where the
+caller knows its rows lie in the unit ball (the colorizer's centered
+cells) and the Grid's extent proves the bound, the tables skip the floor's
+scan; eval lattices and other rows keep it.
 
 All functions are pure; they can be called concurrently from any number of
 threads. Both evaluators reduce through a BLAS matrix product, so their
 results are reproducible for a fixed numpy and BLAS build (and are the
 same from run to run on one machine), not for a fixed numpy alone.
 """
+
+import math
 
 import numpy as np
 
@@ -79,11 +84,16 @@ def _sq_dists(queries, points):
     """Squared euclidean distances, shape (q, n), by direct differences;
     stacks (C, q, d) and (C, n, d) give (C, q, n).
 
-    Direct differencing (rather than the norm expansion) keeps each entry
-    bit-compatible with a per-pair loop, which the naive oracles rely on.
+    Direct differencing (rather than the norm expansion), accumulated axis
+    by axis, keeps each entry bit-compatible with a per-pair loop, which the
+    naive oracles rely on, and holds one (q, n) difference at a time.
     """
-    diff = queries[..., :, None, :] - points[..., None, :, :]
-    return np.einsum("...qnd,...qnd->...qn", diff, diff)
+    out = np.zeros(np.broadcast_shapes(queries.shape[:-2], points.shape[:-2])
+                   + (queries.shape[-2], points.shape[-2]))
+    for j in range(queries.shape[-1]):
+        diff = queries[..., :, None, j] - points[..., None, :, j]
+        out += np.square(diff, out=diff)
+    return out
 
 
 def kernel_sum(points, weights, queries):
@@ -118,14 +128,16 @@ class LatticeTables:
     rows are in lexicographic order, the order np.unique(axis=0) gives, and
     rows[inverse] gives back the points.
 
-    `points` is one (n, d) set, or a stack of C sets of equal size,
-    (C, n, d). The sets of a stack share the work: one broadcast exp per
-    axis builds their tables in a (C, 2k + 1, m) layout, and one stacked
-    matrix product contracts them. Sets are stacked only with sets that
-    merge to the same row count m, so each keeps the matrix shapes it has
-    alone and its sums are the same bit for bit as in a stack of one
-    (padding to a common m would change them). For a stack, rows holds
-    every set's merged rows in turn and inverse is (C, n).
+    `points` is one (n, d) set; or, with `counts`, C sets of counts[c] >= 1
+    points each, their rows one set after another (ragged sets, of any
+    sizes); or a stack of C sets of equal size, (C, n, d). The sets share
+    the work: one broadcast exp per axis builds their tables in a
+    (C, 2k + 1, m) layout, and one stacked matrix product contracts them.
+    Sets are stacked only with sets that merge to the same row count m, so
+    each keeps the matrix shapes it has alone and its sums are the same bit
+    for bit as in a set of one (padding to a common m would change them).
+    For several sets, rows holds every set's merged rows in turn, and
+    inverse is (C, n) for a stack and flat for ragged sets.
 
     Tables are built in blocks of at most _BLOCK_ELEMS floats: as many
     whole sets as fit, or one set's rows in chunks whose sums are added.
@@ -135,37 +147,48 @@ class LatticeTables:
     n and k.
     """
 
-    __slots__ = ("axes", "rows", "inverse", "_per_block", "_groups")
+    __slots__ = ("axes", "rows", "inverse", "_one", "_floor", "_per_block", "_groups")
 
-    def __init__(self, points, grid):
+    def __init__(self, points, grid, counts=None, _in_ball=False):
+        # _in_ball: the caller knows every row lies in the unit sup-norm
+        # ball (a centered cell); see _table_floor.
         self.axes = grid.axes() if hasattr(grid, "axes") else [
             np.asarray(axis, dtype=np.float64) for axis in grid]
+        self._floor = _table_floor(grid, len(self.axes), _in_ball)
         pts = np.asarray(points, dtype=np.float64)
         stacked = pts.ndim == 3
+        self._one = counts is None and not stacked
         flat = as_points(pts.reshape(-1, pts.shape[2]) if stacked else pts, dim=len(self.axes))
-        cells = pts.shape[0] if stacked else 1
-        n, d = flat.shape[0] // cells, flat.shape[1]
+        if stacked:
+            counts = [pts.shape[1]] * pts.shape[0]
+        if counts is not None:
+            sizes = np.asarray(counts, dtype=np.intp)
+            if sizes.ndim != 1 or not sizes.size or sizes.min() < 1 or sizes.sum() != len(flat):
+                raise ValueError(f"set sizes {sizes.tolist()} do not split {len(flat)} points")
+        cells, d = 1 if counts is None else sizes.size, flat.shape[1]
+        if cells > 1:
+            starts = np.cumsum(sizes) - sizes
         # A lexsort (set, then first column most significant) avoids
         # np.unique's structured-dtype view, which dominates on small cells.
         keys = flat.T[::-1]
-        order = np.lexsort((*keys, np.repeat(np.arange(cells), n)) if cells > 1 else keys)
+        order = np.lexsort((*keys, np.repeat(np.arange(cells), sizes)) if cells > 1 else keys)
         ranked = flat[order]
         new = np.empty(order.size, dtype=bool)
         np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-        new[::n] = True  # each set's first row starts a merged row
+        new[starts if cells > 1 else 0] = True  # each set's first row starts a merged row
         merged = np.cumsum(new) - 1
         self.rows = ranked[new]
         self.inverse = np.empty(order.size, dtype=np.intp)
         self.inverse[order] = merged
         if stacked:
-            self.inverse = self.inverse.reshape(cells, n)
+            self.inverse = self.inverse.reshape(pts.shape[:2])
         self._per_block = max(1, _BLOCK_ELEMS // sum(axis.size for axis in self.axes))
-        # Sets with one merged row count m form a group: their stack
+        # Sets with one merged row count m form a group: their set
         # positions, the (c, m) indices of their merged rows (None when one
         # group holds every set in order), those rows (c, m, d), and their
         # tables when these fit in one block.
         if cells > 1:
-            first = merged[::n]
+            first = merged[starts]
             counts = np.diff(first, append=self.rows.shape[0])
         if cells == 1 or (counts == counts[0]).all():
             groups = [(slice(None), None, self.rows.reshape(cells, -1, d))]
@@ -181,37 +204,43 @@ class LatticeTables:
 
     def _build(self, rows):
         """Tables (c, 2k + 1, m) per axis of a (c, m, d) stack of rows,
-        with entries below _TINY^(1/d) set to 0 (see the module docstring)."""
-        floor = _TINY ** (1.0 / len(self.axes))
+        with entries below the floor set to 0 (see the module docstring)."""
         tables = []
         for j, axis in enumerate(self.axes):
             t = axis[None, :, None] - rows[:, None, :, j]
             np.square(t, out=t)
             np.negative(t, out=t)
             np.exp(t, out=t)
-            t[t < floor] = 0.0
+            if self._floor:
+                t[t < self._floor] = 0.0
             tables.append(t)
         return tables
 
     def sum(self, weights):
         """sum_p w_p exp(-||s - p||^2) at every grid point s, in
         Grid.points() order: shape (G,) for one set's (n,) weights, or
-        (C, G) for a stack's (C, n)."""
+        (C, G) for several sets' weights, shaped as inverse is."""
+        out = None
+        for sets, part in self._group_sums(weights):
+            if isinstance(sets, slice):
+                out = part
+            else:
+                if out is None:
+                    out = np.empty((sum(group[0].size for group in self._groups), part.shape[1]))
+                out[sets] = part
+        return out[0] if self._one else out
+
+    def _group_sums(self, weights):
+        """sum()'s sums one group at a time, as (set positions, (c, G)
+        sums of those sets); each part is fresh, for the caller to reuse."""
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != self.inverse.shape:
             raise ValueError(f"expected weights of shape {self.inverse.shape}, got shape {w.shape}")
         merged = np.bincount(self.inverse.reshape(-1), weights=w.reshape(-1),
                              minlength=self.rows.shape[0])
-        out = None
         for sets, index, rows, tables in self._groups:
-            if index is None:
-                out = self._group_sum(rows, tables, merged.reshape(rows.shape[:2]))
-                break
-            part = self._group_sum(rows, tables, merged[index])
-            if out is None:
-                out = np.empty((len(w), part.shape[1]))
-            out[sets] = part
-        return out if w.ndim == 2 else out[0]
+            part = merged.reshape(rows.shape[:2]) if index is None else merged[index]
+            yield sets, self._group_sum(rows, tables, part)
 
     def _group_sum(self, rows, tables, merged):
         """_contract of one group, on its kept tables or block by block."""
@@ -228,6 +257,20 @@ class LatticeTables:
                 acc = part if acc is None else acc + part
             parts.append(acc)
         return np.concatenate(parts)
+
+
+def _table_floor(grid, d, in_ball):
+    """The floor of a table entry: _TINY^(1/d), or 0 where no entry can
+    fall below it, so _build skips its scan. That is known without the
+    rows when they lie in the unit ball and the lattice is a Grid: each
+    per-axis exponent is then at most reach^2, for reach the grid's largest
+    |coordinate| plus 1; one unit of slack covers rounding."""
+    floor = _TINY ** (1.0 / d)
+    if in_ball and hasattr(grid, "axis_steps"):
+        reach = max(map(abs, grid.center)) + grid.axis_steps() * grid.width + 1.0
+        if reach * reach <= -math.log(floor) - 1.0:
+            return 0.0
+    return floor
 
 
 def lattice_sum(points, weights, grid):

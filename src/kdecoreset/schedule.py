@@ -10,7 +10,8 @@ Schedules are immutable after construction and safe to share across threads.
 build_schedule memoizes them per (n, d, constants), up to _SCHEDULE_CACHE
 entries, so color_cell's certification and the CLI's re-verification share
 one schedule, and one threshold vector per level, for each cell size and
-set of constants.
+set of constants. Every n below N_MIN gets one shared fallback schedule, so
+the colorizer checks all such cells of a round as one stack.
 """
 
 import math
@@ -46,7 +47,8 @@ DEFAULT_GRID_BUDGET = 4096
 
 # Most schedules build_schedule keeps; once used for verification, each
 # holds one threshold vector of at most grid_budget floats per level
-# (about 2.3 MB for the 72 cell sizes of a 4096-point spread chain).
+# (about 1.8 MB for the 57 schedules of the 71 cell sizes of a 4096-point
+# spread chain).
 _SCHEDULE_CACHE = 256
 
 
@@ -205,10 +207,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridSchedule:
-    """Grids and thresholds for one cell. seq has length ell + 1; grids has
+    """Grids and thresholds for the cells of one size (of every size below
+    N_MIN, for the fallback schedule). seq has length ell + 1; grids has
     length ell."""
 
-    n: int
     dim: int
     ell: int
     seq: tuple
@@ -245,29 +247,31 @@ def build_schedule(n, d, constants=None):
     default_constants(d): equal arguments return the same (immutable)
     schedule.
 
-    For n below N_MIN the multi-scale sequence degenerates; the schedule
-    falls back to a single grid of width 1/(c0 * max(n, N_MIN)) and radius
-    sqrt(3 log max(n, N_MIN)) + 3, with seq = [max(n, N_MIN), radius].
+    For n below N_MIN the multi-scale sequence degenerates; every such n
+    shares one fallback schedule: a single grid of width 1/(c0 * N_MIN) and
+    radius sqrt(3 log N_MIN) + 3, with seq = [N_MIN, radius].
     """
     if n < 1:
         raise ValueError("cell must contain at least one point")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return _schedule(n, d, default_constants(d) if constants is None else constants)
+    return _schedule(n if n >= N_MIN else None, d,
+                     default_constants(d) if constants is None else constants)
 
 
 @lru_cache(maxsize=_SCHEDULE_CACHE)
 def _schedule(n, d, cst):
-    if n < N_MIN:
+    """build_schedule's memoized body; n is None for the fallback schedule."""
+    if n is None:
         n_eff = float(N_MIN)
         radius = math.sqrt(3.0 * math.log(n_eff)) + 3.0
         grid = Grid(1.0 / (cst.c0 * n_eff), radius, d)
-        return GridSchedule(n=n, dim=d, ell=1, seq=(n_eff, radius), constants=cst,
+        return GridSchedule(dim=d, ell=1, seq=(n_eff, radius), constants=cst,
                             grids=(grid,), degenerate=True)
     seq = n_sequence(n)
     L = len(seq) - 1
     grids = tuple(Grid(1.0 / (cst.c0 * seq[i]), seq[i + 1], d) for i in range(L))
-    return GridSchedule(n=n, dim=d, ell=L, seq=tuple(seq), constants=cst, grids=grids)
+    return GridSchedule(dim=d, ell=L, seq=tuple(seq), constants=cst, grids=grids)
 
 
 def threshold_batch(schedule, level, points):

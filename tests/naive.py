@@ -16,11 +16,15 @@ import numpy as np
 from kdecoreset.kernel import lattice_kde
 
 
-def gauss(x, y):
+def sq_dist(x, y):
     acc = 0.0
     for a, b in zip(x, y):
         acc += (a - b) * (a - b)
-    return math.exp(-acc)
+    return acc
+
+
+def gauss(x, y):
+    return math.exp(-sq_dist(x, y))
 
 
 def kde(points, x):

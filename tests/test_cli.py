@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from kdecoreset.cli import (
 from kdecoreset.colorizer import partition
 from kdecoreset.config import ENV_PREFIX, RunConfig, resolve_config
 from kdecoreset.evaluation import linf_error
-from kdecoreset.schedule import default_constants
+from kdecoreset.schedule import N_MIN, default_constants
 
 import naive
 
@@ -552,6 +553,41 @@ def test_verify_rejects_flips_beyond_the_balance_flips(spread_artifact, capsys):
     assert f"round {rno} cell {cno}" in capsys.readouterr().err
 
 
+def test_verify_names_the_first_bad_record_among_merged_small_cells(spread_artifact, capsys):
+    # Cells below N_MIN share one schedule, so a round's records are checked
+    # in bulk and its small cells as one stack; a wrong record still fails
+    # with the cell-by-cell message, naming the first wrong cell.
+    path, coreset = spread_artifact
+    original = coreset.read_text()
+    rno = len(json.loads(original)["rounds"]) - 1
+    cells = json.loads(original)["rounds"][rno]["cells"]
+    small = [cno for cno, c in enumerate(cells) if c["size"] < N_MIN and c["flipped"]]
+    assert len(small) >= 2 and sum(c["size"] < N_MIN for c in cells) > len(small)
+    first, later = small[0], small[-1]
+    flips = "flipped positions are not the accepted coloring's balance flips"
+    imbalance = "imbalance_before_flip is not the accepted coloring's sum"
+
+    def tamper(*edits):
+        def apply(data):
+            for cno, key in edits:
+                meta = data["rounds"][rno]["cells"][cno]
+                if key == "flipped_positions":
+                    # The same flip twice undoes to the same coloring once.
+                    meta[key] = meta[key][:1] * 2
+                    meta["flipped"] = 2
+                else:
+                    meta[key] += 2
+        return apply
+
+    for edits, cno, message in [
+            ([(later, "flipped_positions")], later, flips),
+            ([(later, "imbalance_before_flip")], later, imbalance),
+            ([(later, "flipped_positions"), (first, "imbalance_before_flip")], first, imbalance),
+            ([(later, "imbalance_before_flip"), (first, "flipped_positions")], first, flips)]:
+        assert verify_tampered(path, coreset, original, tamper(*edits)) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: round {rno} cell {cno}: {message}\n", edits
+
+
 def test_verify_requires_stored_colorings(spread_artifact, tmp_path, capsys):
     path, _ = spread_artifact
     bare = tmp_path / "bare.json"
@@ -561,6 +597,26 @@ def test_verify_requires_stored_colorings(spread_artifact, tmp_path, capsys):
     assert main(["verify", "--input", str(path), "--coreset", str(bare)]
                 ) == EXIT_VALIDATION
     assert "no stored colorings" in capsys.readouterr().err
+
+
+def test_verify_memory_bounded_on_spread_data(tmp_path, capsys):
+    # 4096 normal(0, 5) points halved to 512 (the benchmark's spread_cells
+    # artifact): 808 cells in 4 rounds, 663 of them below N_MIN and checked
+    # as one stack per round. In chunks, verify's traced peak is 3.8 MB;
+    # with a round's small cells in one unchunked stack it was 5.9 MB.
+    path = tmp_path / "spread.csv"
+    write_csv(path, np.random.default_rng(0).normal(0.0, 5.0, (4096, 2)))
+    coreset = tmp_path / "spread.json"
+    assert main(["build", "--input", str(path), "--output", str(coreset),
+                 "--target-size", "512", "--seed", "0"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--input", str(path), "--coreset", str(coreset)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+    assert "round 3: pass" in capsys.readouterr().out
 
 
 def test_verify_checks_cell_center_and_size(spread_artifact, capsys):

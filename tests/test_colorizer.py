@@ -19,7 +19,7 @@ from kdecoreset.colorizer import (
 from kdecoreset.coreset import oracle_min_discrepancy
 from kdecoreset.decomp import augment, kernel_factor
 from kdecoreset.kernel import kernel_sum
-from kdecoreset.schedule import build_schedule, default_constants
+from kdecoreset.schedule import N_MIN, build_schedule, default_constants
 from kdecoreset.walk import gsw_color
 
 import naive
@@ -170,6 +170,46 @@ def test_verify_stack_matches_each_cell_alone(stack, block):
     assert results_bits(got) == results_bits(alone)
 
 
+@st.composite
+def small_cell_stacks(draw):
+    """1-10 cells of 1..N_MIN - 1 points each, of any mix of sizes, in
+    d = 1..3, with their colorings: cells of one (fallback) schedule. Rows
+    come from small pools (duplicates), and coordinates include the cell
+    boundary +-1 and +-0.0."""
+    d = draw(st.integers(1, 3))
+    coord = st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(-1.0, 1.0))
+    cells = []
+    for _ in range(draw(st.integers(1, 10))):
+        n = draw(st.integers(1, N_MIN - 1))
+        pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=n))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        cells.append(np.asarray([pool[i] for i in picks]))
+    signs = [np.asarray(draw(st.lists(st.sampled_from([-1, 1]), min_size=len(c), max_size=len(c))))
+             for c in cells]
+    return cells, signs
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_cell_stacks(), st.sampled_from([None, 64, 3000]), st.booleans())
+def test_ragged_small_cell_stack_matches_each_cell_alone(stack, block, in_ball):
+    # Cells of every size below N_MIN share one schedule and so one stack:
+    # each gets the (passed, ratio, imbalance) verify gives it alone, bit
+    # for bit, in chunks (a small _BLOCK_ELEMS) or not, with the floor
+    # scan skipped (in_ball) or run.
+    cells, signs = stack
+    d = cells[0].shape[1]
+    cst = small_constants(d, budget=300)
+    sch = build_schedule(len(cells[0]), d, cst)
+    assert all(build_schedule(len(c), d, cst) is sch for c in cells)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
+        got = _verify_stack(np.concatenate(cells), np.concatenate(signs), sch,
+                            [len(c) for c in cells], in_ball=in_ball)
+        alone = [verify(c, s, sch) for c, s in zip(cells, signs)]
+    assert results_bits(got) == results_bits(alone)
+
+
 def test_verify_stack_chunked(monkeypatch):
     # With _BLOCK_ELEMS at 5000, a d = 2 cell of 20 points on a 17 x 17
     # grid needs 2 * 289 + 20 * 34 = 1258 floats, so 30 cells go in chunks
@@ -183,7 +223,8 @@ def test_verify_stack_chunked(monkeypatch):
     chunks = []
     build = colorizer._cell_tables
     monkeypatch.setattr(colorizer, "_cell_tables",
-                        lambda p, schedule: chunks.append(len(p)) or build(p, schedule))
+                        lambda p, schedule, counts, *rest: chunks.append(len(counts))
+                        or build(p, schedule, counts, *rest))
     monkeypatch.setattr("kdecoreset.kernel._BLOCK_ELEMS", 5000)
     assert results_bits(_verify_stack(pts, signs, sch)) == results_bits(alone)
     assert chunks == [3] * 10
@@ -300,6 +341,32 @@ def test_balance_flips_takes_fewest_majority_entries_lowest_first():
         assert np.array_equal(signs, before)
         signs[flips] *= -1
         assert abs(int(signs.sum())) <= 1
+
+
+def reference_flips(signs):
+    """The balance-flip rule, one coloring at a time."""
+    total = int(signs.sum())
+    if abs(total) < 2:
+        return []
+    return np.flatnonzero(signs == (1 if total > 0 else -1))[:abs(total) // 2].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([-1, 1]), max_size=20), min_size=1, max_size=12))
+def test_balance_flips_batch_matches_each_coloring(colorings):
+    # A ragged batch (empty colorings included) gives every coloring's own
+    # flips, relative to its start, and their count; one coloring is a
+    # batch of one.
+    arrays = [np.asarray(c, dtype=np.int64) for c in colorings]
+    flat = np.concatenate(arrays)
+    before = flat.copy()
+    positions, flips = balance_flips(flat, [len(c) for c in colorings])
+    assert np.array_equal(flat, before)
+    expected = [reference_flips(a) for a in arrays]
+    assert flips.tolist() == [len(e) for e in expected]
+    assert positions.tolist() == [p for e in expected for p in e]
+    for a, e in zip(arrays, expected):
+        assert balance_flips(a).tolist() == e
 
 
 def test_color_cell_flips_are_the_accepted_colorings_balance_flips():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdecoreset.evaluation import build_query_grid
-from kdecoreset.kernel import LatticeTables, as_coloring, as_points, kernel_sum, lattice_sum
+from kdecoreset.kernel import (LatticeTables, _sq_dists, _table_floor, as_coloring, as_points,
+                               kernel_sum, lattice_sum)
 from kdecoreset.schedule import Grid, build_schedule
 
 import naive
@@ -337,6 +338,59 @@ def test_lattice_tables_stack_matches_each_set(data, block):
         assert row.tobytes() == one.tobytes()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([None, 40, 3000]))
+def test_lattice_tables_ragged_sets_match_each_set(data, block):
+    # Sets of any sizes, given as flat rows plus per-set counts: each set's
+    # sums are its own sums bit for bit, also where sets merge to different
+    # row counts and where tables are built in blocks; inverse is flat.
+    sets = [data.draw(repeated_rows())]
+    d = sets[0].shape[1]
+    for _ in range(data.draw(st.integers(0, 6))):
+        more = data.draw(repeated_rows())
+        sets.append(np.resize(more, (more.shape[0], d)))
+    counts = [len(pts) for pts in sets]
+    flat = np.concatenate(sets)
+    signs = np.asarray(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(flat),
+                                          max_size=len(flat))))
+    grid = Grid(0.5, 2.0, d).coarsened(400)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
+        tables = LatticeTables(flat, grid, counts)
+        got = tables.sum(signs)
+        alone = [LatticeTables(pts, grid).sum(sigma)
+                 for pts, sigma in zip(sets, np.split(signs, np.cumsum(counts)[:-1]))]
+    assert tables.inverse.shape == (len(flat),)
+    assert np.all(tables.rows[tables.inverse] == flat)
+    assert got.shape == (len(sets), grid.count())
+    for row, one in zip(got, alone):
+        assert row.tobytes() == one.tobytes()
+
+
+def test_lattice_tables_rejects_counts_that_do_not_split_the_points():
+    grid = Grid(0.5, 1.0, 2)
+    for counts in ([2, 2], [4], [], [3, 0, 2], [6, -1]):
+        with pytest.raises(ValueError, match="do not split"):
+            LatticeTables(np.zeros((5, 2)), grid, counts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_sq_dists_equal_the_naive_loop(d):
+    # Accumulated axis by axis, every squared distance is the one the
+    # naive oracles (naive.gauss) sum pair by pair, bit for bit; a single
+    # einsum over the last axis differed at d >= 3 by up to 2.8e-14.
+    rng = np.random.default_rng(d)
+    for scale in (1.0, 5.0, 1e3):
+        q, p = scale * rng.normal(size=(2, 3, 11, d))
+        got = _sq_dists(q, p)
+        assert got.shape == (3, 11, 11)
+        for c in range(3):
+            expect = [[naive.sq_dist(x, y) for y in p[c]] for x in q[c]]
+            assert np.array_equal(got[c], expect)
+        assert np.array_equal(_sq_dists(q[0], p[0]), got[0])
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_lattice_tables_floor_far_entries(d):
     # Entries below tiny^(1/d) are exact zeros, so neither a table entry
@@ -367,6 +421,24 @@ def test_verification_tables_stay_above_floor(d):
             assert math.exp(-reach * reach) > floor, (n, d, reach)
             tables = LatticeTables(corners, grid)
             assert all(np.all(t > 0.0) for t in tables._build(tables.rows[None]))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_centered_verification_tables_skip_the_floor_scan(d):
+    # Rows in the unit ball and a verification grid bound every table
+    # entry below by exp(-(reach + 1)^2), above tiny^(1/d): the floor is
+    # skipped for such tables, and kept for other lattices and rows.
+    for n in (1, 15, 16, 100, 4096, 10**5, 3_800_000):
+        for grid in build_schedule(n, d).verification_grids():
+            assert _table_floor(grid, d, True) == 0.0, (n, d)
+            assert _table_floor(grid, d, False) == np.finfo(np.float64).tiny ** (1.0 / d)
+            assert _table_floor(grid.axes(), d, True) > 0.0
+    wide = Grid(0.5, 40.0, d)
+    assert _table_floor(wide, d, True) > 0.0
+    if d <= 3:
+        # Where the bound fails, far entries are still floored to 0.
+        tables = LatticeTables(np.zeros((1, d)), Grid(1.0, 40.0, d), _in_ball=True)
+        assert all((t == 0.0).any() for t in tables._build(tables.rows[None]))
 
 
 def test_lattice_sum_rejects_weight_count():

@@ -190,6 +190,16 @@ def test_grid_coarsened_subset():
             g.coarsened(bad)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_sizes_below_n_min_share_one_schedule(d):
+    # Every size below N_MIN has the same grid, thresholds and c_big, so
+    # the colorizer stacks all such cells of a round together.
+    shared = build_schedule(1, d)
+    assert all(build_schedule(n, d) is shared for n in range(1, N_MIN))
+    assert build_schedule(N_MIN, d) is not shared
+    assert build_schedule(1, d, default_constants(d, c1=3.0)) is not shared
+
+
 def test_degenerate_schedule():
     cst = default_constants(1, c0=20.0)
     sch = build_schedule(8, 1, cst)
