@@ -182,7 +182,7 @@ def verify(points_centered, signs, schedule):
     pts = as_points(points_centered)
     if len(signs) != pts.shape[0]:
         raise ValueError("coloring length does not match the cell size")
-    return _verify_stack(pts, signs, schedule, [pts.shape[0]])[0]
+    return _verify_stack(pts, as_coloring(signs), schedule, [pts.shape[0]])[0]
 
 
 def _schedule_groups(sizes, d, constants):
@@ -213,8 +213,7 @@ def _stack_chunks(counts, schedule):
             chunks.append(slice(start, i))
             start, used = i, 0
         used += cost
-    chunks.append(slice(start, len(counts)))
-    return chunks
+    return chunks + [slice(start, len(counts))] if len(counts) else []
 
 
 def _verify_stack(points_centered, signs, schedule, counts=None, in_ball=False):
