@@ -19,6 +19,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import accumulate
 
 import numpy as np
 
@@ -222,15 +223,20 @@ def _field(obj, key, kind, where):
     return value
 
 
-def _int_array(obj, key, where, bound=None):
-    """obj[key] as an intp array: a JSON array of integers, each in
-    [0, bound) when a bound is given."""
+def _int_list(obj, key, where, bound=None):
+    """obj[key], a JSON array of integers, each in [0, bound) when a bound
+    is given."""
     values = _field(obj, key, list, where)
     if not set(map(type, values)) <= {int}:
         raise ValidationError(f"{where}: {key!r} must be an array of integers")
     if bound is not None and values and not 0 <= min(values) <= max(values) < bound:
         raise ValidationError(f"{where}: {key!r} has an entry outside [0, {bound})")
-    return np.asarray(values, dtype=np.intp)
+    return values
+
+
+def _int_array(obj, key, where, bound=None):
+    """_int_list as an intp array."""
+    return np.asarray(_int_list(obj, key, where, bound), dtype=np.intp)
 
 
 def _load_coreset_indices(cfg, points):
@@ -293,65 +299,46 @@ def _accepted_colorings(rno, centers, metas, signs, sizes):
     """The accepted (pre-flip) colorings of round `rno`'s cells, of
     `centers` (lists) and `sizes`, one after another in cell order, from
     `signs`, the round's stored coloring of their members in that order; a
-    ValidationError names the first cell whose record does not match.
+    ValidationError names the first cell whose record does not match, and
+    the first of its checks that fails.
 
     The Las Vegas check certified the pre-flip coloring; undoing the
     recorded flips gives back exactly what was accepted. Those flips must
     be the accepted coloring's own balance flips, and the center, size and
-    imbalance_before_flip must be the cell's. The records are checked in
-    bulk; only if that fails are they checked cell by cell, for the message.
+    imbalance_before_flip must be the cell's. Records are read cell by
+    cell up to the first malformed one; the flips and sums of the cells
+    read are computed in one pass, then checked cell by cell.
     """
-    accepted = _bulk_accepted(centers, metas, signs, sizes)
-    if accepted is not None:
-        return accepted
-    accepted, start = signs.copy(), 0
+    positions, error = [], None
     for cno, (center, meta, size) in enumerate(zip(centers, metas, sizes)):
         where = f"round {rno} cell {cno}"
-        if (_field(meta, "center", list, where) != center
-                or _field(meta, "size", int, where) != size):
-            raise ValidationError(f"{where}: center or size does not match input")
-        flipped = _int_array(meta, "flipped_positions", where, size)
-        part = accepted[start:start + size]
-        start += size
-        part[flipped] *= -1
-        if (flipped.tolist() != balance_flips(part).tolist()
-                or _field(meta, "flipped", int, where) != flipped.size):
-            raise ValidationError(f"{where}: flipped positions are not the "
-                                  "accepted coloring's balance flips")
-        if _field(meta, "imbalance_before_flip", int, where) != int(part.sum()):
-            raise ValidationError(f"{where}: imbalance_before_flip is not the "
-                                  "accepted coloring's sum")
-    return accepted
-
-
-def _bulk_accepted(centers, metas, signs, sizes):
-    """_accepted_colorings without messages: the colorings when every
-    record of the round matches, else None. At least as strict as the
-    cell-by-cell checks, one numpy pass for the whole round."""
-    if not all(isinstance(meta, dict) for meta in metas):
-        return None
-    column = lambda key: [meta.get(key) for meta in metas]
-    positions, flips = column("flipped_positions"), column("flipped")
-    recorded, imbalances = column("size"), column("imbalance_before_flip")
-    if not all(isinstance(p, list) for p in positions):
-        return None
-    lengths = [len(p) for p in positions]
-    flat = [p for cell in positions for p in cell]
-    if (column("center") != centers or recorded != sizes or flips != lengths
-            or not set(map(type, flat + flips + imbalances + recorded)) <= {int}
-            or flat and not 0 <= min(flat) <= max(flat) < max(sizes)):
-        return None
-    owner = np.repeat(np.arange(len(sizes)), lengths)
-    flat = np.asarray(flat, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    if (flat >= np.asarray(sizes)[owner]).any():
-        return None
+        try:
+            if (_field(meta, "center", list, where) != center
+                    or _field(meta, "size", int, where) != size):
+                raise ValidationError(f"{where}: center or size does not match input")
+            positions.append(_int_list(meta, "flipped_positions", where, size))
+        except ValidationError as exc:
+            error = exc
+            break
     accepted = signs.copy()
-    accepted[starts[owner] + flat] *= -1
-    expected, counts = balance_flips(accepted, sizes)
-    if (counts.tolist() != lengths or not np.array_equal(expected, flat)
-            or np.add.reduceat(accepted, starts).tolist() != imbalances):
-        return None
+    if positions:
+        starts = [0, *accumulate(sizes[:len(positions)])]
+        accepted[[s + p for s, cell in zip(starts, positions) for p in cell]] *= -1
+        read = accepted[:starts[-1]]
+        flips, counts = balance_flips(read, sizes[:len(positions)])
+        flips, bounds = flips.tolist(), [0, *accumulate(counts.tolist())]
+        sums = np.add.reduceat(read, starts[:-1]).tolist()
+        for cno, (meta, recorded, total) in enumerate(zip(metas, positions, sums)):
+            where = f"round {rno} cell {cno}"
+            if (recorded != flips[bounds[cno]:bounds[cno + 1]]
+                    or _field(meta, "flipped", int, where) != len(recorded)):
+                raise ValidationError(f"{where}: flipped positions are not the "
+                                      "accepted coloring's balance flips")
+            if _field(meta, "imbalance_before_flip", int, where) != total:
+                raise ValidationError(f"{where}: imbalance_before_flip is not the "
+                                      "accepted coloring's sum")
+    if error is not None:
+        raise error
     return accepted
 
 

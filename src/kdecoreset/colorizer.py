@@ -216,24 +216,16 @@ def _stack_chunks(counts, schedule):
     return chunks + [slice(start, len(counts))] if len(counts) else []
 
 
-def _verify_stack(points_centered, signs, schedule, counts=None, in_ball=False):
+def _verify_stack(points_centered, signs, schedule, counts, in_ball=False):
     """verify for a stack of cells of one schedule: points (N, d) and signs
-    (N,) of cells of `counts` points one after another, or, without counts,
-    a stack of C cells of one size, points (C, n, d) and signs (C, n).
-    Returns each cell's (passed, max_ratio, imbalance), in stack order.
-    The cells share each level's LatticeTables, in chunks of
-    _stack_chunks. in_ball: every point lies in the unit sup-norm ball,
-    as partition's centered cells do.
+    (N,) of cells of `counts` points one after another. Returns each
+    cell's (passed, max_ratio, imbalance), in stack order. The cells share
+    each level's LatticeTables, in chunks of _stack_chunks. in_ball: every
+    point lies in the unit sup-norm ball, as partition's centered cells do.
     """
     pts = np.asarray(points_centered, dtype=np.float64)
     sigma = as_coloring(np.ravel(signs))
-    if counts is None:
-        if pts.ndim != 3 or np.shape(signs) != pts.shape[:2]:
-            raise ValueError(f"expected signs of shape {pts.shape[:2]} for points of "
-                             f"shape {pts.shape}, got {np.shape(signs)}")
-        counts = [pts.shape[1]] * pts.shape[0]
-        pts = pts.reshape(-1, pts.shape[2])
-    elif pts.ndim != 2 or not len(pts) == sigma.size == sum(counts):
+    if pts.ndim != 2 or not len(pts) == sigma.size == sum(counts):
         raise ValueError(f"expected {sum(counts)} points and signs, got points of "
                          f"shape {pts.shape} and {sigma.size} signs")
     counts = list(counts)
@@ -313,14 +305,16 @@ def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET)
         raise ValueError("cannot color an empty cell")
     pts = np.asarray(points, dtype=np.float64)
     as_points(pts[cell.members])
-    return _color_cells([cell], pts, constants, [seed], retry_budget)[0]
+    return _color_cells([cell], pts, constants, [seed], retry_budget, False)[0]
 
 
-def _attempt(cells, points, schedule, roots):
+def _attempt(cells, points, schedule, roots, in_ball):
     """One attempt at each of a stack of cells of one schedule: a walk with
     the root's next split for a cell left with more than two unpaired
     points, the fixed coloring for the others. Returns each cell's
-    (signs, unpaired positions, (passed, max_ratio, imbalance)).
+    (signs, unpaired positions, (passed, max_ratio, imbalance)). in_ball:
+    the cells come from partition, so their centered members lie in the
+    unit sup-norm ball.
 
     The cells share one LatticeTables per level, whose inverse rows give
     their duplicate pairing, and one _check; walked cells with one
@@ -331,7 +325,7 @@ def _attempt(cells, points, schedule, roots):
     centers = np.array([cell.center for cell in cells], dtype=np.float64)
     pts = (points[np.concatenate([cell.members for cell in cells])]
            - np.repeat(centers, counts, axis=0))
-    tables = _cell_tables(pts, schedule, counts, True)
+    tables = _cell_tables(pts, schedule, counts, in_ball)
     inverse = tables[0].inverse
     paired = [_pair_duplicates(inverse[a:b]) for a, b in zip(starts, starts[1:])]
     sigma = np.concatenate([signs for signs, _ in paired])
@@ -353,9 +347,9 @@ def _attempt(cells, points, schedule, roots):
             in zip(starts, starts[1:], paired, _check(sigma, counts, schedule, tables))]
 
 
-def _color_cells(cells, points, constants, seeds, retry_budget):
+def _color_cells(cells, points, constants, seeds, retry_budget, in_ball):
     """color_cell of each of `cells` with its seed, in order; `points` is
-    the float64 array their members index into.
+    the float64 array their members index into, and in_ball is _attempt's.
 
     First attempts go in stack chunks (_stack_chunks) of cells of one
     schedule. Cells whose first attempt fails are retried afterwards in the
@@ -374,7 +368,7 @@ def _color_cells(cells, points, constants, seeds, retry_budget):
         for part in _stack_chunks([sizes[i] for i in group], schedule):
             ids = group[part]
             first.update(zip(ids, _attempt([cells[i] for i in ids], points, schedule,
-                                           [roots[i] for i in ids])))
+                                           [roots[i] for i in ids], in_ball)))
     accepted = []
     for i, cell in enumerate(cells):
         signs, rest, (passed, ratio, imbalance) = first.pop(i)
@@ -385,7 +379,8 @@ def _color_cells(cells, points, constants, seeds, retry_budget):
             schedule = build_schedule(sizes[i], d, constants)
             if retries == budget:
                 raise ColoringFailure(cell.center, sizes[i], budget, schedule.constants, ratio)
-            [(signs, _, (passed, ratio, imbalance))] = _attempt([cell], points, schedule, [roots[i]])
+            [(signs, _, (passed, ratio, imbalance))] = _attempt([cell], points, schedule,
+                                                                [roots[i]], in_ball)
         accepted.append((signs, retries, ratio, imbalance))
     positions, flips = balance_flips(np.concatenate([signs for signs, *_ in accepted]), sizes)
     reports = []
@@ -421,7 +416,7 @@ def color_all(points, constants=None, seed=0, retry_budget=DEFAULT_RETRY_BUDGET)
     pts = as_points(points)
     cells = partition(pts)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    reports = _color_cells(cells, pts, constants, root.spawn(len(cells)), retry_budget)
+    reports = _color_cells(cells, pts, constants, root.spawn(len(cells)), retry_budget, True)
     signs = np.zeros(pts.shape[0], dtype=np.int64)
     for report in reports:
         signs[report.members] = report.coloring

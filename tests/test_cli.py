@@ -17,6 +17,9 @@ from kdecoreset.cli import (
     EXIT_IO,
     EXIT_VALIDATION,
     ValidationError,
+    _accepted_colorings,
+    _field,
+    _int_array,
     build_parser,
     file_sha256,
     fit_loglog_slope,
@@ -554,9 +557,10 @@ def test_verify_rejects_flips_beyond_the_balance_flips(spread_artifact, capsys):
 
 
 def test_verify_names_the_first_bad_record_among_merged_small_cells(spread_artifact, capsys):
-    # Cells below N_MIN share one schedule, so a round's records are checked
-    # in bulk and its small cells as one stack; a wrong record still fails
-    # with the cell-by-cell message, naming the first wrong cell.
+    # Cells below N_MIN share one schedule, so a round's small cells are
+    # checked as one stack and its records' flips in one pass; a wrong
+    # record still fails with the cell-by-cell message, naming the first
+    # wrong cell.
     path, coreset = spread_artifact
     original = coreset.read_text()
     rno = len(json.loads(original)["rounds"]) - 1
@@ -586,6 +590,98 @@ def test_verify_names_the_first_bad_record_among_merged_small_cells(spread_artif
             ([(later, "imbalance_before_flip"), (first, "flipped_positions")], first, flips)]:
         assert verify_tampered(path, coreset, original, tamper(*edits)) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: round {rno} cell {cno}: {message}\n", edits
+
+
+def records_cell_by_cell(rno, centers, metas, signs, sizes):
+    """The round's record checks one cell at a time, each cell's checks in
+    order: the accepted colorings as a list, or the first failure's
+    message."""
+    accepted, start = list(signs), 0
+    try:
+        for cno, (center, meta, size) in enumerate(zip(centers, metas, sizes)):
+            where = f"round {rno} cell {cno}"
+            if (_field(meta, "center", list, where) != center
+                    or _field(meta, "size", int, where) != size):
+                raise ValidationError(f"{where}: center or size does not match input")
+            flipped = set(_int_array(meta, "flipped_positions", where, size).tolist())
+            part = accepted[start:start + size]
+            for p in flipped:
+                part[p] = -part[p]
+            accepted[start:start + size] = part
+            start += size
+            total = sum(part)
+            majority = [p for p, s in enumerate(part) if s == (1 if total > 0 else -1)]
+            own = majority[:abs(total) // 2] if abs(total) >= 2 else []
+            if (meta["flipped_positions"] != own
+                    or _field(meta, "flipped", int, where) != len(own)):
+                raise ValidationError(f"{where}: flipped positions are not the "
+                                      "accepted coloring's balance flips")
+            if _field(meta, "imbalance_before_flip", int, where) != total:
+                raise ValidationError(f"{where}: imbalance_before_flip is not the "
+                                      "accepted coloring's sum")
+    except ValidationError as exc:
+        return str(exc)
+    return accepted
+
+
+def with_positions(meta, positions):
+    return {**meta, "flipped_positions": positions, "flipped": len(positions)}
+
+
+# Ways to spoil one cell's record (or none); spoiled positions come with a
+# matching count, so that only the positions rule can catch them.
+SPOILS = {
+    "none": lambda meta: meta,
+    "not an object": lambda meta: [meta],
+    "center": lambda meta: {**meta, "center": [meta["center"][0] + 2.0]},
+    "size": lambda meta: {**meta, "size": meta["size"] + 1},
+    "size bool": lambda meta: {**meta, "size": True},
+    "no size": lambda meta: {k: v for k, v in meta.items() if k != "size"},
+    "positions doubled": lambda meta: with_positions(meta, meta["flipped_positions"][:1] * 2),
+    "positions reversed": lambda meta: with_positions(meta, meta["flipped_positions"][::-1]),
+    "position added": lambda meta: with_positions(meta, meta["flipped_positions"] + [0]),
+    "position dropped": lambda meta: with_positions(meta, meta["flipped_positions"][1:]),
+    "position outside": lambda meta: with_positions(meta, [meta["size"]]),
+    "position negative": lambda meta: with_positions(meta, [-1]),
+    "position float": lambda meta: with_positions(meta, [0.0]),
+    "positions not a list": lambda meta: {**meta, "flipped_positions": 0},
+    "flipped": lambda meta: {**meta, "flipped": meta["flipped"] + 1},
+    "flipped string": lambda meta: {**meta, "flipped": str(meta["flipped"])},
+    "imbalance": lambda meta: {**meta, "imbalance_before_flip": meta["imbalance_before_flip"] + 2},
+    "imbalance float": lambda meta: {**meta, "imbalance_before_flip": 0.5},
+    "no imbalance": lambda meta: {k: v for k, v in meta.items() if k != "imbalance_before_flip"},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=15), min_size=1,
+                max_size=8),
+       st.data())
+def test_record_checks_match_the_cell_by_cell_checks(colorings, data):
+    # Records built from accepted colorings, then spoiled at random in
+    # random cells: the round's checks accept exactly what the checks one
+    # cell at a time accept, and otherwise fail with the same message.
+    sizes = [len(c) for c in colorings]
+    centers = [[2.0 * cno] for cno in range(len(sizes))]
+    metas, signs = [], []
+    for center, coloring in zip(centers, colorings):
+        total = sum(coloring)
+        majority = [p for p, s in enumerate(coloring) if s == (1 if total > 0 else -1)]
+        flips = majority[:abs(total) // 2] if abs(total) >= 2 else []
+        metas.append({"center": center, "size": len(coloring), "flipped_positions": flips,
+                      "flipped": len(flips), "imbalance_before_flip": total})
+        signs += [-s if p in flips else s for p, s in enumerate(coloring)]
+    spoil = st.one_of(st.just("none"), st.sampled_from(sorted(SPOILS)))
+    spoils = data.draw(st.lists(spoil, min_size=len(metas), max_size=len(metas)))
+    metas = [SPOILS[spoil](meta) for spoil, meta in zip(spoils, metas)]
+    expected = records_cell_by_cell(2, centers, metas, signs, sizes)
+    try:
+        got = _accepted_colorings(2, centers, metas, np.asarray(signs), sizes).tolist()
+    except ValidationError as exc:
+        got = str(exc)
+    assert got == expected
+    if set(spoils) == {"none"}:
+        assert got == [s for coloring in colorings for s in coloring]
 
 
 def test_verify_requires_stored_colorings(spread_artifact, tmp_path, capsys):

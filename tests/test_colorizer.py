@@ -151,6 +151,12 @@ def verify_stacks(draw):
     return np.stack(cells), np.asarray(signs).reshape(len(cells), n)
 
 
+def stacked(pts, signs, schedule):
+    """_verify_stack of C cells of one size, points (C, n, d), signs (C, n)."""
+    count, n, d = pts.shape
+    return _verify_stack(pts.reshape(-1, d), signs.ravel(), schedule, [n] * count)
+
+
 def results_bits(results):
     return [(passed, ratio.hex(), imbalance) for passed, ratio, imbalance in results]
 
@@ -165,7 +171,7 @@ def test_verify_stack_matches_each_cell_alone(stack, block):
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
-        got = _verify_stack(pts, signs, sch)
+        got = stacked(pts, signs, sch)
         alone = [verify(p, s, sch) for p, s in zip(pts, signs)]
     assert results_bits(got) == results_bits(alone)
 
@@ -226,7 +232,7 @@ def test_verify_stack_chunked(monkeypatch):
                         lambda p, schedule, counts, *rest: chunks.append(len(counts))
                         or build(p, schedule, counts, *rest))
     monkeypatch.setattr("kdecoreset.kernel._BLOCK_ELEMS", 5000)
-    assert results_bits(_verify_stack(pts, signs, sch)) == results_bits(alone)
+    assert results_bits(stacked(pts, signs, sch)) == results_bits(alone)
     assert chunks == [3] * 10
 
 
@@ -240,7 +246,7 @@ def test_verify_stack_memory_bounded():
     sch = build_schedule(20, 2, default_constants(2))
     tracemalloc.start()
     try:
-        got = _verify_stack(pts, signs, sch)
+        got = stacked(pts, signs, sch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -259,9 +265,9 @@ def test_verify_stack_failing_cell_leaves_the_others():
     signs = np.stack([color_cell(cell, p, None, seed=s).accepted_coloring
                       for s, p in enumerate(pts)])
     sch = build_schedule(300, 1, default_constants(1))
-    before = _verify_stack(pts, signs, sch)
+    before = stacked(pts, signs, sch)
     signs[2] = 1
-    after = _verify_stack(pts, signs, sch)
+    after = stacked(pts, signs, sch)
     assert [passed for passed, _, _ in before] == [True] * 4
     assert [passed for passed, _, _ in after] == [True, True, False, True]
     assert after[2][1] > 1.0 and after[2][2] == 300
@@ -376,6 +382,21 @@ def test_color_cell_flips_are_the_accepted_colorings_balance_flips():
     for seed in range(4):
         report = color_cell(cell, pts, small_constants(1), seed=seed)
         assert report.flipped.tolist() == balance_flips(report.accepted_coloring).tolist()
+
+
+def test_color_cell_outside_the_unit_ball_matches_verify():
+    # color_cell takes any cell, not only partition's. Two points (the
+    # fixed coloring, no walk) 20 past the grids' edge on the second axis:
+    # every table entry there is about e^-400, below the d = 2 floor
+    # 2^-511 but not zero, and color_cell keeps the floor verify applies.
+    sch = build_schedule(2, 2, default_constants(2))
+    edge = max(axis.max() for grid, _ in sch.verification_levels for axis in grid.axes())
+    pts = np.array([[0.0, edge + 20.0], [0.5, edge + 20.0]])
+    report = color_cell(CellAssignment(center=(0.0, 0.0), members=np.arange(2)), pts, None, 0)
+    passed, ratio, imbalance = verify(pts, report.accepted_coloring, sch)
+    assert (True, ratio.hex(), imbalance) == (
+        passed, report.max_grid_ratio.hex(), report.imbalance_before_flip)
+    assert ratio == 0.0
 
 
 def test_color_cell_retry_budget_failure():
