@@ -19,6 +19,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -250,10 +251,10 @@ def _load_coreset_indices(cfg, points):
         raise ValidationError(f"{cfg.coreset}: not a coreset artifact")
     if _field(artifact, "schema_version", int, cfg.coreset) != SCHEMA_VERSION:
         raise ValidationError(f"{cfg.coreset}: schema_version is not {SCHEMA_VERSION}")
-    source = artifact.get("input")
-    recorded = source.get("sha256") if isinstance(source, dict) else None
+    source = _field(artifact, "input", dict, cfg.coreset)
+    recorded = _field(source, "sha256", str, f"{cfg.coreset}: input")
     actual = file_sha256(cfg.input)
-    if recorded and recorded != actual:
+    if recorded != actual:
         raise ValidationError(
             f"{cfg.coreset}: coreset was built from a different input "
             f"(sha256 {recorded[:12]}... != {actual[:12]}...)"
@@ -369,51 +370,52 @@ def cmd_verify(cfg):
           f"c_big {constants.c_big:.6g}, grid budget {constants.grid_budget}")
     current = (np.arange(n, dtype=np.intp) if artifact.get("presample_indices") is None
                else _int_array(artifact, "presample_indices", cfg.coreset, n))
+    # The artifact's own records first, round by round up to the first bad
+    # one; then the certificate of every round read, in one stack of cells
+    # per grid shape, so that cells of all rounds share their tables.
+    read, kept_ok, error = [], [], None
+    try:
+        for rno, rnd in enumerate(rounds):
+            where = f"round {rno}"
+            coloring = _int_array(rnd, "coloring", where)
+            kept = _int_array(rnd, "kept", where, n)
+            metas = _field(rnd, "cells", list, where)
+            if coloring.size != current.size:
+                raise ValidationError(
+                    f"round {rno}: coloring length {coloring.size} does not match "
+                    f"expected size {current.size}"
+                )
+            if (_field(rnd, "size_before", int, where) != coloring.size
+                    or _field(rnd, "size_after", int, where) != kept.size):
+                raise ValidationError(f"{where}: size_before or size_after does not "
+                                      "match the coloring or kept set")
+            pts = points[current]
+            centers, members, sizes = _cell_runs(pts)
+            if len(sizes) != len(metas):
+                raise ValidationError(f"round {rno}: cell layout does not match input")
+            accepted = _accepted_colorings(rno, centers.tolist(), metas, coloring[members],
+                                           sizes.tolist())
+            centered = pts[members] - np.repeat(centers, sizes, axis=0)
+            read.append((centered, accepted, sizes))
+            kept_ok.append(np.array_equal(current[coloring == 1], kept))
+            current = kept
+    except ValidationError as exc:
+        error = exc
+    checked = _check_rounds(read, d, constants)
     all_ok = True
     results = []
-    for rno, rnd in enumerate(rounds):
-        where = f"round {rno}"
-        coloring = _int_array(rnd, "coloring", where)
-        kept = _int_array(rnd, "kept", where, n)
-        metas = _field(rnd, "cells", list, where)
-        if coloring.size != current.size:
-            raise ValidationError(
-                f"round {rno}: coloring length {coloring.size} does not match "
-                f"expected size {current.size}"
-            )
-        if (_field(rnd, "size_before", int, where) != coloring.size
-                or _field(rnd, "size_after", int, where) != kept.size):
-            raise ValidationError(f"{where}: size_before or size_after does not "
-                                  "match the coloring or kept set")
-        pts = points[current]
-        centers, members, sizes = _cell_runs(pts)
-        if len(sizes) != len(metas):
-            raise ValidationError(f"round {rno}: cell layout does not match input")
-        # The artifact's own records first; then the certificate, one stack
-        # of cells per schedule, so each stack shares its tables.
-        accepted = _accepted_colorings(rno, centers.tolist(), metas, coloring[members],
-                                       sizes.tolist())
-        centered = pts[members] - np.repeat(centers, sizes, axis=0)
-        ends = np.cumsum(sizes)
-        failed = []
-        worst = 0.0
-        for schedule, group in _schedule_groups(sizes.tolist(), d, constants).items():
-            counts = sizes[group]
-            # The group's rows: each cell's run of rows, up to its end.
-            rows = np.repeat(ends[group] - np.cumsum(counts), counts) + np.arange(counts.sum())
-            checked = _verify_stack(centered[rows], accepted[rows], schedule, counts.tolist(),
-                                    in_ball=True)
-            for cno, (passed, ratio, imbalance) in zip(group, checked):
-                worst = max(worst, ratio)
-                if not passed:
-                    failed.append((cno, ratio, imbalance))
-        ok = not failed and np.array_equal(current[coloring == 1], kept)
+    for rno, (cells, kept_right) in enumerate(zip(checked, kept_ok)):
+        worst = max([0.0] + [ratio for _, ratio, _ in cells])
+        failed = [(cno, ratio, imbalance)
+                  for cno, (passed, ratio, imbalance) in enumerate(cells) if not passed]
+        ok = not failed and kept_right
         results.append({"round": rno, "passed": ok, "max_grid_ratio": worst})
         all_ok = all_ok and ok
-        current = kept
         print(f"round {rno}: {'pass' if ok else 'FAIL'} (max ratio {worst:.4g})")
-        for cno, ratio, imbalance in sorted(failed):
+        for cno, ratio, imbalance in failed:
             print(f"round {rno} cell {cno}: FAIL (ratio {ratio:.4g}, imbalance {imbalance})")
+    if error is not None:
+        raise error
     # The coreset is the last round's kept set, or the starting set if none ran.
     if not np.array_equal(current, indices):
         all_ok = False
@@ -427,6 +429,26 @@ def cmd_verify(cfg):
     if not all_ok:
         raise ValidationError("stored coreset failed re-verification")
     return EXIT_OK
+
+
+def _check_rounds(read, d, constants):
+    """Each round's (passed, max_ratio, imbalance) per cell, in cell order,
+    for rounds `read` as (centered points, accepted signs, cell sizes): the
+    cells of all rounds in one stack per grid shape."""
+    if not read:
+        return []
+    centered, accepted, sizes = map(np.concatenate, zip(*read))
+    ends = np.cumsum(sizes)
+    checked = [None] * sizes.size
+    for schedules, group in _schedule_groups(sizes.tolist(), d, constants):
+        counts = sizes[group]
+        # The group's rows: each cell's run of rows, up to its end.
+        rows = np.repeat(ends[group] - np.cumsum(counts), counts) + np.arange(counts.sum())
+        for cno, result in zip(group, _verify_stack(centered[rows], accepted[rows], schedules,
+                                                     counts.tolist(), in_ball=True)):
+            checked[cno] = result
+    bounds = [0, *accumulate(len(rnd[2]) for rnd in read)]
+    return [checked[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def cmd_bench(cfg):
@@ -564,6 +586,10 @@ def build_parser():
     return parser
 
 
+# One parser per process: building it costs about a millisecond per call,
+# and parsing leaves it unchanged, also when it exits on an error.
+_parser = cache(build_parser)
+
 _COMMANDS = {
     "build": cmd_build,
     "eval": cmd_eval,
@@ -573,8 +599,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = resolve_config(values, config_path=args.config)

@@ -10,19 +10,22 @@ and only the rest is walked. Verification grids are lattices in centered
 coordinates, and the kernel is tabulated per grid axis.
 
 Cells are independent (seeds are split per cell, in lexicographic center
-order, which is also the report order), so cells of one schedule (one
-size, or any size below N_MIN) are colored as a stack, in chunks of
-bounded memory: they share one broadcast per table and one stacked matrix
-product per level, one check of every first walk attempt, and one dense
-factorization per chunk of cells with one unpaired count. Walks stay per
-cell, and cells whose first attempt fails are retried afterwards in center
-order, each retry an attempt on a stack of one. Re-verification
-(_verify_stack) checks stacks the same way. Each cell's result is the one
-it gets alone, bit for bit.
+order, which is also the report order), so cells whose schedules have one
+grid shape (level count and per-level axis lengths; under the default
+grid budget, every size in one dimension) are colored as a stack, in
+ascending size and in chunks of bounded memory. Each cell keeps its own
+schedule's grid coordinates and thresholds, and the cells share one
+broadcast per table and one stacked matrix product per level, one check
+of every first walk attempt, and one dense factorization per chunk of
+cells with one unpaired count. Walks stay per cell, and cells whose first
+attempt fails are retried afterwards in center order, each retry an
+attempt on a stack of one. Re-verification (_verify_stack) checks stacks
+of one grid shape the same way. Each cell's result is the one it gets
+alone, bit for bit.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -45,10 +48,11 @@ __all__ = [
 
 DEFAULT_RETRY_BUDGET = 64
 
-# Cap on the floats of one stack chunk's checks (8 MB): about what the
-# largest stack of one cell size held on a spread 4096-point chain, so
-# that stacks of all cells below N_MIN add no memory.
-_STACK_ELEMS = 1 << 20
+# Cap on the floats of one stack chunk's checks (6 MB). Stacks hold cells
+# of every size of one grid shape, big cells' tables beside small cells'
+# discrepancies; at 6 MB the traced peak of verifying the benchmark's
+# spread_cells artifact is 4.1 MB, at 8 MB 5.1 MB.
+_STACK_ELEMS = 3 << 18
 
 
 class ColoringFailure(RuntimeError):
@@ -140,28 +144,36 @@ def _cell_runs(pts):
     return ranked[starts], order, np.diff(starts, append=len(pts))
 
 
-def _cell_tables(points_centered, schedule, counts, in_ball):
-    # The per-axis tables depend on the cells' points and the grids, not on
-    # the signs: built once per stack, then each check is one matrix
-    # product per level. in_ball: the points are cells centered by
-    # partition, so within the unit ball.
-    return [LatticeTables(points_centered, grid, counts, _in_ball=in_ball)
-            for grid, _ in schedule.verification_levels]
+def _cell_tables(points_centered, schedules, counts, in_ball):
+    # The per-axis tables depend on the cells' points and grids (each
+    # cell's schedule's), not on the signs: built once per stack, then each
+    # check is one matrix product per level. in_ball: the points are cells
+    # centered by partition, so within the unit ball.
+    return [LatticeTables(points_centered, [grid for grid, _ in level], counts, _in_ball=in_ball)
+            for level in zip(*(s.verification_levels for s in schedules))]
 
 
-def _check(sigma, counts, schedule, tables):
+def _check(sigma, counts, schedules, tables):
     """The (passed, max_ratio, imbalance) of each coloring in sigma, the
-    colorings of cells of `counts` points one after another, on the
-    stack's tables; a list in stack order."""
+    colorings of cells of `counts` points one after another, each against
+    its schedule's thresholds, on the stack's tables; a list in stack
+    order."""
     ratio = None
-    for (_, thresholds), level in zip(schedule.verification_levels, tables):
+    positions = np.arange(len(counts))
+    for level, table in enumerate(tables):
+        thresholds = [s.verification_levels[level][1] for s in schedules]
         worst = np.empty(len(counts))
-        for sets, disc in level._group_sums(sigma):
+        for sets, disc in table._group_sums(sigma):
             np.abs(disc, out=disc)
-            disc /= thresholds
+            # Each run of cells of one schedule divides by its thresholds.
+            row = 0
+            for _, run in groupby([thresholds[i] for i in positions[sets].tolist()], key=id):
+                run = list(run)
+                disc[row:row + len(run)] /= run[0]
+                row += len(run)
             worst[sets] = disc.max(axis=-1)
         ratio = worst if ratio is None else np.maximum(ratio, worst)
-    c_big = schedule.constants.c_big
+    c_big = schedules[0].constants.c_big
     imbalance = np.add.reduceat(sigma, [0, *accumulate(counts[:-1])])
     return [(r < 1.0 and abs(i) <= c_big, r, i)
             for r, i in zip(ratio.tolist(), imbalance.tolist())]
@@ -177,34 +189,41 @@ def verify(points_centered, signs, schedule):
     Returns (passed, max_ratio, imbalance) where max_ratio is the worst
     |discrepancy| / threshold over all checked points. This is
     _verify_stack's stack of one, and a cell checked in any stack of cells
-    of one schedule gets this result bit for bit.
+    whose schedules have one grid shape gets this result bit for bit.
     """
     pts = as_points(points_centered)
     if len(signs) != pts.shape[0]:
         raise ValueError("coloring length does not match the cell size")
-    return _verify_stack(pts, as_coloring(signs), schedule, [pts.shape[0]])[0]
+    return _verify_stack(pts, as_coloring(signs), [schedule], [pts.shape[0]])[0]
 
 
 def _schedule_groups(sizes, d, constants):
-    """{schedule: positions} of cells of `sizes` points in R^d, each
-    position list ascending: cells of one size share a schedule, and so do
-    all cells of fewer than N_MIN points."""
+    """[(schedules, positions)] of cells of `sizes` points in R^d: the cells
+    whose schedules have one grid shape (level count and per-level axis
+    lengths) form a group, their positions by ascending size (ties in
+    order) beside each one's schedule. Cells of one size share a schedule,
+    and so do all cells of fewer than N_MIN points."""
+    schedules = {n: build_schedule(n, d, constants) for n in set(sizes)}
+    shapes = {n: tuple(grid.axis_steps() for grid, _ in schedule.verification_levels)
+              for n, schedule in schedules.items()}
     groups = {}
-    slot = {n: groups.setdefault(build_schedule(n, d, constants), [])
-            for n in dict.fromkeys(sizes)}
-    for i, n in enumerate(sizes):
-        slot[n].append(i)
-    return groups
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__):
+        group_schedules, positions = groups.setdefault(shapes[sizes[i]], ([], []))
+        group_schedules.append(schedules[sizes[i]])
+        positions.append(i)
+    return list(groups.values())
 
 
 def _stack_chunks(counts, schedule):
     """Slices of consecutive cells, of `counts` points each, that form one
     stack chunk: as many cells as hold at most _STACK_ELEMS floats (and no
-    more than _BLOCK_ELEMS) of discrepancies, matrix-product results and
-    tables together, 2 G + n * (sum of axis sizes) per cell of n points on
-    the largest grid, of G points; at least one cell."""
+    more than _BLOCK_ELEMS) of discrepancies, matrix-product results,
+    thresholds and tables together, 3 G + n * (sum of axis sizes) per cell
+    of n points on the largest grid, of G points, of `schedule`'s grid
+    shape (a cell's thresholds count in full, though cells of one schedule
+    share theirs); at least one cell."""
     grid, thresholds = max(schedule.verification_levels, key=lambda level: level[1].size)
-    fixed, per_point = 2 * thresholds.size, grid.dim * (2 * grid.axis_steps() + 1)
+    fixed, per_point = 3 * thresholds.size, grid.dim * (2 * grid.axis_steps() + 1)
     budget = min(_STACK_ELEMS, kernel._BLOCK_ELEMS)
     chunks, start, used = [], 0, 0
     for i, n in enumerate(counts):
@@ -216,9 +235,10 @@ def _stack_chunks(counts, schedule):
     return chunks + [slice(start, len(counts))] if len(counts) else []
 
 
-def _verify_stack(points_centered, signs, schedule, counts, in_ball=False):
-    """verify for a stack of cells of one schedule: points (N, d) and signs
-    (N,) of cells of `counts` points one after another. Returns each
+def _verify_stack(points_centered, signs, schedules, counts, in_ball=False):
+    """verify for a stack of cells: points (N, d) and signs (N,) of cells
+    of `counts` points one after another, each checked against its
+    schedule in the list `schedules`, all of one grid shape. Returns each
     cell's (passed, max_ratio, imbalance), in stack order. The cells share
     each level's LatticeTables, in chunks of _stack_chunks. in_ball: every
     point lies in the unit sup-norm ball, as partition's centered cells do.
@@ -229,12 +249,14 @@ def _verify_stack(points_centered, signs, schedule, counts, in_ball=False):
         raise ValueError(f"expected {sum(counts)} points and signs, got points of "
                          f"shape {pts.shape} and {sigma.size} signs")
     counts = list(counts)
+    if not counts:
+        return []
     starts = [0, *accumulate(counts)]
     results = []
-    for part in _stack_chunks(counts, schedule):
+    for part in _stack_chunks(counts, schedules[0]):
         rows = slice(starts[part.start], starts[part.stop])
-        results += _check(sigma[rows], counts[part], schedule,
-                          _cell_tables(pts[rows], schedule, counts[part], in_ball))
+        results += _check(sigma[rows], counts[part], schedules[part],
+                          _cell_tables(pts[rows], schedules[part], counts[part], in_ball))
     return results
 
 
@@ -308,10 +330,11 @@ def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET)
     return _color_cells([cell], pts, constants, [seed], retry_budget, False)[0]
 
 
-def _attempt(cells, points, schedule, roots, in_ball):
-    """One attempt at each of a stack of cells of one schedule: a walk with
-    the root's next split for a cell left with more than two unpaired
-    points, the fixed coloring for the others. Returns each cell's
+def _attempt(cells, points, schedules, roots, in_ball):
+    """One attempt at each of a stack of cells of one grid shape, each
+    checked against its schedule in `schedules`: a walk with the root's
+    next split for a cell left with more than two unpaired points, the
+    fixed coloring for the others. Returns each cell's
     (signs, unpaired positions, (passed, max_ratio, imbalance)). in_ball:
     the cells come from partition, so their centered members lie in the
     unit sup-norm ball.
@@ -325,7 +348,7 @@ def _attempt(cells, points, schedule, roots, in_ball):
     centers = np.array([cell.center for cell in cells], dtype=np.float64)
     pts = (points[np.concatenate([cell.members for cell in cells])]
            - np.repeat(centers, counts, axis=0))
-    tables = _cell_tables(pts, schedule, counts, in_ball)
+    tables = _cell_tables(pts, schedules, counts, in_ball)
     inverse = tables[0].inverse
     paired = [_pair_duplicates(inverse[a:b]) for a, b in zip(starts, starts[1:])]
     sigma = np.concatenate([signs for signs, _ in paired])
@@ -344,18 +367,18 @@ def _attempt(cells, points, schedule, roots, in_ball):
             vectors = augment(next(factors), rows, points.shape[1])
             sigma[starts[j] + paired[j][1]] = gsw_color(vectors, roots[j].spawn(1)[0]).signs
     return [(sigma[a:b].copy(), rest, result) for a, b, (_, rest), result
-            in zip(starts, starts[1:], paired, _check(sigma, counts, schedule, tables))]
+            in zip(starts, starts[1:], paired, _check(sigma, counts, schedules, tables))]
 
 
 def _color_cells(cells, points, constants, seeds, retry_budget, in_ball):
     """color_cell of each of `cells` with its seed, in order; `points` is
     the float64 array their members index into, and in_ball is _attempt's.
 
-    First attempts go in stack chunks (_stack_chunks) of cells of one
-    schedule. Cells whose first attempt fails are retried afterwards in the
-    order of `cells`, one at a time and one attempt per stack of one, so
-    the first to exhaust its budget raises what it raises alone. The
-    accepted colorings' balance flips are taken as one batch.
+    First attempts go in stack chunks (_stack_chunks) of cells of one grid
+    shape, by ascending size. Cells whose first attempt fails are retried
+    afterwards in the order of `cells`, one at a time and one attempt per
+    stack of one, so the first to exhaust its budget raises what it raises
+    alone. The accepted colorings' balance flips are taken as one batch.
     """
     if retry_budget < 1:
         raise ValueError(f"retry budget must be at least 1, got {retry_budget}")
@@ -364,10 +387,10 @@ def _color_cells(cells, points, constants, seeds, retry_budget, in_ball):
     d = points.shape[1]
     sizes = [cell.members.size for cell in cells]
     first = {}
-    for schedule, group in _schedule_groups(sizes, d, constants).items():
-        for part in _stack_chunks([sizes[i] for i in group], schedule):
+    for schedules, group in _schedule_groups(sizes, d, constants):
+        for part in _stack_chunks([sizes[i] for i in group], schedules[0]):
             ids = group[part]
-            first.update(zip(ids, _attempt([cells[i] for i in ids], points, schedule,
+            first.update(zip(ids, _attempt([cells[i] for i in ids], points, schedules[part],
                                            [roots[i] for i in ids], in_ball)))
     accepted = []
     for i, cell in enumerate(cells):
@@ -379,7 +402,7 @@ def _color_cells(cells, points, constants, seeds, retry_budget, in_ball):
             schedule = build_schedule(sizes[i], d, constants)
             if retries == budget:
                 raise ColoringFailure(cell.center, sizes[i], budget, schedule.constants, ratio)
-            [(signs, _, (passed, ratio, imbalance))] = _attempt([cell], points, schedule,
+            [(signs, _, (passed, ratio, imbalance))] = _attempt([cell], points, [schedule],
                                                                 [roots[i]], in_ball)
         accepted.append((signs, retries, ratio, imbalance))
     positions, flips = balance_flips(np.concatenate([signs for signs, *_ in accepted]), sizes)

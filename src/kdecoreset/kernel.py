@@ -118,7 +118,12 @@ def kernel_sum(points, weights, queries):
 class LatticeTables:
     """Per-axis Gaussian tables of point sets on a tensor lattice: a Grid,
     or a sequence of d per-axis coordinate arrays whose Cartesian product
-    is the lattice (a sub-rectangle of a Grid, say).
+    is the lattice (a sub-rectangle of a Grid, say). For several sets,
+    `grid` may also be a sequence of Grids of one shape (one dimension and
+    one 2k + 1 points per axis), one per set: each set is then tabulated
+    on its own grid's coordinates, and sets stack by grid shape, not by
+    grid. axes holds, per axis, the coordinates as one row shared by every
+    set, or one row per set.
 
     exp(-||s - p||^2) = prod_j exp(-(s_j - p_j)^2), so a weighted kernel sum
     at every lattice point needs one (2k + 1) x m table per axis instead of
@@ -152,9 +157,20 @@ class LatticeTables:
     def __init__(self, points, grid, counts=None, _in_ball=False):
         # _in_ball: the caller knows every row lies in the unit sup-norm
         # ball (a centered cell); see _table_floor.
-        self.axes = grid.axes() if hasattr(grid, "axes") else [
-            np.asarray(axis, dtype=np.float64) for axis in grid]
-        self._floor = _table_floor(grid, len(self.axes), _in_ball)
+        grids = [grid] if hasattr(grid, "axes") else list(grid)
+        if hasattr(grids[0], "axes"):
+            # Sets of one schedule share its Grid object: one row per object.
+            distinct = list({id(g): g for g in grids}.values())
+            if len({(g.dim, g.axis_steps()) for g in distinct}) > 1:
+                raise ValueError("the grids of one LatticeTables must have one shape")
+            self.axes = [np.stack(coords) for coords in zip(*(g.axes() for g in distinct))]
+            if len(distinct) > 1:
+                where = {id(g): i for i, g in enumerate(distinct)}
+                self.axes = [axis[[where[id(g)] for g in grids]] for axis in self.axes]
+        else:
+            grids, distinct = [grid], grid
+            self.axes = [np.asarray(axis, dtype=np.float64)[None] for axis in grid]
+        self._floor = _table_floor(distinct, len(self.axes), _in_ball)
         pts = np.asarray(points, dtype=np.float64)
         stacked = pts.ndim == 3
         self._one = counts is None and not stacked
@@ -166,6 +182,8 @@ class LatticeTables:
             if sizes.ndim != 1 or not sizes.size or sizes.min() < 1 or sizes.sum() != len(flat):
                 raise ValueError(f"set sizes {sizes.tolist()} do not split {len(flat)} points")
         cells, d = 1 if counts is None else sizes.size, flat.shape[1]
+        if len(grids) not in (1, cells):
+            raise ValueError(f"expected one grid or {cells} grids, got {len(grids)}")
         if cells > 1:
             starts = np.cumsum(sizes) - sizes
         # A lexsort (set, then first column most significant) avoids
@@ -182,11 +200,11 @@ class LatticeTables:
         self.inverse[order] = merged
         if stacked:
             self.inverse = self.inverse.reshape(pts.shape[:2])
-        self._per_block = max(1, _BLOCK_ELEMS // sum(axis.size for axis in self.axes))
+        self._per_block = max(1, _BLOCK_ELEMS // sum(axis.shape[1] for axis in self.axes))
         # Sets with one merged row count m form a group: their set
         # positions, the (c, m) indices of their merged rows (None when one
-        # group holds every set in order), those rows (c, m, d), and their
-        # tables when these fit in one block.
+        # group holds every set in order), those rows (c, m, d), their
+        # axes, and their tables when these fit in one block.
         if cells > 1:
             first = merged[starts]
             counts = np.diff(first, append=self.rows.shape[0])
@@ -199,15 +217,19 @@ class LatticeTables:
                 sets = np.flatnonzero(counts == m)
                 index = first[sets, None] + np.arange(m)
                 groups.append((sets, index, self.rows[index]))
-        self._groups = [(sets, index, rows, self._build(rows) if rows[..., 0].size <= self._per_block
-                         else None) for sets, index, rows in groups]
+        self._groups = []
+        for sets, index, rows in groups:
+            axes = _pick(self.axes, sets)
+            self._groups.append((sets, index, rows, axes, self._build(rows, axes)
+                                 if rows[..., 0].size <= self._per_block else None))
 
-    def _build(self, rows):
-        """Tables (c, 2k + 1, m) per axis of a (c, m, d) stack of rows,
-        with entries below the floor set to 0 (see the module docstring)."""
+    def _build(self, rows, axes=None):
+        """Tables (c, 2k + 1, m) per axis of a (c, m, d) stack of rows on
+        `axes` (default self.axes; per axis one row, or one per set), with
+        entries below the floor set to 0 (see the module docstring)."""
         tables = []
-        for j, axis in enumerate(self.axes):
-            t = axis[None, :, None] - rows[:, None, :, j]
+        for j, axis in enumerate(self.axes if axes is None else axes):
+            t = axis[:, :, None] - rows[:, None, :, j]
             np.square(t, out=t)
             np.negative(t, out=t)
             np.exp(t, out=t)
@@ -238,11 +260,11 @@ class LatticeTables:
             raise ValueError(f"expected weights of shape {self.inverse.shape}, got shape {w.shape}")
         merged = np.bincount(self.inverse.reshape(-1), weights=w.reshape(-1),
                              minlength=self.rows.shape[0])
-        for sets, index, rows, tables in self._groups:
+        for sets, index, rows, axes, tables in self._groups:
             part = merged.reshape(rows.shape[:2]) if index is None else merged[index]
-            yield sets, self._group_sum(rows, tables, part)
+            yield sets, self._group_sum(rows, axes, tables, part)
 
-    def _group_sum(self, rows, tables, merged):
+    def _group_sum(self, rows, axes, tables, merged):
         """_contract of one group, on its kept tables or block by block."""
         if tables is not None:
             return _contract(tables, merged)
@@ -253,21 +275,29 @@ class LatticeTables:
             acc = None
             for row in range(0, m, self._per_block):
                 block = (slice(start, start + step), slice(row, row + self._per_block))
-                part = _contract(self._build(rows[block]), merged[block])
+                part = _contract(self._build(rows[block], _pick(axes, block[0])), merged[block])
                 acc = part if acc is None else acc + part
             parts.append(acc)
         return np.concatenate(parts)
 
 
+def _pick(axes, sets):
+    """Per axis, the coordinate rows of the sets at `sets` (a slice or
+    positions): the shared row, or those sets' own."""
+    return [axis if axis.shape[0] == 1 else axis[sets] for axis in axes]
+
+
 def _table_floor(grid, d, in_ball):
     """The floor of a table entry: _TINY^(1/d), or 0 where no entry can
     fall below it, so _build skips its scan. That is known without the
-    rows when they lie in the unit ball and the lattice is a Grid: each
-    per-axis exponent is then at most reach^2, for reach the grid's largest
-    |coordinate| plus 1; one unit of slack covers rounding."""
+    rows when they lie in the unit ball and the lattice is a Grid (or a
+    list of Grids): each per-axis exponent is then at most reach^2, for
+    reach the largest |coordinate| of any of the grids plus 1; one unit of
+    slack covers rounding."""
     floor = _TINY ** (1.0 / d)
-    if in_ball and hasattr(grid, "axis_steps"):
-        reach = max(map(abs, grid.center)) + grid.axis_steps() * grid.width + 1.0
+    grids = [grid] if hasattr(grid, "axis_steps") else list(grid)
+    if in_ball and all(hasattr(g, "axis_steps") for g in grids):
+        reach = max(max(map(abs, g.center)) + g.axis_steps() * g.width for g in grids) + 1.0
         if reach * reach <= -math.log(floor) - 1.0:
             return 0.0
     return floor

@@ -10,8 +10,12 @@ Schedules are immutable after construction and safe to share across threads.
 build_schedule memoizes them per (n, d, constants), up to _SCHEDULE_CACHE
 entries, so color_cell's certification and the CLI's re-verification share
 one schedule, and one threshold vector per level, for each cell size and
-set of constants. Every n below N_MIN gets one shared fallback schedule, so
-the colorizer checks all such cells of a round as one stack.
+set of constants. Every n below N_MIN gets one shared fallback schedule.
+The colorizer stacks cells by grid shape (level count and per-level axis
+lengths), not by schedule: under the default grid budget, every size in
+d = 2, 3 and 6 up to at least 5000 points has a one-level grid of one
+shape, so each round's cells, and verify's cells of all rounds, form one
+stack (in chunks), each cell on its own schedule's grid and thresholds.
 """
 
 import math

@@ -20,16 +20,18 @@ from kdecoreset.cli import (
     _accepted_colorings,
     _field,
     _int_array,
+    _parser,
     build_parser,
     file_sha256,
     fit_loglog_slope,
     main,
     read_points,
 )
-from kdecoreset.colorizer import partition
+from kdecoreset import colorizer
+from kdecoreset.colorizer import partition, verify
 from kdecoreset.config import ENV_PREFIX, RunConfig, resolve_config
 from kdecoreset.evaluation import linf_error
-from kdecoreset.schedule import N_MIN, default_constants
+from kdecoreset.schedule import N_MIN, Constants, build_schedule, default_constants
 
 import naive
 
@@ -695,11 +697,103 @@ def test_verify_requires_stored_colorings(spread_artifact, tmp_path, capsys):
     assert "no stored colorings" in capsys.readouterr().err
 
 
+def verify_round_by_round(path, coreset):
+    """What `kdecoreset verify` prints and reports, from one round at a
+    time with each cell checked alone by colorizer.verify: (stdout lines,
+    report rounds, passed, error message or None). A round whose records
+    are malformed ends it with the record check's message."""
+    points = read_points(str(path))
+    data = json.loads(coreset.read_text())
+    constants = Constants(*(data["config"][k] for k in ("c0", "c1", "c_big", "grid_budget")))
+    lines = [f"constants from artifact: c0 {constants.c0:.6g}, c1 {constants.c1:.6g}, "
+             f"c_big {constants.c_big:.6g}, grid budget {constants.grid_budget}"]
+    rounds, current = [], np.arange(len(points))
+    for rno, rnd in enumerate(data["rounds"]):
+        cells = partition(points[current])
+        members = np.concatenate([c.members for c in cells])
+        sizes = [c.members.size for c in cells]
+        try:
+            accepted = _accepted_colorings(rno, [list(c.center) for c in cells], rnd["cells"],
+                                           np.asarray(rnd["coloring"])[members], sizes)
+        except ValidationError as exc:
+            return lines, rounds, False, str(exc)
+        checked = [verify(points[current][c.members] - np.asarray(c.center), signs,
+                          build_schedule(c.members.size, points.shape[1], constants))
+                   for c, signs in zip(cells, np.split(accepted, np.cumsum(sizes)[:-1]))]
+        worst = max(ratio for _, ratio, _ in checked)
+        kept = current[np.asarray(rnd["coloring"]) == 1]
+        ok = all(passed for passed, _, _ in checked) and kept.tolist() == rnd["kept"]
+        rounds.append({"round": rno, "passed": ok, "max_grid_ratio": worst})
+        lines.append(f"round {rno}: {'pass' if ok else 'FAIL'} (max ratio {worst:.4g})")
+        lines += [f"round {rno} cell {cno}: FAIL (ratio {ratio:.4g}, imbalance {imbalance})"
+                  for cno, (passed, ratio, imbalance) in enumerate(checked) if not passed]
+        current = np.asarray(rnd["kept"])
+    return lines, rounds, all(r["passed"] for r in rounds), None
+
+
+def test_verify_output_matches_the_round_by_round_reference(spread_artifact, tmp_path, capsys):
+    # verify checks the cells of all rounds in one pass; what it prints and
+    # reports must still be what checking one round at a time gives, line
+    # for line: with a lowered c1 that fails cells in both rounds, and with
+    # a malformed record in the second round, which stops verify after the
+    # first round's lines.
+    path, coreset = spread_artifact
+    data = json.loads(coreset.read_text())
+    assert len(data["rounds"]) == 2
+    cut = 0.999 * min(max(c["max_grid_ratio"] for c in rnd["cells"]) for rnd in data["rounds"])
+    data["config"]["c1"] *= cut
+    tightened = json.dumps(data)
+    data["rounds"][1]["cells"][3]["imbalance_before_flip"] += 2
+    for artifact in (tightened, json.dumps(data)):
+        coreset.write_text(artifact)
+        report = tmp_path / "report.json"
+        report.unlink(missing_ok=True)
+        lines, rounds, passed, error = verify_round_by_round(path, coreset)
+        assert main(["verify", "--input", str(path), "--coreset", str(coreset),
+                     "--output", str(report)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == lines
+        if error is None:
+            assert sum("FAIL (ratio" in line for line in lines) >= 2
+            assert {line.split()[1] for line in lines if "FAIL (ratio" in line} == {"0", "1"}
+            assert captured.err == "error: stored coreset failed re-verification\n"
+            written = json.loads(report.read_text())
+            assert written["rounds"] == rounds and written["passed"] is passed is False
+        else:
+            assert error.startswith("round 1 cell 3") and len(rounds) == 1
+            assert captured.err == f"error: {error}\n"
+            assert not report.exists()
+
+
+def test_verify_builds_one_table_set_per_chunk_of_all_rounds(spread_artifact, monkeypatch, capsys):
+    # verify stacks the cells of every round by grid shape and chunks each
+    # stack by size: it builds one LatticeTables per level per chunk that
+    # _stack_chunks makes over those cells, not one per cell size or round.
+    path, coreset = spread_artifact
+    data = json.loads(coreset.read_text())
+    constants = Constants(*(data["config"][k] for k in ("c0", "c1", "c_big", "grid_budget")))
+    by_shape = {}
+    for rnd in data["rounds"]:
+        for cell in rnd["cells"]:
+            schedule = build_schedule(cell["size"], 2, constants)
+            shape = tuple(grid.axes()[0].size for grid, _ in schedule.verification_levels)
+            by_shape.setdefault(shape, (schedule, []))[1].append(cell["size"])
+    expected = sum(len(shape) * len(colorizer._stack_chunks(sorted(sizes), schedule))
+                   for shape, (schedule, sizes) in by_shape.items())
+    built = []
+    tables = colorizer.LatticeTables
+    monkeypatch.setattr(colorizer, "LatticeTables",
+                        lambda *args, **kwargs: built.append(1) or tables(*args, **kwargs))
+    assert main(["verify", "--input", str(path), "--coreset", str(coreset)]) == 0
+    assert len(built) == expected
+
+
 def test_verify_memory_bounded_on_spread_data(tmp_path, capsys):
     # 4096 normal(0, 5) points halved to 512 (the benchmark's spread_cells
-    # artifact): 808 cells in 4 rounds, 663 of them below N_MIN and checked
-    # as one stack per round. In chunks, verify's traced peak is 3.8 MB;
-    # with a round's small cells in one unchunked stack it was 5.9 MB.
+    # artifact): 808 cells in 4 rounds, 663 of them below N_MIN, all of one
+    # grid shape and so checked as one stack. In chunks, verify's traced
+    # peak is 4.1 MB; with a round's small cells in one unchunked stack it
+    # was 5.9 MB.
     path = tmp_path / "spread.csv"
     write_csv(path, np.random.default_rng(0).normal(0.0, 5.0, (4096, 2)))
     coreset = tmp_path / "spread.json"
@@ -749,9 +843,31 @@ def test_malformed_artifact_exit_codes(spread_artifact, capsys):
     def null_coloring(data):
         data["rounds"][0]["coloring"] = None
 
-    for tamper in (drop_indices, drop_kept, drop_cells, null_rounds, null_coloring):
+    def drop_sha256(data):
+        del data["input"]["sha256"]
+
+    def null_sha256(data):
+        data["input"]["sha256"] = None
+
+    def zero_sha256(data):
+        data["input"]["sha256"] = 0
+
+    def drop_input(data):
+        del data["input"]
+
+    for tamper in (drop_indices, drop_kept, drop_cells, null_rounds, null_coloring,
+                   drop_sha256, null_sha256, zero_sha256, drop_input):
         assert verify_tampered(path, coreset, original, tamper
                                ) == EXIT_VALIDATION, tamper.__name__
+        assert "missing or malformed" in capsys.readouterr().err, tamper.__name__
+    # Both commands check the input against the recorded hash, so neither
+    # takes an artifact that records none.
+    for tamper in (drop_sha256, null_sha256, zero_sha256, drop_input):
+        data = json.loads(original)
+        tamper(data)
+        coreset.write_text(json.dumps(data))
+        assert main(["eval", "--input", str(path), "--coreset", str(coreset)]
+                    ) == EXIT_VALIDATION, tamper.__name__
         assert "missing or malformed" in capsys.readouterr().err, tamper.__name__
     # eval reads only the indices.
     data = json.loads(original)
@@ -843,11 +959,16 @@ def test_subcommand_flags(command):
 
 
 @pytest.mark.parametrize("argv", [["eval", "--c1", "5"], ["verify", "--seed", "3"]])
-def test_unread_flags_rejected(argv, capsys):
+def test_unread_flags_rejected(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv + ["--input", "points.csv"])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    # main parses with one parser per process, which the error leaves usable.
+    assert _parser() is _parser()
+    missing = str(tmp_path / "missing.csv")
+    assert main([argv[0], "--input", missing, "--coreset", missing]) == EXIT_IO
+    assert "missing.csv" in capsys.readouterr().err
 
 
 def test_build_halving_stall_exit_code(tmp_path, capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kdecoreset import colorizer
 from kdecoreset.colorizer import (
@@ -19,7 +19,7 @@ from kdecoreset.colorizer import (
 from kdecoreset.coreset import oracle_min_discrepancy
 from kdecoreset.decomp import augment, kernel_factor
 from kdecoreset.kernel import kernel_sum
-from kdecoreset.schedule import N_MIN, build_schedule, default_constants
+from kdecoreset.schedule import build_schedule, default_constants
 from kdecoreset.walk import gsw_color
 
 import naive
@@ -154,7 +154,7 @@ def verify_stacks(draw):
 def stacked(pts, signs, schedule):
     """_verify_stack of C cells of one size, points (C, n, d), signs (C, n)."""
     count, n, d = pts.shape
-    return _verify_stack(pts.reshape(-1, d), signs.ravel(), schedule, [n] * count)
+    return _verify_stack(pts.reshape(-1, d), signs.ravel(), [schedule] * count, [n] * count)
 
 
 def results_bits(results):
@@ -177,16 +177,16 @@ def test_verify_stack_matches_each_cell_alone(stack, block):
 
 
 @st.composite
-def small_cell_stacks(draw):
-    """1-10 cells of 1..N_MIN - 1 points each, of any mix of sizes, in
-    d = 1..3, with their colorings: cells of one (fallback) schedule. Rows
-    come from small pools (duplicates), and coordinates include the cell
-    boundary +-1 and +-0.0."""
+def ragged_cell_stacks(draw):
+    """1-10 cells of 1..40 points each, of any mix of sizes on both sides
+    of N_MIN, in d = 1..3, with their colorings. Rows come from small pools
+    (duplicates), and coordinates include the cell boundary +-1 and
+    +-0.0."""
     d = draw(st.integers(1, 3))
     coord = st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(-1.0, 1.0))
     cells = []
     for _ in range(draw(st.integers(1, 10))):
-        n = draw(st.integers(1, N_MIN - 1))
+        n = draw(st.integers(1, 40))
         pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=n))
         picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
         cells.append(np.asarray([pool[i] for i in picks]))
@@ -195,30 +195,51 @@ def small_cell_stacks(draw):
     return cells, signs
 
 
+def grid_shape(schedule):
+    return tuple(grid.axes()[0].size for grid, _ in schedule.verification_levels)
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_cell_stacks(), st.sampled_from([None, 64, 3000]), st.booleans())
+@given(ragged_cell_stacks(), st.sampled_from([None, 64, 3000]), st.booleans())
+@example(([np.linspace(-1.0, 1.0, 16)[:, None], np.linspace(-0.5, 1.0, 17)[:, None],
+           np.zeros((3, 1))], [np.resize([1, -1], 16), np.resize([-1, 1], 17), np.ones(3)]),
+         None, True)
 def test_ragged_small_cell_stack_matches_each_cell_alone(stack, block, in_ball):
-    # Cells of every size below N_MIN share one schedule and so one stack:
-    # each gets the (passed, ratio, imbalance) verify gives it alone, bit
-    # for bit, in chunks (a small _BLOCK_ELEMS) or not, with the floor
-    # scan skipped (in_ball) or run.
+    # Cells whose schedules have one grid shape form one stack, in
+    # ascending size, each checked on its own schedule's grid and
+    # thresholds: each gets the (passed, ratio, imbalance) verify gives it
+    # alone, bit for bit, in chunks (a small _BLOCK_ELEMS) or not, with the
+    # floor scan skipped (in_ball) or run. Below N_MIN every size shares one
+    # schedule; in d = 2, 3 every size here has one shape, in d = 1 shapes
+    # differ (the example's 16 and 17 points), and so do the groups.
     cells, signs = stack
     d = cells[0].shape[1]
     cst = small_constants(d, budget=300)
-    sch = build_schedule(len(cells[0]), d, cst)
-    assert all(build_schedule(len(c), d, cst) is sch for c in cells)
+    sizes = [len(c) for c in cells]
+    schedules = [build_schedule(n, d, cst) for n in sizes]
+    groups = colorizer._schedule_groups(sizes, d, cst)
+    assert len(groups) == len({grid_shape(s) for s in schedules})
+    assert sorted(i for _, group in groups for i in group) == list(range(len(cells)))
+    got = [None] * len(cells)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
-        got = _verify_stack(np.concatenate(cells), np.concatenate(signs), sch,
-                            [len(c) for c in cells], in_ball=in_ball)
-        alone = [verify(c, s, sch) for c, s in zip(cells, signs)]
+        for group_schedules, group in groups:
+            assert [sizes[i] for i in group] == sorted(sizes[i] for i in group)
+            assert group_schedules == [schedules[i] for i in group]
+            assert len({grid_shape(s) for s in group_schedules}) == 1
+            checked = _verify_stack(np.concatenate([cells[i] for i in group]),
+                                    np.concatenate([signs[i] for i in group]), group_schedules,
+                                    [sizes[i] for i in group], in_ball=in_ball)
+            for i, result in zip(group, checked):
+                got[i] = result
+        alone = [verify(c, s, sch) for c, s, sch in zip(cells, signs, schedules)]
     assert results_bits(got) == results_bits(alone)
 
 
 def test_verify_stack_chunked(monkeypatch):
     # With _BLOCK_ELEMS at 5000, a d = 2 cell of 20 points on a 17 x 17
-    # grid needs 2 * 289 + 20 * 34 = 1258 floats, so 30 cells go in chunks
+    # grid needs 3 * 289 + 20 * 34 = 1547 floats, so 30 cells go in chunks
     # of 3; each chunk's tables and products keep the unpatched shapes.
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(30, 20, 2))

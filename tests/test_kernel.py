@@ -343,7 +343,8 @@ def test_lattice_tables_stack_matches_each_set(data, block):
 def test_lattice_tables_ragged_sets_match_each_set(data, block):
     # Sets of any sizes, given as flat rows plus per-set counts: each set's
     # sums are its own sums bit for bit, also where sets merge to different
-    # row counts and where tables are built in blocks; inverse is flat.
+    # row counts, where tables are built in blocks, and where each set has
+    # its own grid of one shape (7 points per axis); inverse is flat.
     sets = [data.draw(repeated_rows())]
     d = sets[0].shape[1]
     for _ in range(data.draw(st.integers(0, 6))):
@@ -353,14 +354,21 @@ def test_lattice_tables_ragged_sets_match_each_set(data, block):
     flat = np.concatenate(sets)
     signs = np.asarray(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(flat),
                                           max_size=len(flat))))
-    grid = Grid(0.5, 2.0, d).coarsened(400)
+    if data.draw(st.booleans()):
+        grid = grids = Grid(0.5, 2.0, d).coarsened(400)
+    else:
+        widths = data.draw(st.lists(st.sampled_from([0.25, 0.5, 0.7]), min_size=len(sets),
+                                    max_size=len(sets)))
+        grids = [Grid(w, 3.0 * w, d) for w in widths]
+        grid = grids[0]
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
-        tables = LatticeTables(flat, grid, counts)
+        tables = LatticeTables(flat, grids, counts)
         got = tables.sum(signs)
-        alone = [LatticeTables(pts, grid).sum(sigma)
-                 for pts, sigma in zip(sets, np.split(signs, np.cumsum(counts)[:-1]))]
+        alone = [LatticeTables(pts, one).sum(sigma) for pts, one, sigma in zip(
+            sets, grids if isinstance(grids, list) else [grids] * len(sets),
+            np.split(signs, np.cumsum(counts)[:-1]))]
     assert tables.inverse.shape == (len(flat),)
     assert np.all(tables.rows[tables.inverse] == flat)
     assert got.shape == (len(sets), grid.count())
@@ -373,6 +381,14 @@ def test_lattice_tables_rejects_counts_that_do_not_split_the_points():
     for counts in ([2, 2], [4], [], [3, 0, 2], [6, -1]):
         with pytest.raises(ValueError, match="do not split"):
             LatticeTables(np.zeros((5, 2)), grid, counts)
+
+
+def test_lattice_tables_rejects_grids_of_other_shapes_or_counts():
+    pts, counts = np.zeros((5, 2)), [2, 3]
+    with pytest.raises(ValueError, match="one shape"):
+        LatticeTables(pts, [Grid(0.5, 1.0, 2), Grid(0.5, 1.5, 2)], counts)
+    with pytest.raises(ValueError, match="expected one grid or 2 grids"):
+        LatticeTables(pts, [Grid(0.5, 1.0, 2), Grid(0.4, 0.8, 2), Grid(0.5, 1.0, 2)], counts)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
