@@ -51,7 +51,7 @@ DEFAULT_RETRY_BUDGET = 64
 # Cap on the floats of one stack chunk's checks (6 MB). Stacks hold cells
 # of every size of one grid shape, big cells' tables beside small cells'
 # discrepancies; at 6 MB the traced peak of verifying the benchmark's
-# spread_cells artifact is 4.1 MB, at 8 MB 5.1 MB.
+# spread_cells artifact is 3.7 MB, at 8 MB 4.4 MB.
 _STACK_ELEMS = 3 << 18
 
 
@@ -145,10 +145,11 @@ def _cell_runs(pts):
 
 
 def _cell_tables(points_centered, schedules, counts, in_ball):
-    # The per-axis tables depend on the cells' points and grids (each
-    # cell's schedule's), not on the signs: built once per stack, then each
-    # check is one matrix product per level. in_ball: the points are cells
-    # centered by partition, so within the unit ball.
+    # The merged rows depend on the cells' points and grids (each cell's
+    # schedule's), not on the signs: merged once per stack, then each
+    # check builds its tables and takes one matrix product per level.
+    # in_ball: the points are cells centered by partition, so within the
+    # unit ball.
     return [LatticeTables(points_centered, [grid for grid, _ in level], counts, _in_ball=in_ball)
             for level in zip(*(s.verification_levels for s in schedules))]
 

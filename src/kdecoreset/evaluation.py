@@ -163,7 +163,9 @@ def linf_error(points_p, points_q, grid=None, resolution=None, budget=DEFAULT_EV
 
 def _gap(p, q, axes):
     """|KDE_P - KDE_Q| on the lattice of the per-axis coordinates `axes`."""
-    return np.abs(lattice_kde(p, axes) - lattice_kde(q, axes))
+    diff = lattice_kde(p, axes)
+    diff -= lattice_kde(q, axes)
+    return np.abs(diff, out=diff)
 
 
 def truncation_order(n, d):

@@ -135,21 +135,19 @@ class LatticeTables:
 
     `points` is one (n, d) set; or, with `counts`, C sets of counts[c] >= 1
     points each, their rows one set after another (ragged sets, of any
-    sizes); or a stack of C sets of equal size, (C, n, d). The sets share
-    the work: one broadcast exp per axis builds their tables in a
-    (C, 2k + 1, m) layout, and one stacked matrix product contracts them.
-    Sets are stacked only with sets that merge to the same row count m, so
-    each keeps the matrix shapes it has alone and its sums are the same bit
-    for bit as in a set of one (padding to a common m would change them).
-    For several sets, rows holds every set's merged rows in turn, and
-    inverse is (C, n) for a stack and flat for ragged sets.
+    sizes). The sets share the work: one broadcast exp per axis builds
+    their tables in a (C, 2k + 1, m) layout, and one stacked matrix product
+    contracts them. Sets are stacked only with sets that merge to the same
+    row count m, so each keeps the matrix shapes it has alone and its sums
+    are the same bit for bit as in a set of one (padding to a common m
+    would change them). For several sets, rows holds every set's merged
+    rows in turn, and inverse is flat.
 
-    Tables are built in blocks of at most _BLOCK_ELEMS floats: as many
-    whole sets as fit, or one set's rows in chunks whose sums are added.
-    Tables that fit in one block are kept, so one instance serves any
-    number of weight vectors at one matrix product each; otherwise each
-    sum() rebuilds them block by block, so memory stays bounded for any C,
-    n and k.
+    The instance keeps the merged rows, not tables: each sum() builds its
+    own, in blocks of at most _BLOCK_ELEMS floats (as many whole sets as
+    fit, or one set's rows in chunks whose sums are added), and folds the
+    weights into them in place. So memory stays bounded for any C, n and
+    k, and any number of weight vectors can be summed, one after another.
     """
 
     __slots__ = ("axes", "rows", "inverse", "_one", "_floor", "_per_block", "_groups")
@@ -171,12 +169,8 @@ class LatticeTables:
             grids, distinct = [grid], grid
             self.axes = [np.asarray(axis, dtype=np.float64)[None] for axis in grid]
         self._floor = _table_floor(distinct, len(self.axes), _in_ball)
-        pts = np.asarray(points, dtype=np.float64)
-        stacked = pts.ndim == 3
-        self._one = counts is None and not stacked
-        flat = as_points(pts.reshape(-1, pts.shape[2]) if stacked else pts, dim=len(self.axes))
-        if stacked:
-            counts = [pts.shape[1]] * pts.shape[0]
+        self._one = counts is None
+        flat = as_points(points, dim=len(self.axes))
         if counts is not None:
             sizes = np.asarray(counts, dtype=np.intp)
             if sizes.ndim != 1 or not sizes.size or sizes.min() < 1 or sizes.sum() != len(flat):
@@ -198,13 +192,11 @@ class LatticeTables:
         self.rows = ranked[new]
         self.inverse = np.empty(order.size, dtype=np.intp)
         self.inverse[order] = merged
-        if stacked:
-            self.inverse = self.inverse.reshape(pts.shape[:2])
         self._per_block = max(1, _BLOCK_ELEMS // sum(axis.shape[1] for axis in self.axes))
         # Sets with one merged row count m form a group: their set
         # positions, the (c, m) indices of their merged rows (None when one
-        # group holds every set in order), those rows (c, m, d), their
-        # axes, and their tables when these fit in one block.
+        # group holds every set in order), those rows (c, m, d) and their
+        # axes.
         if cells > 1:
             first = merged[starts]
             counts = np.diff(first, append=self.rows.shape[0])
@@ -217,11 +209,8 @@ class LatticeTables:
                 sets = np.flatnonzero(counts == m)
                 index = first[sets, None] + np.arange(m)
                 groups.append((sets, index, self.rows[index]))
-        self._groups = []
-        for sets, index, rows in groups:
-            axes = _pick(self.axes, sets)
-            self._groups.append((sets, index, rows, axes, self._build(rows, axes)
-                                 if rows[..., 0].size <= self._per_block else None))
+        self._groups = [(sets, index, rows, _pick(self.axes, sets))
+                        for sets, index, rows in groups]
 
     def _build(self, rows, axes=None):
         """Tables (c, 2k + 1, m) per axis of a (c, m, d) stack of rows on
@@ -241,7 +230,7 @@ class LatticeTables:
     def sum(self, weights):
         """sum_p w_p exp(-||s - p||^2) at every grid point s, in
         Grid.points() order: shape (G,) for one set's (n,) weights, or
-        (C, G) for several sets' weights, shaped as inverse is."""
+        (C, G) for the flat weights of several sets."""
         out = None
         for sets, part in self._group_sums(weights):
             if isinstance(sets, slice):
@@ -258,16 +247,13 @@ class LatticeTables:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != self.inverse.shape:
             raise ValueError(f"expected weights of shape {self.inverse.shape}, got shape {w.shape}")
-        merged = np.bincount(self.inverse.reshape(-1), weights=w.reshape(-1),
-                             minlength=self.rows.shape[0])
-        for sets, index, rows, axes, tables in self._groups:
+        merged = np.bincount(self.inverse, weights=w, minlength=self.rows.shape[0])
+        for sets, index, rows, axes in self._groups:
             part = merged.reshape(rows.shape[:2]) if index is None else merged[index]
-            yield sets, self._group_sum(rows, axes, tables, part)
+            yield sets, self._group_sum(rows, axes, part)
 
-    def _group_sum(self, rows, axes, tables, merged):
-        """_contract of one group, on its kept tables or block by block."""
-        if tables is not None:
-            return _contract(tables, merged)
+    def _group_sum(self, rows, axes, merged):
+        """_contract of one group, on tables built block by block."""
         cells, m = merged.shape
         step = max(1, self._per_block // m)
         parts = []
@@ -278,7 +264,9 @@ class LatticeTables:
                 part = _contract(self._build(rows[block], _pick(axes, block[0])), merged[block])
                 acc = part if acc is None else acc + part
             parts.append(acc)
-        return np.concatenate(parts)
+        # One part is the result as it is: a concatenated copy of it would
+        # double the group's peak.
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _pick(axes, sets):
@@ -317,7 +305,9 @@ def lattice_kde(points, grid):
     """KDE of `points` at every point of `grid` (a Grid or per-axis
     coordinates), in Grid.points() order."""
     pts = as_points(points)
-    return lattice_sum(pts, np.ones(pts.shape[0]), grid) / pts.shape[0]
+    out = lattice_sum(pts, np.ones(pts.shape[0]), grid)
+    out /= pts.shape[0]
+    return out
 
 
 def _contract(tables, w):
@@ -331,6 +321,9 @@ def _contract(tables, w):
     item's product would exceed _BLOCK_ELEMS floats, are looped over, each
     outer index scaling the inner block by its row of weights. Items are
     taken in chunks whose inner blocks hold at most _BLOCK_ELEMS floats.
+    With no outer loop the weights are folded into the inner block in
+    place, so the tables are the caller's to give up: the first inner
+    table is overwritten. At d = 1 the weights are the inner block.
     """
     *lead, last = tables
     cells, m = w.shape
@@ -347,7 +340,7 @@ def _contract(tables, w):
     for start in range(0, cells, step):
         items = slice(start, start + step)
         # The first inner table starts the product as it is, uncopied.
-        inner = lead[split][items] if split < len(lead) else np.ones((1, 1, m))
+        inner = lead[split][items] if split < len(lead) else None
         for t in lead[split + 1:]:
             inner = (inner[:, :, None, :] * t[items, None, :, :]).reshape(inner.shape[0], -1, m)
         last_t = last[items].transpose(0, 2, 1)
@@ -355,7 +348,12 @@ def _contract(tables, w):
             scale = w[items, None, :]
             for t, i in zip(lead, index):
                 scale = scale * t[items, None, i]
-            product = (inner * scale) @ last_t
+            if inner is None:
+                product = scale @ last_t
+            elif outer:  # the inner block serves every outer index
+                product = (inner * scale) @ last_t
+            else:
+                product = np.multiply(inner, scale, out=inner) @ last_t
             if whole:
                 return product.reshape(cells, -1)
             out[(items,) + index] = product

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from kdecoreset.evaluation import linf_error
 from kdecoreset.schedule import N_MIN, Constants, build_schedule, default_constants
 
 import naive
+from tracing import traced_peak
 
 
 def write_csv(path, pts, header=None):
@@ -792,19 +792,16 @@ def test_verify_memory_bounded_on_spread_data(tmp_path, capsys):
     # 4096 normal(0, 5) points halved to 512 (the benchmark's spread_cells
     # artifact): 808 cells in 4 rounds, 663 of them below N_MIN, all of one
     # grid shape and so checked as one stack. In chunks, verify's traced
-    # peak is 4.1 MB; with a round's small cells in one unchunked stack it
+    # peak is 3.7 MB; with a round's small cells in one unchunked stack it
     # was 5.9 MB.
     path = tmp_path / "spread.csv"
     write_csv(path, np.random.default_rng(0).normal(0.0, 5.0, (4096, 2)))
     coreset = tmp_path / "spread.json"
     assert main(["build", "--input", str(path), "--output", str(coreset),
                  "--target-size", "512", "--seed", "0"]) == 0
-    tracemalloc.start()
-    try:
-        assert main(["verify", "--input", str(path), "--coreset", str(coreset)]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    args = ["verify", "--input", str(path), "--coreset", str(coreset)]
+    code, peak = traced_peak(lambda: main(args))
+    assert code == 0
     assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
     assert "round 3: pass" in capsys.readouterr().out
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from kdecoreset.schedule import build_schedule, default_constants
 from kdecoreset.walk import gsw_color
 
 import naive
+from tracing import traced_peak
 
 
 def small_constants(d, budget=400):
@@ -265,12 +265,7 @@ def test_verify_stack_memory_bounded():
     pts = rng.uniform(-1, 1, size=(4000, 20, 2))
     signs = rng.choice([-1, 1], size=(4000, 20))
     sch = build_schedule(20, 2, default_constants(2))
-    tracemalloc.start()
-    try:
-        got = stacked(pts, signs, sch)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: stacked(pts, signs, sch))
     assert peak < 150e6, f"peak {peak / 1e6:.0f} MB"
     assert results_bits(got[::997]) == results_bits(
         [verify(p, s, sch) for p, s in zip(pts[::997], signs[::997])])
@@ -606,12 +601,7 @@ def test_color_all_memory_bounded():
     rng = np.random.default_rng(12)
     sites = 2.0 * np.stack([np.arange(2500) % 50, np.arange(2500) // 50], axis=1)
     pts = (rng.uniform(-0.95, 0.95, size=(2500, 3, 2)) + sites[:, None, :]).reshape(-1, 2)
-    tracemalloc.start()
-    try:
-        _, reports = color_all(pts, default_constants(2), seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (_, reports), peak = traced_peak(lambda: color_all(pts, default_constants(2), seed=1))
     assert peak < 60e6, f"peak {peak / 1e6:.0f} MB"
     seeds = np.random.SeedSequence(1).spawn(2500)
     assert [report_fields(r) for r in reports[::499]] == [

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,6 +10,7 @@ from kdecoreset.decomp import augment, build_gram, kernel_factor, psd_factor
 from kdecoreset.schedule import Grid, build_schedule
 
 import naive
+from tracing import traced_peak
 
 
 def test_gram_diagonal_is_one():
@@ -232,12 +232,7 @@ def test_kernel_factor_dense_path_bit_identical(pts):
 def test_kernel_factor_memory_bounded_20k():
     # The dense path would need 3.2 GB for the 20,000^2 Gram alone.
     pts = _cell(np.random.default_rng(20), 20_000, 2, 0.5)
-    tracemalloc.start()
-    try:
-        f = kernel_factor(pts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    f, peak = traced_peak(lambda: kernel_factor(pts))
     assert peak <= 300e6
     assert f.columns.shape[1] == 20_000
     assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 1e-9
@@ -278,11 +273,6 @@ def test_kernel_factor_stack_memory_bounded():
     # 1000 cells of 60 points: their Grams and distance temporaries at once
     # would take 86 MB at d = 2; in chunks of 18 cells the peak is 2.2 MB.
     stack = np.random.default_rng(21).uniform(-1, 1, size=(1000, 60, 2))
-    tracemalloc.start()
-    try:
-        ranks = [f.dim_m for f in kernel_factor(stack)]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ranks, peak = traced_peak(lambda: [f.dim_m for f in kernel_factor(stack)])
     assert peak <= 10e6, f"peak {peak / 1e6:.1f} MB"
     assert ranks == [kernel_factor(cell).dim_m for cell in stack]

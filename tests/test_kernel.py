@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from kdecoreset.kernel import (LatticeTables, _sq_dists, _table_floor, as_colori
 from kdecoreset.schedule import Grid, build_schedule
 
 import naive
+from tracing import traced_peak
 
 
 def gauss(x, y):
@@ -282,10 +282,11 @@ def test_lattice_sum_cancelling_duplicates_exact(case, rnd):
 
 
 @st.composite
-def repeated_rows(draw):
-    """Point sets in d = 1..6 drawn from a few distinct rows, so most rows
-    repeat; coordinates include +-0.0 and +-1, optionally offset by ~1e3."""
-    d = draw(st.integers(1, 6))
+def repeated_rows(draw, max_d=6):
+    """Point sets in d = 1..max_d drawn from a few distinct rows, so most
+    rows repeat; coordinates include +-0.0 and +-1, optionally offset by
+    ~1e3."""
+    d = draw(st.integers(1, max_d))
     coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-1.0, 1.0))
     pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
@@ -313,26 +314,27 @@ def test_lattice_tables_rows_match_unique(pts):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.sampled_from([None, 40, 300, 3000]))
 def test_lattice_tables_stack_matches_each_set(data, block):
-    # A stack's sums are each set's own sums bit for bit, also where the
-    # sets merge to different row counts and where the tables are built in
-    # blocks (a small _BLOCK_ELEMS); rows[inverse] gives back the points.
+    # Sets of one size, given as flat rows plus per-set counts: their sums
+    # are each set's own sums bit for bit, also where the sets merge to
+    # different row counts and where the tables are built in blocks (a
+    # small _BLOCK_ELEMS); rows[inverse] gives back the points.
     sets = [data.draw(repeated_rows())]
     n, d = sets[0].shape
     for _ in range(data.draw(st.integers(0, 5))):
         sets.append(np.resize(data.draw(repeated_rows()), (n, d)))
-    stack = np.stack(sets)
+    flat = np.concatenate(sets)
     signs = np.asarray(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
-                                          min_size=stack[..., 0].size,
-                                          max_size=stack[..., 0].size))).reshape(len(sets), n)
+                                          min_size=len(flat),
+                                          max_size=len(flat)))).reshape(len(sets), n)
     grid = Grid(0.5, 2.0, d).coarsened(400)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
-        tables = LatticeTables(stack, grid)
-        got = tables.sum(signs)
+        tables = LatticeTables(flat, grid, [n] * len(sets))
+        got = tables.sum(signs.reshape(-1))
         alone = [LatticeTables(pts, grid).sum(sigma) for pts, sigma in zip(sets, signs)]
-    assert tables.inverse.shape == (len(sets), n)
-    assert np.all(tables.rows[tables.inverse] == stack)
+    assert tables.inverse.shape == (len(flat),)
+    assert np.all(tables.rows[tables.inverse] == flat)
     assert got.shape == (len(sets), grid.count())
     for row, one in zip(got, alone):
         assert row.tobytes() == one.tobytes()
@@ -374,6 +376,35 @@ def test_lattice_tables_ragged_sets_match_each_set(data, block):
     assert got.shape == (len(sets), grid.count())
     for row, one in zip(got, alone):
         assert row.tobytes() == one.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.booleans(), st.sampled_from([None, 40]))
+def test_lattice_tables_sum_again_matches_a_fresh_instance(data, ragged, block):
+    # Each sum builds its own tables and folds the weights into them in
+    # place, so one instance summed with weights A, then B, then A again
+    # gives what a fresh instance gives each time, bit for bit: no sum
+    # sees tables that an earlier one scaled.
+    sets = [data.draw(repeated_rows(max_d=3))]
+    d = sets[0].shape[1]
+    if ragged:
+        for _ in range(data.draw(st.integers(1, 4))):
+            more = data.draw(repeated_rows(max_d=3))
+            sets.append(np.resize(more, (more.shape[0], d)))
+    flat = np.concatenate(sets)
+    counts = [len(pts) for pts in sets] if ragged else None
+    weights = st.lists(st.sampled_from([-1.0, 1.0, 0.5, 3.0]), min_size=len(flat),
+                       max_size=len(flat))
+    a, b = np.asarray(data.draw(weights)), np.asarray(data.draw(weights))
+    grid = Grid(0.5, 2.0, d).coarsened(400)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
+        tables = LatticeTables(flat, grid, counts)
+        got = [tables.sum(w) for w in (a, b, a)]
+        fresh = [LatticeTables(flat, grid, counts).sum(w) for w in (a, b, a)]
+    for again, first in zip(got, fresh):
+        assert again.tobytes() == first.tobytes()
 
 
 def test_lattice_tables_rejects_counts_that_do_not_split_the_points():
@@ -478,12 +509,7 @@ def test_lattice_sum_memory_bounded(n, d, spread):
     else:
         pts = rng.normal(0, 5, size=(n, d))
     grid = build_query_grid(pts, budget=131072)
-    tracemalloc.start()
-    try:
-        got = lattice_sum(pts, np.ones(n), grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: lattice_sum(pts, np.ones(n), grid))
     assert peak < 200e6, f"peak {peak / 1e6:.0f} MB"
     sample = rng.choice(grid.count(), size=40, replace=False)
     expect = kernel_sum(pts, np.ones(n), grid.points()[sample])
