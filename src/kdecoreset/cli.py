@@ -445,7 +445,7 @@ def _check_rounds(read, d, constants):
         # The group's rows: each cell's run of rows, up to its end.
         rows = np.repeat(ends[group] - np.cumsum(counts), counts) + np.arange(counts.sum())
         for cno, result in zip(group, _verify_stack(centered[rows], accepted[rows], schedules,
-                                                     counts.tolist(), in_ball=True)):
+                                                     counts.tolist())):
             checked[cno] = result
     bounds = [0, *accumulate(len(rnd[2]) for rnd in read)]
     return [checked[a:b] for a, b in zip(bounds, bounds[1:])]

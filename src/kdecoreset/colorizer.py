@@ -12,16 +12,15 @@ coordinates, and the kernel is tabulated per grid axis.
 Cells are independent (seeds are split per cell, in lexicographic center
 order, which is also the report order), so cells whose schedules have one
 grid shape (level count and per-level axis lengths; under the default
-grid budget, every size in one dimension) are colored as a stack, in
-ascending size and in chunks of bounded memory. Each cell keeps its own
-schedule's grid coordinates and thresholds, and the cells share one
-broadcast per table and one stacked matrix product per level, one check
-of every first walk attempt, and one dense factorization per chunk of
-cells with one unpaired count. Walks stay per cell, and cells whose first
-attempt fails are retried afterwards in center order, each retry an
-attempt on a stack of one. Re-verification (_verify_stack) checks stacks
-of one grid shape the same way. Each cell's result is the one it gets
-alone, bit for bit.
+grid budget, every size in one dimension) are colored as one stack, in
+ascending size. Each cell keeps its own schedule's grid coordinates and
+thresholds, and the cells share one LatticeTables per level (whose
+blocks bound the stack's memory), one check of every first walk
+attempt, and one stacked dense factorization of the cells with one
+unpaired count. Walks stay per cell, and cells whose first attempt fails
+are retried afterwards in center order, each retry an attempt on a stack
+of one. Re-verification (_verify_stack) checks stacks of one grid shape
+the same way. Each cell's result is the one it gets alone, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
-from . import kernel
 from .decomp import augment, kernel_factor
 from .kernel import LatticeTables, as_coloring, as_points
 from .schedule import build_schedule
@@ -47,12 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_RETRY_BUDGET = 64
-
-# Cap on the floats of one stack chunk's checks (6 MB). Stacks hold cells
-# of every size of one grid shape, big cells' tables beside small cells'
-# discrepancies; at 6 MB the traced peak of verifying the benchmark's
-# spread_cells artifact is 3.7 MB, at 8 MB 4.4 MB.
-_STACK_ELEMS = 3 << 18
 
 
 class ColoringFailure(RuntimeError):
@@ -144,13 +136,11 @@ def _cell_runs(pts):
     return ranked[starts], order, np.diff(starts, append=len(pts))
 
 
-def _cell_tables(points_centered, schedules, counts, in_ball):
+def _cell_tables(points_centered, schedules, counts):
     # The merged rows depend on the cells' points and grids (each cell's
     # schedule's), not on the signs: merged once per stack, then each
     # check builds its tables and takes one matrix product per level.
-    # in_ball: the points are cells centered by partition, so within the
-    # unit ball.
-    return [LatticeTables(points_centered, [grid for grid, _ in level], counts, _in_ball=in_ball)
+    return [LatticeTables(points_centered, [grid for grid, _ in level], counts)
             for level in zip(*(s.verification_levels for s in schedules))]
 
 
@@ -160,19 +150,19 @@ def _check(sigma, counts, schedules, tables):
     its schedule's thresholds, on the stack's tables; a list in stack
     order."""
     ratio = None
-    positions = np.arange(len(counts))
     for level, table in enumerate(tables):
         thresholds = [s.verification_levels[level][1] for s in schedules]
         worst = np.empty(len(counts))
-        for sets, disc in table._group_sums(sigma):
+        for sets, disc in table.blocks(sigma):
             np.abs(disc, out=disc)
             # Each run of cells of one schedule divides by its thresholds.
             row = 0
-            for _, run in groupby([thresholds[i] for i in positions[sets].tolist()], key=id):
+            for _, run in groupby([thresholds[i] for i in sets.tolist()], key=id):
                 run = list(run)
                 disc[row:row + len(run)] /= run[0]
                 row += len(run)
             worst[sets] = disc.max(axis=-1)
+            del disc  # not alive while the next block is summed
         ratio = worst if ratio is None else np.maximum(ratio, worst)
     c_big = schedules[0].constants.c_big
     imbalance = np.add.reduceat(sigma, [0, *accumulate(counts[:-1])])
@@ -215,34 +205,12 @@ def _schedule_groups(sizes, d, constants):
     return list(groups.values())
 
 
-def _stack_chunks(counts, schedule):
-    """Slices of consecutive cells, of `counts` points each, that form one
-    stack chunk: as many cells as hold at most _STACK_ELEMS floats (and no
-    more than _BLOCK_ELEMS) of discrepancies, matrix-product results,
-    thresholds and tables together, 3 G + n * (sum of axis sizes) per cell
-    of n points on the largest grid, of G points, of `schedule`'s grid
-    shape (a cell's thresholds count in full, though cells of one schedule
-    share theirs); at least one cell."""
-    grid, thresholds = max(schedule.verification_levels, key=lambda level: level[1].size)
-    fixed, per_point = 3 * thresholds.size, grid.dim * (2 * grid.axis_steps() + 1)
-    budget = min(_STACK_ELEMS, kernel._BLOCK_ELEMS)
-    chunks, start, used = [], 0, 0
-    for i, n in enumerate(counts):
-        cost = fixed + n * per_point
-        if i > start and used + cost > budget:
-            chunks.append(slice(start, i))
-            start, used = i, 0
-        used += cost
-    return chunks + [slice(start, len(counts))] if len(counts) else []
-
-
-def _verify_stack(points_centered, signs, schedules, counts, in_ball=False):
+def _verify_stack(points_centered, signs, schedules, counts):
     """verify for a stack of cells: points (N, d) and signs (N,) of cells
     of `counts` points one after another, each checked against its
     schedule in the list `schedules`, all of one grid shape. Returns each
     cell's (passed, max_ratio, imbalance), in stack order. The cells share
-    each level's LatticeTables, in chunks of _stack_chunks. in_ball: every
-    point lies in the unit sup-norm ball, as partition's centered cells do.
+    each level's LatticeTables.
     """
     pts = np.asarray(points_centered, dtype=np.float64)
     sigma = as_coloring(np.ravel(signs))
@@ -252,13 +220,7 @@ def _verify_stack(points_centered, signs, schedules, counts, in_ball=False):
     counts = list(counts)
     if not counts:
         return []
-    starts = [0, *accumulate(counts)]
-    results = []
-    for part in _stack_chunks(counts, schedules[0]):
-        rows = slice(starts[part.start], starts[part.stop])
-        results += _check(sigma[rows], counts[part], schedules[part],
-                          _cell_tables(pts[rows], schedules[part], counts[part], in_ball))
-    return results
+    return _check(sigma, counts, schedules, _cell_tables(pts, schedules, counts))
 
 
 def _pair_duplicates(group):
@@ -328,17 +290,15 @@ def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET)
         raise ValueError("cannot color an empty cell")
     pts = np.asarray(points, dtype=np.float64)
     as_points(pts[cell.members])
-    return _color_cells([cell], pts, constants, [seed], retry_budget, False)[0]
+    return _color_cells([cell], pts, constants, [seed], retry_budget)[0]
 
 
-def _attempt(cells, points, schedules, roots, in_ball):
+def _attempt(cells, points, schedules, roots):
     """One attempt at each of a stack of cells of one grid shape, each
     checked against its schedule in `schedules`: a walk with the root's
     next split for a cell left with more than two unpaired points, the
     fixed coloring for the others. Returns each cell's
-    (signs, unpaired positions, (passed, max_ratio, imbalance)). in_ball:
-    the cells come from partition, so their centered members lie in the
-    unit sup-norm ball.
+    (signs, unpaired positions, (passed, max_ratio, imbalance)).
 
     The cells share one LatticeTables per level, whose inverse rows give
     their duplicate pairing, and one _check; walked cells with one
@@ -349,7 +309,7 @@ def _attempt(cells, points, schedules, roots, in_ball):
     centers = np.array([cell.center for cell in cells], dtype=np.float64)
     pts = (points[np.concatenate([cell.members for cell in cells])]
            - np.repeat(centers, counts, axis=0))
-    tables = _cell_tables(pts, schedules, counts, in_ball)
+    tables = _cell_tables(pts, schedules, counts)
     inverse = tables[0].inverse
     paired = [_pair_duplicates(inverse[a:b]) for a, b in zip(starts, starts[1:])]
     sigma = np.concatenate([signs for signs, _ in paired])
@@ -371,15 +331,15 @@ def _attempt(cells, points, schedules, roots, in_ball):
             in zip(starts, starts[1:], paired, _check(sigma, counts, schedules, tables))]
 
 
-def _color_cells(cells, points, constants, seeds, retry_budget, in_ball):
+def _color_cells(cells, points, constants, seeds, retry_budget):
     """color_cell of each of `cells` with its seed, in order; `points` is
-    the float64 array their members index into, and in_ball is _attempt's.
+    the float64 array their members index into.
 
-    First attempts go in stack chunks (_stack_chunks) of cells of one grid
-    shape, by ascending size. Cells whose first attempt fails are retried
-    afterwards in the order of `cells`, one at a time and one attempt per
-    stack of one, so the first to exhaust its budget raises what it raises
-    alone. The accepted colorings' balance flips are taken as one batch.
+    First attempts go in one stack per grid shape, by ascending size.
+    Cells whose first attempt fails are retried afterwards in the order of
+    `cells`, one at a time and one attempt per stack of one, so the first
+    to exhaust its budget raises what it raises alone. The accepted
+    colorings' balance flips are taken as one batch.
     """
     if retry_budget < 1:
         raise ValueError(f"retry budget must be at least 1, got {retry_budget}")
@@ -389,10 +349,8 @@ def _color_cells(cells, points, constants, seeds, retry_budget, in_ball):
     sizes = [cell.members.size for cell in cells]
     first = {}
     for schedules, group in _schedule_groups(sizes, d, constants):
-        for part in _stack_chunks([sizes[i] for i in group], schedules[0]):
-            ids = group[part]
-            first.update(zip(ids, _attempt([cells[i] for i in ids], points, schedules[part],
-                                           [roots[i] for i in ids], in_ball)))
+        first.update(zip(group, _attempt([cells[i] for i in group], points, schedules,
+                                         [roots[i] for i in group])))
     accepted = []
     for i, cell in enumerate(cells):
         signs, rest, (passed, ratio, imbalance) = first.pop(i)
@@ -404,7 +362,7 @@ def _color_cells(cells, points, constants, seeds, retry_budget, in_ball):
             if retries == budget:
                 raise ColoringFailure(cell.center, sizes[i], budget, schedule.constants, ratio)
             [(signs, _, (passed, ratio, imbalance))] = _attempt([cell], points, [schedule],
-                                                                [roots[i]], in_ball)
+                                                                [roots[i]])
         accepted.append((signs, retries, ratio, imbalance))
     positions, flips = balance_flips(np.concatenate([signs for signs, *_ in accepted]), sizes)
     reports = []
@@ -440,7 +398,7 @@ def color_all(points, constants=None, seed=0, retry_budget=DEFAULT_RETRY_BUDGET)
     pts = as_points(points)
     cells = partition(pts)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    reports = _color_cells(cells, pts, constants, root.spawn(len(cells)), retry_budget, True)
+    reports = _color_cells(cells, pts, constants, root.spawn(len(cells)), retry_budget)
     signs = np.zeros(pts.shape[0], dtype=np.int64)
     for report in reports:
         signs[report.members] = report.coloring

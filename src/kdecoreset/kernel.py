@@ -13,13 +13,16 @@ Lattice tables set every entry below tiny^(1/d) (2^-511 at d = 2, with
 tiny = 2^-1022 the smallest normal float) to exactly 0. So no subnormal
 operand, and no subnormal product of d entries, reaches the BLAS
 contraction, where subnormal arithmetic runs many times slower on x86.
-The floor changes no verification table for d <= 6: a cell's
-points lie within 1 of its center and its grids within sqrt(3 ln n) + 3,
-so each per-axis exponent is at most (sqrt(3 ln n) + 4)^2 <= 115.4 for
-cells of up to e^(e^e) ~ 3.8 million points, below 708/6. So where the
-caller knows its rows lie in the unit ball (the colorizer's centered
-cells) and the Grid's extent proves the bound, the tables skip the floor's
-scan; eval lattices and other rows keep it.
+Where the data prove that no entry falls that low, the tables skip the
+floor's scan: with reach the largest |lattice coordinate| plus the largest
+|row coordinate|, every per-axis exponent is at most reach^2, so the scan
+is skipped when reach^2 <= -ln(tiny^(1/d)) - 1. That holds for every
+verification table up to d = 6: a cell's points lie within 1 of its
+center and its grids within sqrt(3 ln n) + 3, so reach^2 <=
+(sqrt(3 ln n) + 4)^2 <= 115.4 for cells of up to e^(e^e) ~ 3.8 million
+points, below 708/6 - 1. Eval lattices skip it where the data are compact
+(the acceptance mixture: reach 4-7, against 18.8 at d = 2) and keep it
+where they are spread.
 
 All functions are pure; they can be called concurrently from any number of
 threads. Both evaluators reduce through a BLAS matrix product, so their
@@ -42,6 +45,11 @@ __all__ = [
 
 # Cap on temporary floats per block in batched evaluations.
 _BLOCK_ELEMS = 8_000_000
+
+# Cap on the floats of one block of LatticeTables.blocks() (6 MB). Stacks
+# hold sets of every size of one grid shape, big sets' tables beside small
+# sets' sums; the cap keeps a whole stack's peak near one block's.
+_STACK_ELEMS = 3 << 18
 
 # Smallest normal float64; lattice tables in d dimensions floor at _TINY^(1/d).
 _TINY = np.finfo(np.float64).tiny
@@ -122,16 +130,16 @@ class LatticeTables:
     `grid` may also be a sequence of Grids of one shape (one dimension and
     one 2k + 1 points per axis), one per set: each set is then tabulated
     on its own grid's coordinates, and sets stack by grid shape, not by
-    grid. axes holds, per axis, the coordinates as one row shared by every
-    set, or one row per set.
+    grid. axes holds, per axis, one row of coordinates per distinct
+    lattice (sets of one schedule share its Grid object, so its row).
 
     exp(-||s - p||^2) = prod_j exp(-(s_j - p_j)^2), so a weighted kernel sum
     at every lattice point needs one (2k + 1) x m table per axis instead of
     (2k + 1)^d x m kernel values. Identical rows are merged first (their
-    weights are summed in sum()), so weights that cancel on duplicates give
-    an exact 0 rather than the residue of a fused multiply-add. The merged
-    rows are in lexicographic order, the order np.unique(axis=0) gives, and
-    rows[inverse] gives back the points.
+    weights are summed in blocks()), so weights that cancel on duplicates
+    give an exact 0 rather than the residue of a fused multiply-add. The
+    merged rows are in lexicographic order, the order np.unique(axis=0)
+    gives, and rows[inverse] gives back the points.
 
     `points` is one (n, d) set; or, with `counts`, C sets of counts[c] >= 1
     points each, their rows one set after another (ragged sets, of any
@@ -143,32 +151,28 @@ class LatticeTables:
     would change them). For several sets, rows holds every set's merged
     rows in turn, and inverse is flat.
 
-    The instance keeps the merged rows, not tables: each sum() builds its
-    own, in blocks of at most _BLOCK_ELEMS floats (as many whole sets as
-    fit, or one set's rows in chunks whose sums are added), and folds the
-    weights into them in place. So memory stays bounded for any C, n and
-    k, and any number of weight vectors can be summed, one after another.
+    The instance keeps the merged rows, not tables: each sum builds its
+    own, block by block (see blocks()), and folds the weights into them in
+    place. So memory stays bounded for any C, n and k, and any number of
+    weight vectors can be summed, one after another.
     """
 
-    __slots__ = ("axes", "rows", "inverse", "_one", "_floor", "_per_block", "_groups")
+    __slots__ = ("axes", "rows", "inverse", "_one", "_floor", "_groups")
 
-    def __init__(self, points, grid, counts=None, _in_ball=False):
-        # _in_ball: the caller knows every row lies in the unit sup-norm
-        # ball (a centered cell); see _table_floor.
+    def __init__(self, points, grid, counts=None):
         grids = [grid] if hasattr(grid, "axes") else list(grid)
+        which = None  # per set, the row of its lattice in axes; None for one lattice
         if hasattr(grids[0], "axes"):
-            # Sets of one schedule share its Grid object: one row per object.
             distinct = list({id(g): g for g in grids}.values())
             if len({(g.dim, g.axis_steps()) for g in distinct}) > 1:
                 raise ValueError("the grids of one LatticeTables must have one shape")
             self.axes = [np.stack(coords) for coords in zip(*(g.axes() for g in distinct))]
             if len(distinct) > 1:
                 where = {id(g): i for i, g in enumerate(distinct)}
-                self.axes = [axis[[where[id(g)] for g in grids]] for axis in self.axes]
+                which = np.array([where[id(g)] for g in grids])
         else:
-            grids, distinct = [grid], grid
+            grids = [grid]
             self.axes = [np.asarray(axis, dtype=np.float64)[None] for axis in grid]
-        self._floor = _table_floor(distinct, len(self.axes), _in_ball)
         self._one = counts is None
         flat = as_points(points, dim=len(self.axes))
         if counts is not None:
@@ -192,16 +196,16 @@ class LatticeTables:
         self.rows = ranked[new]
         self.inverse = np.empty(order.size, dtype=np.intp)
         self.inverse[order] = merged
-        self._per_block = max(1, _BLOCK_ELEMS // sum(axis.shape[1] for axis in self.axes))
+        self._floor = _table_floor(self.axes, self.rows)
         # Sets with one merged row count m form a group: their set
         # positions, the (c, m) indices of their merged rows (None when one
-        # group holds every set in order), those rows (c, m, d) and their
-        # axes.
+        # group holds every set in order), those rows (c, m, d) and, per
+        # set, the row of its lattice in axes (None for one lattice).
         if cells > 1:
             first = merged[starts]
             counts = np.diff(first, append=self.rows.shape[0])
         if cells == 1 or (counts == counts[0]).all():
-            groups = [(slice(None), None, self.rows.reshape(cells, -1, d))]
+            groups = [(np.arange(cells), None, self.rows.reshape(cells, -1, d))]
         else:
             groups = []
             # Not np.unique: its first call imports numpy.ma.
@@ -209,7 +213,7 @@ class LatticeTables:
                 sets = np.flatnonzero(counts == m)
                 index = first[sets, None] + np.arange(m)
                 groups.append((sets, index, self.rows[index]))
-        self._groups = [(sets, index, rows, _pick(self.axes, sets))
+        self._groups = [(sets, index, rows, None if which is None else which[sets])
                         for sets, index, rows in groups]
 
     def _build(self, rows, axes=None):
@@ -231,64 +235,63 @@ class LatticeTables:
         """sum_p w_p exp(-||s - p||^2) at every grid point s, in
         Grid.points() order: shape (G,) for one set's (n,) weights, or
         (C, G) for the flat weights of several sets."""
+        cells = sum(group[0].size for group in self._groups)
         out = None
-        for sets, part in self._group_sums(weights):
-            if isinstance(sets, slice):
+        for sets, part in self.blocks(weights):
+            if part.shape[0] == cells:  # one block of every set, in order
                 out = part
             else:
                 if out is None:
-                    out = np.empty((sum(group[0].size for group in self._groups), part.shape[1]))
+                    out = np.empty((cells, part.shape[1]))
                 out[sets] = part
         return out[0] if self._one else out
 
-    def _group_sums(self, weights):
-        """sum()'s sums one group at a time, as (set positions, (c, G)
-        sums of those sets); each part is fresh, for the caller to reuse."""
+    def blocks(self, weights):
+        """sum()'s sums in blocks of whole sets, as (set positions, (c, G)
+        sums of those sets), one merged-row group after another; each block
+        is fresh, for the caller to reuse. A block holds as many sets as
+        take at most _STACK_ELEMS floats (and no more than _BLOCK_ELEMS) at
+        3 G + m * (sum of axis sizes) per set of m merged rows, for its
+        sums, their matrix products and the caller's work on them beside
+        its tables; a set whose tables alone exceed _BLOCK_ELEMS is
+        tabulated in chunks of rows whose sums are added."""
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != self.inverse.shape:
             raise ValueError(f"expected weights of shape {self.inverse.shape}, got shape {w.shape}")
         merged = np.bincount(self.inverse, weights=w, minlength=self.rows.shape[0])
-        for sets, index, rows, axes in self._groups:
+        sizes = [axis.shape[1] for axis in self.axes]
+        per_row = max(1, _BLOCK_ELEMS // sum(sizes))
+        budget = min(_STACK_ELEMS, _BLOCK_ELEMS)
+        for sets, index, rows, which in self._groups:
             part = merged.reshape(rows.shape[:2]) if index is None else merged[index]
-            yield sets, self._group_sum(rows, axes, part)
+            m = part.shape[1]
+            step = max(1, budget // (3 * math.prod(sizes) + m * sum(sizes)))
+            for start in range(0, sets.size, step):
+                block = slice(start, start + step)
+                axes = self.axes if which is None else [axis[which[block]] for axis in self.axes]
+                # No name here keeps a block: it is freed while the next is summed.
+                yield sets[block], self._block_sum(rows[block], axes, part[block], per_row)
 
-    def _group_sum(self, rows, axes, merged):
-        """_contract of one group, on tables built block by block."""
-        cells, m = merged.shape
-        step = max(1, self._per_block // m)
-        parts = []
-        for start in range(0, cells, step):
-            acc = None
-            for row in range(0, m, self._per_block):
-                block = (slice(start, start + step), slice(row, row + self._per_block))
-                part = _contract(self._build(rows[block], _pick(axes, block[0])), merged[block])
-                acc = part if acc is None else acc + part
-            parts.append(acc)
-        # One part is the result as it is: a concatenated copy of it would
-        # double the group's peak.
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _pick(axes, sets):
-    """Per axis, the coordinate rows of the sets at `sets` (a slice or
-    positions): the shared row, or those sets' own."""
-    return [axis if axis.shape[0] == 1 else axis[sets] for axis in axes]
+    def _block_sum(self, rows, axes, merged, per_row):
+        """_contract of a block's (c, m, d) rows with weights (c, m) on
+        `axes`, its tables built per chunk of per_row rows."""
+        out = None
+        for row in range(0, merged.shape[1], per_row):
+            chunk = (slice(None), slice(row, row + per_row))
+            sums = _contract(self._build(rows[chunk], axes), merged[chunk])
+            out = sums if out is None else out + sums
+        return out
 
 
-def _table_floor(grid, d, in_ball):
-    """The floor of a table entry: _TINY^(1/d), or 0 where no entry can
-    fall below it, so _build skips its scan. That is known without the
-    rows when they lie in the unit ball and the lattice is a Grid (or a
-    list of Grids): each per-axis exponent is then at most reach^2, for
-    reach the largest |coordinate| of any of the grids plus 1; one unit of
-    slack covers rounding."""
-    floor = _TINY ** (1.0 / d)
-    grids = [grid] if hasattr(grid, "axis_steps") else list(grid)
-    if in_ball and all(hasattr(g, "axis_steps") for g in grids):
-        reach = max(max(map(abs, g.center)) + g.axis_steps() * g.width for g in grids) + 1.0
-        if reach * reach <= -math.log(floor) - 1.0:
-            return 0.0
-    return floor
+def _table_floor(axes, rows):
+    """The floor of a table entry on lattice `axes` (per axis, its rows of
+    coordinates) for merged rows (m, d): _TINY^(1/d), or 0 where no entry
+    can fall below it, so _build skips its scan. Each per-axis exponent is
+    at most reach^2, for reach the largest |lattice coordinate| plus the
+    largest |row coordinate|; one unit of slack covers rounding."""
+    floor = _TINY ** (1.0 / rows.shape[1])
+    reach = max(float(np.abs(axis).max(initial=0.0)) for axis in axes) + float(np.abs(rows).max())
+    return 0.0 if reach * reach <= -math.log(floor) - 1.0 else floor
 
 
 def lattice_sum(points, weights, grid):

@@ -15,7 +15,7 @@ The colorizer stacks cells by grid shape (level count and per-level axis
 lengths), not by schedule: under the default grid budget, every size in
 d = 2, 3 and 6 up to at least 5000 points has a one-level grid of one
 shape, so each round's cells, and verify's cells of all rounds, form one
-stack (in chunks), each cell on its own schedule's grid and thresholds.
+stack, each cell on its own schedule's grid and thresholds.
 """
 
 import math

@@ -765,35 +765,34 @@ def test_verify_output_matches_the_round_by_round_reference(spread_artifact, tmp
             assert not report.exists()
 
 
-def test_verify_builds_one_table_set_per_chunk_of_all_rounds(spread_artifact, monkeypatch, capsys):
-    # verify stacks the cells of every round by grid shape and chunks each
-    # stack by size: it builds one LatticeTables per level per chunk that
-    # _stack_chunks makes over those cells, not one per cell size or round.
+def test_verify_builds_one_table_set_per_grid_shape_of_all_rounds(spread_artifact, monkeypatch,
+                                                                 capsys):
+    # verify stacks the cells of every round by grid shape: it builds one
+    # LatticeTables per level per grid shape of those cells, not one per
+    # cell size, round or block of sums.
     path, coreset = spread_artifact
     data = json.loads(coreset.read_text())
     constants = Constants(*(data["config"][k] for k in ("c0", "c1", "c_big", "grid_budget")))
-    by_shape = {}
+    shapes = set()
     for rnd in data["rounds"]:
         for cell in rnd["cells"]:
             schedule = build_schedule(cell["size"], 2, constants)
-            shape = tuple(grid.axes()[0].size for grid, _ in schedule.verification_levels)
-            by_shape.setdefault(shape, (schedule, []))[1].append(cell["size"])
-    expected = sum(len(shape) * len(colorizer._stack_chunks(sorted(sizes), schedule))
-                   for shape, (schedule, sizes) in by_shape.items())
+            shapes.add(tuple(grid.axes()[0].size for grid, _ in schedule.verification_levels))
     built = []
     tables = colorizer.LatticeTables
     monkeypatch.setattr(colorizer, "LatticeTables",
                         lambda *args, **kwargs: built.append(1) or tables(*args, **kwargs))
     assert main(["verify", "--input", str(path), "--coreset", str(coreset)]) == 0
-    assert len(built) == expected
+    assert len(built) == sum(len(shape) for shape in shapes)
 
 
 def test_verify_memory_bounded_on_spread_data(tmp_path, capsys):
     # 4096 normal(0, 5) points halved to 512 (the benchmark's spread_cells
     # artifact): 808 cells in 4 rounds, 663 of them below N_MIN, all of one
-    # grid shape and so checked as one stack. In chunks, verify's traced
-    # peak is 3.7 MB; with a round's small cells in one unchunked stack it
-    # was 5.9 MB.
+    # grid shape and so checked as one stack, its sums taken in blocks of
+    # at most 6 MB: verify's traced peak is 4.4 MB (3.7 MB in stack chunks
+    # with a LatticeTables each; 5.9 MB with a round's small cells in one
+    # unblocked stack).
     path = tmp_path / "spread.csv"
     write_csv(path, np.random.default_rng(0).normal(0.0, 5.0, (4096, 2)))
     coreset = tmp_path / "spread.json"

@@ -17,7 +17,7 @@ from kdecoreset.colorizer import (
 )
 from kdecoreset.coreset import oracle_min_discrepancy
 from kdecoreset.decomp import augment, kernel_factor
-from kdecoreset.kernel import kernel_sum
+from kdecoreset.kernel import LatticeTables, kernel_sum
 from kdecoreset.schedule import build_schedule, default_constants
 from kdecoreset.walk import gsw_color
 
@@ -199,17 +199,23 @@ def grid_shape(schedule):
     return tuple(grid.axes()[0].size for grid, _ in schedule.verification_levels)
 
 
+def forced_floor(axes, rows):
+    """_table_floor that keeps the floor's scan whatever the data."""
+    return np.finfo(np.float64).tiny ** (1.0 / rows.shape[1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(ragged_cell_stacks(), st.sampled_from([None, 64, 3000]), st.booleans())
 @example(([np.linspace(-1.0, 1.0, 16)[:, None], np.linspace(-0.5, 1.0, 17)[:, None],
            np.zeros((3, 1))], [np.resize([1, -1], 16), np.resize([-1, 1], 17), np.ones(3)]),
-         None, True)
-def test_ragged_small_cell_stack_matches_each_cell_alone(stack, block, in_ball):
+         None, False)
+def test_ragged_small_cell_stack_matches_each_cell_alone(stack, block, forced):
     # Cells whose schedules have one grid shape form one stack, in
     # ascending size, each checked on its own schedule's grid and
     # thresholds: each gets the (passed, ratio, imbalance) verify gives it
-    # alone, bit for bit, in chunks (a small _BLOCK_ELEMS) or not, with the
-    # floor scan skipped (in_ball) or run. Below N_MIN every size shares one
+    # alone with the floor's scan run, bit for bit, in blocks (a small
+    # _BLOCK_ELEMS) or not, with the floor forced or as _table_floor
+    # decides (skipped here). Below N_MIN every size shares one
     # schedule; in d = 2, 3 every size here has one shape, in d = 1 shapes
     # differ (the example's 16 and 17 points), and so do the groups.
     cells, signs = stack
@@ -224,43 +230,52 @@ def test_ragged_small_cell_stack_matches_each_cell_alone(stack, block, in_ball):
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
+        if forced:
+            mp.setattr("kdecoreset.kernel._table_floor", forced_floor)
         for group_schedules, group in groups:
             assert [sizes[i] for i in group] == sorted(sizes[i] for i in group)
             assert group_schedules == [schedules[i] for i in group]
             assert len({grid_shape(s) for s in group_schedules}) == 1
             checked = _verify_stack(np.concatenate([cells[i] for i in group]),
                                     np.concatenate([signs[i] for i in group]), group_schedules,
-                                    [sizes[i] for i in group], in_ball=in_ball)
+                                    [sizes[i] for i in group])
             for i, result in zip(group, checked):
                 got[i] = result
+        mp.setattr("kdecoreset.kernel._table_floor", forced_floor)
         alone = [verify(c, s, sch) for c, s, sch in zip(cells, signs, schedules)]
     assert results_bits(got) == results_bits(alone)
 
 
 def test_verify_stack_chunked(monkeypatch):
-    # With _BLOCK_ELEMS at 5000, a d = 2 cell of 20 points on a 17 x 17
-    # grid needs 3 * 289 + 20 * 34 = 1547 floats, so 30 cells go in chunks
-    # of 3; each chunk's tables and products keep the unpatched shapes.
+    # With _STACK_ELEMS at 5000, a d = 2 cell of 20 distinct points on the
+    # one 17 x 17 grid of its schedule needs 3 * 289 + 20 * 34 = 1547
+    # floats, so 30 cells are summed in blocks of 3; each block's tables
+    # and products keep the unpatched shapes.
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(30, 20, 2))
     signs = rng.choice([-1, 1], size=(30, 20))
     sch = build_schedule(20, 2, small_constants(2, budget=300))
-    assert sch.verification_levels[0][1].size == 289
+    assert [thresholds.size for _, thresholds in sch.verification_levels] == [289]
     alone = [verify(p, s, sch) for p, s in zip(pts, signs)]
-    chunks = []
-    build = colorizer._cell_tables
-    monkeypatch.setattr(colorizer, "_cell_tables",
-                        lambda p, schedule, counts, *rest: chunks.append(len(counts))
-                        or build(p, schedule, counts, *rest))
-    monkeypatch.setattr("kdecoreset.kernel._BLOCK_ELEMS", 5000)
+    blocks = []
+    sums = LatticeTables.blocks
+
+    def counted(tables, weights):
+        for sets, part in sums(tables, weights):
+            blocks.append(len(sets))
+            yield sets, part
+
+    monkeypatch.setattr(LatticeTables, "blocks", counted)
+    monkeypatch.setattr("kdecoreset.kernel._STACK_ELEMS", 5000)
     assert results_bits(stacked(pts, signs, sch)) == results_bits(alone)
-    assert chunks == [3] * 10
+    assert blocks == [3] * 10
 
 
 def test_verify_stack_memory_bounded():
     # 4000 cells of 20 points on the default d = 2 grid (63 x 63): their
     # discrepancies alone would take 127 MB, and products and tables twice
-    # that; in chunks the peak stays under 150 MB.
+    # that; summed in blocks of 54 cells the traced peak is 6.9 MB (4.1 MB
+    # in stack chunks of 54, each with its own LatticeTables).
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, size=(4000, 20, 2))
     signs = rng.choice([-1, 1], size=(4000, 20))
@@ -596,8 +611,9 @@ def test_color_all_retries_match_color_cell():
 
 def test_color_all_memory_bounded():
     # 2500 cells of 3 points on the default d = 2 grid (63 x 63): their
-    # first attempts' discrepancies alone take 79 MB in one stack (peak
-    # 94 MB); in chunks of 962 cells the peak is 38 MB.
+    # first attempts' discrepancies alone take 79 MB in one stack; summed
+    # in blocks of 64 cells the traced peak is 6.1 MB (5.1 MB in stack
+    # chunks of 64, each with its own LatticeTables).
     rng = np.random.default_rng(12)
     sites = 2.0 * np.stack([np.arange(2500) % 50, np.arange(2500) // 50], axis=1)
     pts = (rng.uniform(-0.95, 0.95, size=(2500, 3, 2)) + sites[:, None, :]).reshape(-1, 2)

@@ -473,19 +473,70 @@ def test_verification_tables_stay_above_floor(d):
 @pytest.mark.parametrize("d", range(1, 7))
 def test_centered_verification_tables_skip_the_floor_scan(d):
     # Rows in the unit ball and a verification grid bound every table
-    # entry below by exp(-(reach + 1)^2), above tiny^(1/d): the floor is
-    # skipped for such tables, and kept for other lattices and rows.
+    # entry below by exp(-reach^2), reach the grid's largest |coordinate|
+    # plus 1, above tiny^(1/d): the floor's scan is skipped for such
+    # tables up to 3.8 million points per cell, and kept where the rows or
+    # the lattice reach farther.
+    floor = np.finfo(np.float64).tiny ** (1.0 / d)
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * d, indexing="ij")).reshape(d, -1).T
     for n in (1, 15, 16, 100, 4096, 10**5, 3_800_000):
         for grid in build_schedule(n, d).verification_grids():
-            assert _table_floor(grid, d, True) == 0.0, (n, d)
-            assert _table_floor(grid, d, False) == np.finfo(np.float64).tiny ** (1.0 / d)
-            assert _table_floor(grid.axes(), d, True) > 0.0
+            axes = [axis[None] for axis in grid.axes()]
+            assert _table_floor(axes, corners) == 0.0, (n, d)
+            assert LatticeTables(corners, grid)._floor == 0.0
+            assert _table_floor(axes, corners + 40.0) == floor
     wide = Grid(0.5, 40.0, d)
-    assert _table_floor(wide, d, True) > 0.0
+    assert _table_floor([axis[None] for axis in wide.axes()], corners) == floor
     if d <= 3:
         # Where the bound fails, far entries are still floored to 0.
-        tables = LatticeTables(np.zeros((1, d)), Grid(1.0, 40.0, d), _in_ball=True)
+        tables = LatticeTables(np.zeros((1, d)), Grid(1.0, 40.0, d))
         assert all((t == 0.0).any() for t in tables._build(tables.rows[None]))
+
+
+@st.composite
+def floor_cases(draw):
+    """(points, lattice, counts, weights) for the floor's decision: rows
+    in the unit ball, offset by up to +-40, in d = 1..6; one set or 2-4
+    ragged sets; on a Grid, one Grid per set (of one shape) or per-axis
+    rectangles, of radius up to 20 around centers up to +-10."""
+    d = draw(st.integers(1, 6))
+    steps = draw(st.integers(1, (20, 6, 3, 2, 1, 1)[d - 1]))
+    counts = draw(st.one_of(st.none(), st.lists(st.integers(1, 6), min_size=2, max_size=4)))
+    n = draw(st.integers(1, 8)) if counts is None else sum(counts)
+    coord = st.floats(-1.0, 1.0)
+    pts = np.asarray(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                   min_size=n, max_size=n)))
+    pts += draw(st.one_of(st.just(0.0), st.floats(-40.0, 40.0)))
+
+    def grid():
+        radius = draw(st.floats(0.5, 20.0))
+        center = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+        return Grid(radius / steps, radius, d, tuple(center))
+
+    kind = draw(st.sampled_from(["grid", "rectangle"] + ["grids"] * (counts is not None)))
+    if kind == "grid":
+        lattice = grid()
+    elif kind == "grids":
+        lattice = [grid() for _ in counts]
+    else:
+        lattice = [np.asarray(draw(st.lists(st.floats(-30.0, 30.0), min_size=1,
+                                            max_size=2 * steps + 1))) for _ in range(d)]
+    weights = np.asarray(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    return pts, lattice, counts, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_cases())
+def test_table_floor_decision_matches_the_forced_floor(case):
+    # Where _table_floor skips the floor's scan, no entry can fall below
+    # the floor: the sums are those with the floor forced, bit for bit.
+    pts, lattice, counts, weights = case
+    got = LatticeTables(pts, lattice, counts).sum(weights)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("kdecoreset.kernel._table_floor",
+                   lambda axes, rows: np.finfo(np.float64).tiny ** (1.0 / rows.shape[1]))
+        forced = LatticeTables(pts, lattice, counts).sum(weights)
+    assert got.tobytes() == forced.tobytes()
 
 
 def test_lattice_sum_rejects_weight_count():
