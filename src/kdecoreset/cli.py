@@ -20,12 +20,11 @@ import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import cache
-from itertools import accumulate
+from itertools import chain
 
 import numpy as np
 
-from .colorizer import (ColoringFailure, _cell_runs, _schedule_groups, _verify_stack,
-                        balance_flips)
+from .colorizer import ColoringFailure, recheck, undo_flips
 from .config import resolve_config
 from .coreset import HalvingFailure, build_coreset, random_baseline
 from .evaluation import build_query_grid, expansion_margin, linf_error
@@ -303,12 +302,11 @@ def _accepted_colorings(rno, centers, metas, signs, sizes):
     ValidationError names the first cell whose record does not match, and
     the first of its checks that fails.
 
-    The Las Vegas check certified the pre-flip coloring; undoing the
-    recorded flips gives back exactly what was accepted. Those flips must
-    be the accepted coloring's own balance flips, and the center, size and
-    imbalance_before_flip must be the cell's. Records are read cell by
-    cell up to the first malformed one; the flips and sums of the cells
-    read are computed in one pass, then checked cell by cell.
+    The Las Vegas check certified the pre-flip coloring, which undoing the
+    recorded flips gives back (undo_flips). Those flips must be its own
+    balance flips, and the center, size and imbalance_before_flip must be
+    the cell's. Records are read cell by cell up to the first malformed
+    one; the cells read are undone in one pass, then checked cell by cell.
     """
     positions, error = [], None
     for cno, (center, meta, size) in enumerate(zip(centers, metas, sizes)):
@@ -321,26 +319,29 @@ def _accepted_colorings(rno, centers, metas, signs, sizes):
         except ValidationError as exc:
             error = exc
             break
-    accepted = signs.copy()
-    if positions:
-        starts = [0, *accumulate(sizes[:len(positions)])]
-        accepted[[s + p for s, cell in zip(starts, positions) for p in cell]] *= -1
-        read = accepted[:starts[-1]]
-        flips, counts = balance_flips(read, sizes[:len(positions)])
-        flips, bounds = flips.tolist(), [0, *accumulate(counts.tolist())]
-        sums = np.add.reduceat(read, starts[:-1]).tolist()
-        for cno, (meta, recorded, total) in enumerate(zip(metas, positions, sums)):
-            where = f"round {rno} cell {cno}"
-            if (recorded != flips[bounds[cno]:bounds[cno + 1]]
-                    or _field(meta, "flipped", int, where) != len(recorded)):
-                raise ValidationError(f"{where}: flipped positions are not the "
-                                      "accepted coloring's balance flips")
-            if _field(meta, "imbalance_before_flip", int, where) != total:
-                raise ValidationError(f"{where}: imbalance_before_flip is not the "
-                                      "accepted coloring's sum")
+    read = sizes[:len(positions)]
+    accepted, own, sums = undo_flips(signs[:sum(read)], read, list(chain.from_iterable(positions)),
+                                     list(map(len, positions)))
+    for cno, (meta, recorded, same, total) in enumerate(zip(metas, positions, own, sums)):
+        where = f"round {rno} cell {cno}"
+        if not same or _field(meta, "flipped", int, where) != len(recorded):
+            raise ValidationError(f"{where}: flipped positions are not the "
+                                  "accepted coloring's balance flips")
+        if _field(meta, "imbalance_before_flip", int, where) != total:
+            raise ValidationError(f"{where}: imbalance_before_flip is not the "
+                                  "accepted coloring's sum")
     if error is not None:
         raise error
     return accepted
+
+
+def _recorded_flips(meta, bound):
+    """A cell record's flipped_positions for recheck, each below `bound`;
+    none if malformed, as _accepted_colorings then reports."""
+    try:
+        return _int_list(meta, "flipped_positions", "", bound)
+    except ValidationError:
+        return []
 
 
 # The configuration keys whose values verify takes from the artifact.
@@ -357,23 +358,21 @@ def cmd_verify(cfg):
     if any(isinstance(rnd, dict) and "coloring" not in rnd for rnd in rounds):
         raise ValidationError(f"{cfg.coreset}: artifact has no stored colorings "
                               "(built with emit_colorings=false?)")
-    d = points.shape[1]
     # Recheck the build's own certificate: the constants its configuration
     # records, with none of this process's flags, environment or config file.
     recorded = _field(artifact, "config", dict, cfg.coreset)
     try:
         built = resolve_config({k: recorded.get(k) for k in _VERIFY_KEYS}, environ={})
-        constants = built.constants_for(d)
+        constants = built.constants_for(points.shape[1])
     except ValueError as exc:
         raise ValidationError(f"{cfg.coreset}: malformed 'config' ({exc})") from None
     print(f"constants from artifact: c0 {constants.c0:.6g}, c1 {constants.c1:.6g}, "
           f"c_big {constants.c_big:.6g}, grid budget {constants.grid_budget}")
-    current = (np.arange(n, dtype=np.intp) if artifact.get("presample_indices") is None
-               else _int_array(artifact, "presample_indices", cfg.coreset, n))
-    # The artifact's own records first, round by round up to the first bad
-    # one; then the certificate of every round read, in one stack of cells
-    # per grid shape, so that cells of all rounds share their tables.
-    read, kept_ok, error = [], [], None
+    start = (None if artifact.get("presample_indices") is None
+             else _int_array(artifact, "presample_indices", cfg.coreset, n))
+    current = np.arange(n, dtype=np.intp) if start is None else start
+    # The rounds as arrays, up to the first malformed one.
+    read, error = [], None
     try:
         for rno, rnd in enumerate(rounds):
             where = f"round {rno}"
@@ -385,30 +384,33 @@ def cmd_verify(cfg):
                     f"round {rno}: coloring length {coloring.size} does not match "
                     f"expected size {current.size}"
                 )
+            if not coloring.size:
+                raise ValidationError(f"{where}: the round's set is empty")
+            if np.any(np.abs(coloring) != 1):
+                raise ValidationError(f"{where}: coloring entries must be -1 or +1")
             if (_field(rnd, "size_before", int, where) != coloring.size
                     or _field(rnd, "size_after", int, where) != kept.size):
                 raise ValidationError(f"{where}: size_before or size_after does not "
                                       "match the coloring or kept set")
-            pts = points[current]
-            centers, members, sizes = _cell_runs(pts)
-            if len(sizes) != len(metas):
-                raise ValidationError(f"round {rno}: cell layout does not match input")
-            accepted = _accepted_colorings(rno, centers.tolist(), metas, coloring[members],
-                                           sizes.tolist())
-            centered = pts[members] - np.repeat(centers, sizes, axis=0)
-            read.append((centered, accepted, sizes))
-            kept_ok.append(np.array_equal(current[coloring == 1], kept))
+            read.append((coloring, kept, metas))
             current = kept
     except ValidationError as exc:
         error = exc
-    checked = _check_rounds(read, d, constants)
+    # The cells of every round read are rechecked at once; each round's
+    # records are then compared with what recheck derived, in round order.
+    checked = recheck(points, [(coloring, kept, [_recorded_flips(m, coloring.size) for m in metas])
+                               for coloring, kept, metas in read], constants, start)
     all_ok = True
     results = []
-    for rno, (cells, kept_right) in enumerate(zip(checked, kept_ok)):
+    for rno, ((coloring, _, metas), (cells, chained, (centers, members, sizes))) in enumerate(
+            zip(read, checked)):
+        if len(sizes) != len(metas):
+            raise ValidationError(f"round {rno}: cell layout does not match input")
+        _accepted_colorings(rno, centers.tolist(), metas, coloring[members], sizes.tolist())
         worst = max([0.0] + [ratio for _, ratio, _ in cells])
         failed = [(cno, ratio, imbalance)
                   for cno, (passed, ratio, imbalance) in enumerate(cells) if not passed]
-        ok = not failed and kept_right
+        ok = not failed and chained
         results.append({"round": rno, "passed": ok, "max_grid_ratio": worst})
         all_ok = all_ok and ok
         print(f"round {rno}: {'pass' if ok else 'FAIL'} (max ratio {worst:.4g})")
@@ -429,26 +431,6 @@ def cmd_verify(cfg):
     if not all_ok:
         raise ValidationError("stored coreset failed re-verification")
     return EXIT_OK
-
-
-def _check_rounds(read, d, constants):
-    """Each round's (passed, max_ratio, imbalance) per cell, in cell order,
-    for rounds `read` as (centered points, accepted signs, cell sizes): the
-    cells of all rounds in one stack per grid shape."""
-    if not read:
-        return []
-    centered, accepted, sizes = map(np.concatenate, zip(*read))
-    ends = np.cumsum(sizes)
-    checked = [None] * sizes.size
-    for schedules, group in _schedule_groups(sizes.tolist(), d, constants):
-        counts = sizes[group]
-        # The group's rows: each cell's run of rows, up to its end.
-        rows = np.repeat(ends[group] - np.cumsum(counts), counts) + np.arange(counts.sum())
-        for cno, result in zip(group, _verify_stack(centered[rows], accepted[rows], schedules,
-                                                     counts.tolist())):
-            checked[cno] = result
-    bounds = [0, *accumulate(len(rnd[2]) for rnd in read)]
-    return [checked[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def cmd_bench(cfg):
@@ -569,7 +551,9 @@ def build_parser():
     p = sub.add_parser("build", help="construct a coreset", parents=[files, halving])
     p.add_argument("--target-size", dest="target_size", type=int,
                    help="stop halving at this size")
-    p.add_argument("--epsilon", type=float, help="error budget; sets the target size")
+    p.add_argument("--epsilon", type=float,
+                   help="error budget; sets the target size to ceil(4/eps), and does not "
+                        "bound the error")
     p.add_argument("--presample", action="store_const", const=True,
                    help="uniform presample to ~1/eps^2 before halving")
     p.add_argument("--no-colorings", dest="emit_colorings", action="store_const",

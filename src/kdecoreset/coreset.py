@@ -1,5 +1,5 @@
-"""Coreset construction by recursive halving, plus baselines and a
-brute-force oracle.
+"""Coreset construction by recursive halving, plus a random-sampling
+baseline.
 
 Halving colors the current set, keeps the points colored +1, and repeats
 until the target size is reached; each round's KDE drift is the per-round
@@ -22,7 +22,6 @@ __all__ = [
     "halve_indices",
     "build_coreset",
     "random_baseline",
-    "oracle_min_discrepancy",
 ]
 
 # Pre-sampling and target-size constants of the epsilon-driven interface:
@@ -90,7 +89,9 @@ def build_coreset(points, target=None, epsilon=None, seed=0, presample=False,
     with epsilon, the loop stops at the first size <= ceil(TARGET_C / eps).
     With presample=True the input is first subsampled uniformly to
     min(n, ceil(PRESAMPLE_C / eps^2)) (eps implied as TARGET_C / target when
-    only a target is given). constants is as in color_all.
+    only a target is given). epsilon is a size rule, not an error bound:
+    nothing checks the sup error it names, and on the acceptance mixture
+    some chains miss it (see the README). constants is as in color_all.
 
     Returns a CoresetResult whose indices refer to the original point set.
     """
@@ -147,49 +148,3 @@ def random_baseline(points, size, seed=0):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     idx = np.sort(rng.choice(n, size=size, replace=False)).astype(np.intp)
     return CoresetResult(indices=idx, target_size=int(size), seed=int(seed))
-
-
-def oracle_min_discrepancy(points, query_points, max_points=16):
-    """Exhaustive minimum over all colorings of the sup discrepancy.
-
-    Scans every sigma with sigma(p_0) = +1 (the sup is invariant under
-    global sign flips) and returns (best_sup, best_coloring). To allow
-    bit-for-bit cross-checks against independent re-implementations, the
-    arithmetic order is pinned: kernel values are computed per coordinate
-    with math.exp, summed over points in index order with a running float,
-    colorings are scanned in ascending bitmask order (bit j flips point
-    j + 1), and a candidate replaces the incumbent only when strictly
-    smaller.
-    """
-    pts = as_points(points)
-    qs = as_points(query_points, dim=pts.shape[1])
-    n = pts.shape[0]
-    if n > max_points:
-        raise ValueError(f"oracle limited to {max_points} points, got {n}")
-    kern = [[_exp_kernel(q, p) for p in pts] for q in qs]
-    best_sup = math.inf
-    best_mask = 0
-    for mask in range(1 << (n - 1)):
-        sup = 0.0
-        for row in kern:
-            acc = row[0]
-            for j in range(1, n):
-                acc = acc + row[j] if not (mask >> (j - 1)) & 1 else acc - row[j]
-            mag = acc if acc >= 0.0 else -acc
-            if mag > sup:
-                sup = mag
-        if sup < best_sup:
-            best_sup = sup
-            best_mask = mask
-    signs = np.ones(n, dtype=np.int64)
-    for j in range(1, n):
-        if (best_mask >> (j - 1)) & 1:
-            signs[j] = -1
-    return best_sup, signs
-
-
-def _exp_kernel(q, p):
-    acc = 0.0
-    for a, b in zip(q, p):
-        acc += (a - b) * (a - b)
-    return math.exp(-acc)

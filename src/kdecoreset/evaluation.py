@@ -1,5 +1,4 @@
-"""Sup-norm error estimation between KDEs, query-grid construction, and
-the Taylor-truncation audit.
+"""Sup-norm error estimation between KDEs and query-grid construction.
 
 The query grid covers the data's bounding box expanded by the margin
 sqrt(3 log n) + 3; beyond that margin both KDEs are below e^(-margin^2),
@@ -31,15 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import as_coloring, as_points, lattice_kde
+from .kernel import as_points, lattice_kde
 from .schedule import Grid
 
 __all__ = [
     "EvalReport",
     "build_query_grid",
     "linf_error",
-    "truncation_order",
-    "truncation_audit",
 ]
 
 # Per-coordinate Lipschitz constant of exp(-||x - p||^2): max of 2t e^(-t^2).
@@ -166,49 +163,3 @@ def _gap(p, q, axes):
     diff = lattice_kde(p, axes)
     diff -= lattice_kde(q, axes)
     return np.abs(diff, out=diff)
-
-
-def truncation_order(n, d):
-    """Truncation order: rho with rho + 1 = ceil(2 e^2 d (sqrt(3 log n) + 3)
-    + log n + 2d)."""
-    logn = math.log(max(n, 2))
-    return math.ceil(2.0 * math.e ** 2 * d * (math.sqrt(3.0 * logn) + 3.0) + logn + 2.0 * d) - 1
-
-
-def truncation_audit(points, signs, x, rho):
-    """Residual of truncating the Taylor expansion of the weighted
-    discrepancy kernel at order rho.
-
-    Computes |sum_p sigma(p) e^(2||p||^2) e^(-||x - 3p||^2 / 3)
-    - e^(-||x||^2 / 3) sum_p sigma(p) e^(-||p||^2)
-      sum_{k <= rho} (2 <x, p>)^k / k!|
-    as a scalar series (term magnitudes via log-gamma, so rho ~ 100 does
-    not overflow). With rho = truncation_order(n, d) the residual is at most 1
-    for cells in the unit ball and queries within the expansion margin.
-    """
-    pts = as_points(points)
-    sigma = as_coloring(signs, n=pts.shape[0]).astype(np.float64)
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    sqn = np.einsum("nd,nd->n", pts, pts)
-    d3 = xv[None, :] - 3.0 * pts
-    exact = float(np.sum(sigma * np.exp(2.0 * sqn - np.einsum("nd,nd->n", d3, d3) / 3.0)))
-    inner = pts @ xv
-    ks = np.arange(rho + 1, dtype=np.float64)
-    # log |(2u)^k / k!| with sign bookkeeping; u = 0 contributes only k = 0
-    # (its k = 0 entry is 0 * -inf, patched below with the exact value 1).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_u = np.log(np.abs(2.0 * inner))
-        log_terms = ks[None, :] * log_u[:, None] - _lgamma(ks + 1.0)[None, :]
-    signs_k = np.where(inner[:, None] < 0.0, np.where(ks[None, :] % 2 == 1, -1.0, 1.0), 1.0)
-    terms = np.where(np.isneginf(log_terms), 0.0, signs_k * np.exp(log_terms))
-    terms[:, 0] = 1.0
-    series = terms.sum(axis=1)
-    truncated = math.exp(-float(xv @ xv) / 3.0) * float(np.sum(sigma * np.exp(-sqn) * series))
-    return abs(exact - truncated)
-
-
-def _lgamma(values):
-    return np.vectorize(math.lgamma)(values)
-

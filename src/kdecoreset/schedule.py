@@ -34,7 +34,6 @@ __all__ = [
     "Grid",
     "GridSchedule",
     "build_schedule",
-    "threshold_batch",
 ]
 
 # Below this cell size the multi-scale recursion degenerates (log^2 n is
@@ -276,17 +275,3 @@ def _schedule(n, d, cst):
     L = len(seq) - 1
     grids = tuple(Grid(1.0 / (cst.c0 * seq[i]), seq[i + 1], d) for i in range(L))
     return GridSchedule(dim=d, ell=L, seq=tuple(seq), constants=cst, grids=grids)
-
-
-def threshold_batch(schedule, level, points):
-    """Level-i verification threshold c1 * n_{i+1} *
-    exp(-(2/3) ||s - center||^2) at every row s of `points`, shape (N,).
-
-    A pointwise reference for verification_levels, which builds the same
-    values on the level's grid as an outer product of per-axis factors."""
-    if not 0 <= level < schedule.ell:
-        raise ValueError(f"level {level} out of range for ell = {schedule.ell}")
-    pts = np.asarray(points, dtype=np.float64)
-    off = pts - np.asarray(schedule.grids[level].center)[None, :]
-    sq = np.einsum("nd,nd->n", off, off)
-    return schedule.constants.c1 * schedule.seq[level + 1] * np.exp(-(2.0 / 3.0) * sq)

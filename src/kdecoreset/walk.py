@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WalkOutput", "gsw_color", "subgaussian_audit", "wilson_interval"]
+__all__ = ["WalkOutput", "gsw_color"]
 
 NORM_SLACK = 1e-9
 # Tikhonov ridge on the feature second-moment matrix; keeps duplicate and
@@ -226,72 +226,3 @@ def _walk(v, rng):
         if since >= _REFRESH_EVERY:
             stale = True
     return WalkOutput(signs=signs, steps=steps)
-
-
-def wilson_interval(count, n, z=1.96):
-    """Wilson score interval for a binomial proportion."""
-    if n <= 0:
-        raise ValueError("sample count must be positive")
-    p = count / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2.0 * n)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def subgaussian_audit(vectors, trials, alphas, seed=0, n_directions=50, directions=None):
-    """Empirical tail table for |<X, theta>| over repeated walks.
-
-    Runs `trials` independently seeded walks on `vectors`, projects each
-    signed sum onto fixed unit directions, and tabulates the exceedance
-    frequency per alpha with 95% Wilson confidence intervals.
-
-    Args:
-      vectors: (n, m) walk input.
-      trials: number of walks (>= 100).
-      alphas: iterable of thresholds.
-      seed: root seed; direction and walk seeds are split from it.
-      n_directions: number of random unit directions when none are given.
-      directions: optional (m, k) array of unit direction columns.
-
-    Returns:
-      List of rows, one per alpha:
-      {alpha, count, samples, frequency, wilson_low, wilson_high}.
-    """
-    v = _as_vectors(vectors)
-    if trials < 100:
-        raise ValueError("audit needs at least 100 trials")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    dir_seed, *walk_seeds = root.spawn(trials + 1)
-    if directions is None:
-        dir_rng = np.random.Generator(np.random.Philox(dir_seed))
-        directions = dir_rng.standard_normal((v.shape[1], n_directions))
-        directions /= np.linalg.norm(directions, axis=0, keepdims=True)
-    else:
-        directions = np.asarray(directions, dtype=np.float64)
-        if directions.ndim != 2 or directions.shape[0] != v.shape[1]:
-            raise ValueError(f"directions must be an ({v.shape[1]}, k) array of columns")
-        if not np.isfinite(directions).all():
-            raise ValueError("directions must be finite")
-        if np.abs(np.linalg.norm(directions, axis=0) - 1.0).max(initial=0.0) > 1e-9:
-            raise ValueError("directions must have columns of unit norm")
-    xs = np.empty((trials, v.shape[1]))
-    for t in range(trials):
-        out = gsw_color(v, walk_seeds[t])
-        if not np.all(np.abs(out.signs) == 1):
-            raise RuntimeError("walk returned a non-sign output")
-        xs[t] = out.signs @ v
-    samples = np.abs(xs @ directions).ravel()
-    table = []
-    for alpha in alphas:
-        count = int((samples > alpha).sum())
-        lo, hi = wilson_interval(count, samples.size)
-        table.append({
-            "alpha": float(alpha),
-            "count": count,
-            "samples": int(samples.size),
-            "frequency": count / samples.size,
-            "wilson_low": lo,
-            "wilson_high": hi,
-        })
-    return table

@@ -74,7 +74,7 @@ def oracle_enumerate(points, query_points):
     """Second, independently written exhaustive coloring enumerator.
 
     Follows the arithmetic contract documented on
-    kdecoreset.oracle_min_discrepancy (per-coordinate math.exp kernels,
+    audits.oracle_min_discrepancy (per-coordinate math.exp kernels,
     running sums over points in index order, ascending bitmask scan with
     sigma[0] = +1, strictly-smaller incumbent updates) so the two
     implementations agree bit for bit; the data layout here is transposed

@@ -16,10 +16,11 @@ import kdecoreset as kc
 from kdecoreset.cli import main as cli_main
 from kdecoreset.colorizer import partition, verify
 from kdecoreset.kernel import kernel_sum
-from kdecoreset.schedule import build_schedule, default_constants, threshold_batch
-from kdecoreset.walk import gsw_color, subgaussian_audit
+from kdecoreset.schedule import build_schedule, default_constants
+from kdecoreset.walk import gsw_color
 
 import naive
+from audits import oracle_min_discrepancy, subgaussian_audit, truncation_audit, truncation_order
 
 # Fixed benchmark dataset for the scaling criterion: a 3-component Gaussian
 # mixture in the plane, compact enough that the halving chain spans a
@@ -194,8 +195,8 @@ def criterion_7():
         signs = rng.choice([-1, 1], size=n)
         margin = math.sqrt(3.0 * math.log(n)) + 3.0 if n > 1 else 4.0
         x = rng.uniform(-margin, margin, size=d)
-        rho = kc.truncation_order(n, d)
-        res = kc.truncation_audit(pts, signs, x, rho)
+        rho = truncation_order(n, d)
+        res = truncation_audit(pts, signs, x, rho)
         assert res <= 1.0, f"trial {trial}: residual {res:.3g} > 1"
         worst = max(worst, res)
     return f"100 instances, max residual {worst:.3e}"
@@ -261,7 +262,7 @@ def criterion_9():
         signs, _ = kc.color_all(pts, constants, seed=trial)
         queries = np.linspace(-4.0, 4.0, 101).reshape(-1, 1)
         pipeline_sup = float(np.abs(kernel_sum(pts, signs, queries)).max())
-        sup_a, signs_a = kc.oracle_min_discrepancy(pts, queries)
+        sup_a, signs_a = oracle_min_discrepancy(pts, queries)
         sup_b, signs_b = naive.oracle_enumerate(pts, queries)
         assert sup_a == sup_b, f"trial {trial}: enumerators differ ({sup_a!r} vs {sup_b!r})"
         assert signs_a.tolist() == signs_b
@@ -297,6 +298,7 @@ def test_criterion_1_gram_fidelity():
     print("PASS criterion 1 (gram fidelity):", criterion_1())
 
 
+@pytest.mark.slow
 def test_criterion_2_walk_subgaussianity():
     print("PASS criterion 2 (walk subgaussianity):", criterion_2())
 
@@ -321,6 +323,7 @@ def test_criterion_7_truncation():
     print("PASS criterion 7 (taylor truncation):", criterion_7())
 
 
+@pytest.mark.slow
 def test_criterion_8_error_scaling():
     print("PASS criterion 8 (error scaling):", criterion_8())
 

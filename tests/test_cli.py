@@ -594,6 +594,48 @@ def test_verify_names_the_first_bad_record_among_merged_small_cells(spread_artif
         assert capsys.readouterr().err == f"error: round {rno} cell {cno}: {message}\n", edits
 
 
+def test_verify_names_the_round_of_a_coloring_entry_other_than_one(spread_artifact, capsys):
+    # Set an unflipped -1 of a last-round cell with imbalance 0 or -1 to 0,
+    # and its imbalance_before_flip to the sum that gives, so that the
+    # cell's records agree with the entry (and to 3, where they do not):
+    # verify prints the rounds before and names the round, where it once
+    # failed with no round named and no round printed.
+    path, coreset = spread_artifact
+    points = read_points(str(path))
+    original = coreset.read_text()
+    data = json.loads(original)
+    rno = len(data["rounds"]) - 1
+    coloring = np.asarray(data["rounds"][rno]["coloring"])
+    cells = partition(points[data["rounds"][rno - 1]["kept"]])
+    cno, member = next((cno, m) for cno, (meta, cell) in enumerate(zip(
+        data["rounds"][rno]["cells"], cells)) if meta["imbalance_before_flip"] in (0, -1)
+        and not meta["flipped"] for m in cell.members if coloring[m] == -1)
+    assert rno > 0
+    for value in (0, 3):
+        def tamper(data):
+            data["rounds"][rno]["coloring"][member] = value
+            data["rounds"][rno]["cells"][cno]["imbalance_before_flip"] += value + 1
+        assert verify_tampered(path, coreset, original, tamper) == EXIT_VALIDATION, value
+        captured = capsys.readouterr()
+        assert captured.err == f"error: round {rno}: coloring entries must be -1 or +1\n"
+        assert [line.split(":")[0] for line in captured.out.splitlines()[1:]] == [
+            f"round {r}" for r in range(rno)]
+
+
+def test_verify_rejects_an_empty_round(spread_artifact, capsys):
+    # No build halves a set of no points; verify names such a round, where
+    # it once failed on an IndexError.
+    path, coreset = spread_artifact
+
+    def empty_first_round(data):
+        data["presample_indices"] = []
+        data["rounds"][0].update(coloring=[], kept=[], size_before=0, size_after=0)
+
+    assert verify_tampered(path, coreset, coreset.read_text(), empty_first_round
+                           ) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: round 0: the round's set is empty\n"
+
+
 def records_cell_by_cell(rno, centers, metas, signs, sizes):
     """The round's record checks one cell at a time, each cell's checks in
     order: the accepted colorings as a list, or the first failure's
@@ -1074,6 +1116,7 @@ def test_bench_single_full_size(square_csv, tmp_path):
     assert (tmp_path / "bench.json.csv").exists()
 
 
+@pytest.mark.slow
 def test_bench_uniform_square_slopes(tmp_path):
     # 20-seed scaling comparison on the uniform square: the halving method
     # must fit a log-log slope <= -0.8 while random sampling sits near the

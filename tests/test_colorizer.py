@@ -15,13 +15,13 @@ from kdecoreset.colorizer import (
     partition,
     verify,
 )
-from kdecoreset.coreset import oracle_min_discrepancy
 from kdecoreset.decomp import augment, kernel_factor
 from kdecoreset.kernel import LatticeTables, kernel_sum
 from kdecoreset.schedule import build_schedule, default_constants
 from kdecoreset.walk import gsw_color
 
 import naive
+from audits import oracle_min_discrepancy
 from tracing import traced_peak
 
 

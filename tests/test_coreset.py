@@ -2,17 +2,20 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kdecoreset import recheck
+from kdecoreset.colorizer import partition
 from kdecoreset.coreset import (
     build_coreset,
     halve_indices,
-    oracle_min_discrepancy,
     random_baseline,
 )
 from kdecoreset.kernel import kernel_sum
 from kdecoreset.schedule import default_constants
 
 import naive
+from audits import oracle_min_discrepancy
 
 
 def small_constants(d):
@@ -200,3 +203,76 @@ def test_pinned_chain_fingerprint():
         ratios = [c.max_grid_ratio for r in res.rounds for c in r.cells]
         digest.update(np.asarray(ratios, dtype=np.float64).tobytes())
         assert digest.hexdigest() == expected, seed
+
+
+@st.composite
+def halving_inputs(draw):
+    """(points, target): 2 to 60 points in d = 1 or 2, some coordinates on
+    cell boundaries (odd integers), some rows exact duplicates, in half the
+    draws shifted by 1e6 (even, so the ties stay exact), and a target
+    from the cell count, which halving always reaches, up to half the
+    points."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(0.0, draw(st.sampled_from([0.5, 2.0, 5.0])), (n, d))
+    ties = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.3]))
+    pts[ties] = 2.0 * rng.integers(-3, 3, int(ties.sum())) + 1.0
+    n_dup = draw(st.integers(0, n // 2))
+    pts[rng.integers(0, n, n_dup)] = pts[rng.integers(0, n, n_dup)]
+    if draw(st.booleans()):
+        pts += 1e6
+    cells = len(partition(pts))
+    return pts, draw(st.integers(cells, max(cells, n // 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(halving_inputs(), st.integers(0, 2**32 - 1), st.booleans())
+def test_recheck_passes_a_fresh_build_bit_for_bit(inputs, seed, presample):
+    # recheck of a build's own rounds passes every cell with the ratio and
+    # imbalance the build recorded, bit for bit, and chains the kept sets.
+    pts, target = inputs
+    constants = small_constants(pts.shape[1])
+    result = build_coreset(pts, target=target, seed=seed, presample=presample,
+                           constants=constants)
+    rounds = [(r.coloring, r.kept, [c.flipped for c in r.cells]) for r in result.rounds]
+    checked = recheck(pts, rounds, constants, result.presample_indices)
+    assert len(checked) == len(result.rounds)
+    for rnd, (cells, chained, (centers, _, sizes)) in zip(result.rounds, checked):
+        assert chained
+        assert [(passed, ratio.hex(), imbalance) for passed, ratio, imbalance in cells] == [
+            (True, c.max_grid_ratio.hex(), c.imbalance_before_flip) for c in rnd.cells]
+        assert centers.tolist() == [list(c.center) for c in rnd.cells]
+        assert sizes.tolist() == [c.members.size for c in rnd.cells]
+
+
+def test_recheck_fails_cells_whose_records_do_not_hold():
+    pts = np.random.default_rng(3).normal(0.0, 2.0, (240, 2))
+    constants = small_constants(2)
+    result = build_coreset(pts, target=60, seed=1, constants=constants)
+    rounds = [(r.coloring, r.kept, [c.flipped.tolist() for c in r.cells])
+              for r in result.rounds]
+    assert all(all(p for p, _, _ in cells) for cells, _, _ in recheck(pts, rounds, constants))
+    rno, cno = next((rno, cno) for rno, r in enumerate(result.rounds)
+                    for cno, c in enumerate(r.cells) if c.flipped.size)
+    coloring, kept, flipped = rounds[rno]
+
+    def passes(rnd):
+        cells, chained, _ = recheck(pts, rounds[:rno] + [rnd], constants)[rno]
+        return [passed for passed, _, _ in cells], chained
+
+    # A recorded flip that is not a balance flip fails its cell alone.
+    spoiled = [f + [f[0]] if i == cno else f for i, f in enumerate(flipped)]
+    cells, chained = passes((coloring, kept, spoiled))
+    assert chained and cells == [i != cno for i in range(len(flipped))]
+    # Flips that are not one list per cell, each inside it, fail every cell.
+    for bad in (flipped[:-1], flipped + [[]],
+                [f + [10**6] if i == cno else f for i, f in enumerate(flipped)]):
+        cells, chained = passes((coloring, kept, bad))
+        assert chained and not any(cells)
+    # A kept set that is not the +1 half breaks the chain.
+    assert passes((coloring, kept[1:], flipped))[1] is False
+    bad = coloring.copy()
+    bad[0] = 0
+    with pytest.raises(ValueError, match=f"round {rno}: coloring is not ±1"):
+        recheck(pts, rounds[:rno] + [(bad, kept, flipped)], constants)

@@ -9,14 +9,13 @@ from kdecoreset.evaluation import (
     build_query_grid,
     expansion_margin,
     linf_error,
-    truncation_order,
-    truncation_audit,
 )
 from kdecoreset.colorizer import verify
 from kdecoreset.kernel import kernel_sum
-from kdecoreset.schedule import Grid, build_schedule, default_constants, threshold_batch
+from kdecoreset.schedule import Grid, build_schedule, default_constants
 
 import naive
+from audits import threshold_batch, truncation_audit, truncation_order
 from test_acceptance import mixture_points
 from tracing import traced_peak
 

@@ -12,8 +12,9 @@ from kdecoreset.schedule import (
     ell,
     ilog,
     n_sequence,
-    threshold_batch,
 )
+
+from audits import threshold_batch
 
 # Large enough that the level count reaches 2 (needs n > e^(e^e)).
 N_ELL2 = int(math.ceil(math.exp(math.exp(3.0))))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from kdecoreset.walk import gsw_color, subgaussian_audit, wilson_interval
+from kdecoreset.walk import gsw_color
 
 import naive
+from audits import subgaussian_audit, wilson_interval
 
 
 def unit_rows(rng, n, m, scale=1.0):
