@@ -20,11 +20,10 @@ import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
-from .colorizer import ColoringFailure, recheck, undo_flips
+from .colorizer import ColoringFailure, recheck
 from .config import resolve_config
 from .coreset import HalvingFailure, build_coreset, random_baseline
 from .evaluation import build_query_grid, expansion_margin, linf_error
@@ -295,49 +294,37 @@ def cmd_eval(cfg):
     return EXIT_OK
 
 
-def _accepted_colorings(rno, centers, metas, signs, sizes):
-    """The accepted (pre-flip) colorings of round `rno`'s cells, of
-    `centers` (lists) and `sizes`, one after another in cell order, from
-    `signs`, the round's stored coloring of their members in that order; a
-    ValidationError names the first cell whose record does not match, and
-    the first of its checks that fails.
+def _check_records(rno, metas, cells, owned, runs):
+    """Compare round `rno`'s cell records with what recheck derived: its
+    cells' (passed, max_ratio, imbalance), whether their flips are their
+    own, and partition's runs. A ValidationError names the first cell whose
+    record does not match, and the first of its checks that fails.
 
-    The Las Vegas check certified the pre-flip coloring, which undoing the
-    recorded flips gives back (undo_flips). Those flips must be its own
-    balance flips, and the center, size and imbalance_before_flip must be
-    the cell's. Records are read cell by cell up to the first malformed
-    one; the cells read are undone in one pass, then checked cell by cell.
+    The center and size must be the cell's, the recorded flips the accepted
+    coloring's own balance flips, `flipped` their count, and
+    imbalance_before_flip the accepted coloring's sum.
     """
-    positions, error = [], None
-    for cno, (center, meta, size) in enumerate(zip(centers, metas, sizes)):
+    centers, _, sizes = runs
+    if len(sizes) != len(metas):
+        raise ValidationError(f"round {rno}: cell layout does not match input")
+    for cno, (meta, center, size, own, (_, _, imbalance)) in enumerate(
+            zip(metas, centers.tolist(), sizes.tolist(), owned, cells)):
         where = f"round {rno} cell {cno}"
-        try:
-            if (_field(meta, "center", list, where) != center
-                    or _field(meta, "size", int, where) != size):
-                raise ValidationError(f"{where}: center or size does not match input")
-            positions.append(_int_list(meta, "flipped_positions", where, size))
-        except ValidationError as exc:
-            error = exc
-            break
-    read = sizes[:len(positions)]
-    accepted, own, sums = undo_flips(signs[:sum(read)], read, list(chain.from_iterable(positions)),
-                                     list(map(len, positions)))
-    for cno, (meta, recorded, same, total) in enumerate(zip(metas, positions, own, sums)):
-        where = f"round {rno} cell {cno}"
-        if not same or _field(meta, "flipped", int, where) != len(recorded):
+        if (_field(meta, "center", list, where) != center
+                or _field(meta, "size", int, where) != size):
+            raise ValidationError(f"{where}: center or size does not match input")
+        positions = _int_list(meta, "flipped_positions", where, size)
+        if not own or _field(meta, "flipped", int, where) != len(positions):
             raise ValidationError(f"{where}: flipped positions are not the "
                                   "accepted coloring's balance flips")
-        if _field(meta, "imbalance_before_flip", int, where) != total:
+        if _field(meta, "imbalance_before_flip", int, where) != imbalance:
             raise ValidationError(f"{where}: imbalance_before_flip is not the "
                                   "accepted coloring's sum")
-    if error is not None:
-        raise error
-    return accepted
 
 
 def _recorded_flips(meta, bound):
     """A cell record's flipped_positions for recheck, each below `bound`;
-    none if malformed, as _accepted_colorings then reports."""
+    none if malformed, as _check_records then reports."""
     try:
         return _int_list(meta, "flipped_positions", "", bound)
     except ValidationError:
@@ -376,19 +363,19 @@ def cmd_verify(cfg):
     try:
         for rno, rnd in enumerate(rounds):
             where = f"round {rno}"
-            coloring = _int_array(rnd, "coloring", where)
+            coloring = _int_list(rnd, "coloring", where)
             kept = _int_array(rnd, "kept", where, n)
             metas = _field(rnd, "cells", list, where)
-            if coloring.size != current.size:
+            if len(coloring) != current.size:
                 raise ValidationError(
-                    f"round {rno}: coloring length {coloring.size} does not match "
+                    f"round {rno}: coloring length {len(coloring)} does not match "
                     f"expected size {current.size}"
                 )
-            if not coloring.size:
+            if not coloring:
                 raise ValidationError(f"{where}: the round's set is empty")
-            if np.any(np.abs(coloring) != 1):
+            if not set(coloring) <= {-1, 1}:
                 raise ValidationError(f"{where}: coloring entries must be -1 or +1")
-            if (_field(rnd, "size_before", int, where) != coloring.size
+            if (_field(rnd, "size_before", int, where) != len(coloring)
                     or _field(rnd, "size_after", int, where) != kept.size):
                 raise ValidationError(f"{where}: size_before or size_after does not "
                                       "match the coloring or kept set")
@@ -398,15 +385,12 @@ def cmd_verify(cfg):
         error = exc
     # The cells of every round read are rechecked at once; each round's
     # records are then compared with what recheck derived, in round order.
-    checked = recheck(points, [(coloring, kept, [_recorded_flips(m, coloring.size) for m in metas])
+    checked = recheck(points, [(coloring, kept, [_recorded_flips(m, len(coloring)) for m in metas])
                                for coloring, kept, metas in read], constants, start)
     all_ok = True
     results = []
-    for rno, ((coloring, _, metas), (cells, chained, (centers, members, sizes))) in enumerate(
-            zip(read, checked)):
-        if len(sizes) != len(metas):
-            raise ValidationError(f"round {rno}: cell layout does not match input")
-        _accepted_colorings(rno, centers.tolist(), metas, coloring[members], sizes.tolist())
+    for rno, ((_, _, metas), (cells, owned, chained, runs)) in enumerate(zip(read, checked)):
+        _check_records(rno, metas, cells, owned, runs)
         worst = max([0.0] + [ratio for _, ratio, _ in cells])
         failed = [(cno, ratio, imbalance)
                   for cno, (passed, ratio, imbalance) in enumerate(cells) if not passed]

@@ -20,8 +20,9 @@ attempt, and one stacked dense factorization of the cells with one
 unpaired count. Walks stay per cell, and cells whose first attempt fails
 are retried afterwards in center order, each retry an attempt on a stack
 of one. recheck re-verifies stored rounds the same way, the cells of all
-rounds in one stack per grid shape (_verify_stack). Each cell's result is
-the one it gets alone, bit for bit.
+rounds in one stack per grid shape (_verify_stack), each cell's flips
+undone and judged once (_undo_flips). Each cell's result is the one it
+gets alone, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -42,7 +43,6 @@ __all__ = [
     "verify",
     "recheck",
     "balance_flips",
-    "undo_flips",
     "color_cell",
     "color_all",
 ]
@@ -236,20 +236,21 @@ def recheck(points, rounds, constants=None, start=None):
     is `start` (as CoresetResult.presample_indices; None for every point),
     each later one the kept set before it. constants is as in color_all.
 
-    Returns, per round, (cells, chained, runs): each cell's (passed,
-    max_ratio, imbalance), bit for bit what verify gives it alone (for a
-    build's rounds, its report's max_grid_ratio and imbalance_before_flip);
-    whether kept is the +1 positions of the coloring; and partition's runs.
-    The cells of all rounds are checked in one stack per grid shape. A cell
-    fails unless its flips are the balance flips of the coloring they undo
-    to (undo_flips); in a round whose flips are not one list per cell, each
-    inside its cell, every cell fails. An empty set, or a coloring not ±1
-    over its set, raises ValueError.
+    Returns, per round, (cells, owned, chained, runs): each cell's (passed,
+    max_ratio, imbalance), bit for bit what verify gives its accepted
+    coloring alone (for a build's rounds, its report's max_grid_ratio and
+    imbalance_before_flip); whether each cell's recorded flips are that
+    coloring's balance flips; whether kept is the +1 positions of the
+    coloring; and partition's runs. The cells of all rounds are checked in
+    one stack per grid shape. A cell with a flip position outside it
+    undoes none and does not own them; in a round whose flips are not one
+    list per cell, no cell does. An empty set, or a coloring not ±1 over
+    its set, raises ValueError.
     """
     pts = as_points(points)
     current = (np.arange(len(pts), dtype=np.intp) if start is None
                else np.asarray(start, dtype=np.intp))
-    rounds_read, stack, owns = [], [], []
+    rounds_read, stack = [], []
     for rno, (coloring, kept, flipped) in enumerate(rounds):
         coloring = np.asarray(coloring)
         if not current.size:
@@ -258,33 +259,26 @@ def recheck(points, rounds, constants=None, start=None):
             raise ValueError(f"round {rno}: coloring is not ±1 over the round's "
                              f"{current.size} points")
         centers, members, sizes = _cell_runs(pts[current])
-        flips = np.fromiter(map(len, flipped), np.intp, len(flipped))
-        positions = np.fromiter(chain.from_iterable(flipped), np.intp, flips.sum())
-        fits = flips.size == sizes.size and np.all(
-            (positions >= 0) & (positions < np.repeat(sizes, flips)))
-        if not fits:  # undo none, and fail every cell
-            positions, flips = positions[:0], np.zeros_like(sizes)
-        accepted, own, _ = undo_flips(coloring[members], sizes, positions, flips)
-        owns.append(own & fits)
+        accepted, owned = _undo_flips(coloring[members], sizes, flipped)
         stack.append((pts[current][members] - np.repeat(centers, sizes, axis=0), accepted, sizes))
-        rounds_read.append((np.array_equal(current[coloring == 1], kept), (centers, members, sizes)))
+        rounds_read.append((owned.tolist(), np.array_equal(current[coloring == 1], kept),
+                            (centers, members, sizes)))
         current = np.asarray(kept, dtype=np.intp)
     if not stack:
         return []
     centered, accepted, sizes = map(np.concatenate, zip(*stack))
-    owns = np.concatenate(owns).tolist()
     ends = np.cumsum(sizes)
     checked = [None] * sizes.size
     for schedules, group in _schedule_groups(sizes.tolist(), pts.shape[1], constants):
         counts = sizes[group]
         # The group's rows: each cell's run of rows, up to its end.
         rows = np.repeat(ends[group] - np.cumsum(counts), counts) + np.arange(counts.sum())
-        for cno, (passed, ratio, imbalance) in zip(group, _verify_stack(
-                centered[rows], accepted[rows], schedules, counts.tolist())):
-            checked[cno] = (passed and owns[cno], ratio, imbalance)
-    bounds = [0, *accumulate(len(runs[2]) for _, runs in rounds_read)]
-    return [(checked[a:b], chained, runs)
-            for a, b, (chained, runs) in zip(bounds, bounds[1:], rounds_read)]
+        for cno, result in zip(group, _verify_stack(centered[rows], accepted[rows], schedules,
+                                                    counts.tolist())):
+            checked[cno] = result
+    bounds = [0, *accumulate(len(owned) for owned, _, _ in rounds_read)]
+    return [(checked[a:b], owned, chained, runs)
+            for a, b, (owned, chained, runs) in zip(bounds, bounds[1:], rounds_read)]
 
 
 def _pair_duplicates(group):
@@ -331,29 +325,34 @@ def balance_flips(signs, counts=None):
     return positions, np.bincount(cell, minlength=sizes.size)
 
 
-def undo_flips(signs, counts, positions, flips):
+def _undo_flips(signs, counts, flipped):
     """The colorings verification accepted, from stored ones: `signs` holds
     colorings of cells of `counts` points one after another, each stored
-    after its balance flips, which negated `positions`, flips[c] of them
-    in cell c, each relative to its cell's start (balance_flips' form).
-    Returns (accepted, own, imbalance): the colorings with those positions
-    negated back (a position listed twice is negated once), whether each
-    cell's positions are exactly its accepted coloring's own balance
-    flips, and each accepted coloring's sum (a list)."""
-    counts, positions, flips = (np.asarray(a, dtype=np.intp) for a in (counts, positions, flips))
-    starts = np.cumsum(counts) - counts
+    after its balance flips, which negated the positions flipped[c] of cell
+    c, relative to its start. Returns (accepted, owned): the colorings with
+    those positions negated back (a position listed twice is negated once),
+    and whether each cell's positions are exactly its accepted coloring's
+    own balance flips. A cell with a position outside it undoes none and
+    does not own them; when flipped is not one list per cell, no cell does."""
+    counts = np.asarray(counts, dtype=np.intp)
     accepted = np.array(signs, dtype=np.int64)
-    accepted[np.repeat(starts, flips) + positions] *= -1
+    if len(flipped) != counts.size:
+        return accepted, np.zeros(counts.size, dtype=bool)
+    flips = np.fromiter(map(len, flipped), np.intp, counts.size)
+    positions = np.fromiter(chain.from_iterable(flipped), np.intp, flips.sum())
+    cell = np.repeat(np.arange(counts.size), flips)
+    fits = np.ones(counts.size, dtype=bool)
+    fits[cell[(positions < 0) | (positions >= counts[cell])]] = False
+    inside = fits[cell]
+    accepted[(np.cumsum(counts) - counts)[cell[inside]] + positions[inside]] *= -1
     derived, own_flips = balance_flips(accepted, counts)
-    own = own_flips == flips
+    owned = fits & (own_flips == flips)
     # The cells with as many recorded as own flips list them in one order
     # in both, so their positions compare one by one.
-    cell = np.repeat(np.arange(counts.size), flips)
-    comparable = own[cell]
-    differ = positions[comparable] != derived[own[np.repeat(np.arange(counts.size), own_flips)]]
-    own[cell[comparable][differ]] = False
-    return (accepted, own,
-            np.add.reduceat(accepted, starts).tolist() if counts.size else [])
+    comparable = owned[cell]
+    differ = positions[comparable] != derived[owned[np.repeat(np.arange(counts.size), own_flips)]]
+    owned[cell[comparable][differ]] = False
+    return accepted, owned
 
 
 def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET):

@@ -16,10 +16,11 @@ from kdecoreset.cli import (
     EXIT_IO,
     EXIT_VALIDATION,
     ValidationError,
-    _accepted_colorings,
+    _check_records,
     _field,
     _int_array,
     _parser,
+    _recorded_flips,
     build_parser,
     file_sha256,
     fit_loglog_slope,
@@ -27,7 +28,7 @@ from kdecoreset.cli import (
     read_points,
 )
 from kdecoreset import colorizer
-from kdecoreset.colorizer import partition, verify
+from kdecoreset.colorizer import partition, recheck, verify
 from kdecoreset.config import ENV_PREFIX, RunConfig, resolve_config
 from kdecoreset.evaluation import linf_error
 from kdecoreset.schedule import N_MIN, Constants, build_schedule, default_constants
@@ -512,9 +513,9 @@ def test_verify_rejects_bad_flipped_positions(spread_artifact, capsys):
     cno = next(i for i, c in enumerate(cells) if c["flipped"] == 1)
     pos = cells[cno]["flipped_positions"][0]
 
-    def set_positions(positions, count=None):
+    def set_positions(positions, count=None, cell=cno):
         def tamper(data):
-            meta = data["rounds"][0]["cells"][cno]
+            meta = data["rounds"][0]["cells"][cell]
             meta["flipped_positions"] = positions
             meta["flipped"] = len(positions) if count is None else count
         return tamper
@@ -525,6 +526,15 @@ def test_verify_rejects_bad_flipped_positions(spread_artifact, capsys):
         code = verify_tampered(path, coreset, original, set_positions(positions, count))
         assert code == EXIT_VALIDATION, (positions, count)
         assert f"round 0 cell {cno}" in capsys.readouterr().err
+    # A position just outside the last cell with one flip, inside the
+    # round's set: the cells with flips before it keep their own.
+    last = max(i for i, c in enumerate(cells) if c["flipped"] == 1)
+    size = cells[last]["size"]
+    assert any(c["flipped"] for c in cells[:last])
+    code = verify_tampered(path, coreset, original, set_positions([size], cell=last))
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"error: round 0 cell {last}: 'flipped_positions' "
+                                       f"has an entry outside [0, {size})\n")
 
 
 def test_verify_rejects_flips_beyond_the_balance_flips(spread_artifact, capsys):
@@ -611,7 +621,7 @@ def test_verify_names_the_round_of_a_coloring_entry_other_than_one(spread_artifa
         data["rounds"][rno]["cells"], cells)) if meta["imbalance_before_flip"] in (0, -1)
         and not meta["flipped"] for m in cell.members if coloring[m] == -1)
     assert rno > 0
-    for value in (0, 3):
+    for value in (0, 3, 10**30):
         def tamper(data):
             data["rounds"][rno]["coloring"][member] = value
             data["rounds"][rno]["cells"][cno]["imbalance_before_flip"] += value + 1
@@ -719,10 +729,24 @@ def test_record_checks_match_the_cell_by_cell_checks(colorings, data):
     spoils = data.draw(st.lists(spoil, min_size=len(metas), max_size=len(metas)))
     metas = [SPOILS[spoil](meta) for spoil, meta in zip(spoils, metas)]
     expected = records_cell_by_cell(2, centers, metas, signs, sizes)
+    # One round of 1-D points, each cell's at its center: partition gives
+    # back these cells, their members in stored order.
+    points = np.repeat([center for [center] in centers], sizes)[:, None]
+    kept = np.flatnonzero(np.asarray(signs) == 1)
+    [(cells, owned, _, runs)] = recheck(
+        points, [(signs, kept, [_recorded_flips(meta, len(signs)) for meta in metas])])
     try:
-        got = _accepted_colorings(2, centers, metas, np.asarray(signs), sizes).tolist()
+        _check_records(2, metas, cells, owned, runs)
     except ValidationError as exc:
         got = str(exc)
+    else:
+        # The records hold, so the accepted colorings are the stored signs
+        # with the recorded flips undone.
+        got, start = list(signs), 0
+        for meta, size in zip(metas, sizes):
+            for p in meta["flipped_positions"]:
+                got[start + p] = -got[start + p]
+            start += size
     assert got == expected
     if set(spoils) == {"none"}:
         assert got == [s for coloring in colorings for s in coloring]
@@ -743,7 +767,7 @@ def verify_round_by_round(path, coreset):
     """What `kdecoreset verify` prints and reports, from one round at a
     time with each cell checked alone by colorizer.verify: (stdout lines,
     report rounds, passed, error message or None). A round whose records
-    are malformed ends it with the record check's message."""
+    are malformed ends it with records_cell_by_cell's message."""
     points = read_points(str(path))
     data = json.loads(coreset.read_text())
     constants = Constants(*(data["config"][k] for k in ("c0", "c1", "c_big", "grid_budget")))
@@ -754,11 +778,10 @@ def verify_round_by_round(path, coreset):
         cells = partition(points[current])
         members = np.concatenate([c.members for c in cells])
         sizes = [c.members.size for c in cells]
-        try:
-            accepted = _accepted_colorings(rno, [list(c.center) for c in cells], rnd["cells"],
-                                           np.asarray(rnd["coloring"])[members], sizes)
-        except ValidationError as exc:
-            return lines, rounds, False, str(exc)
+        accepted = records_cell_by_cell(rno, [list(c.center) for c in cells], rnd["cells"],
+                                        np.asarray(rnd["coloring"])[members].tolist(), sizes)
+        if isinstance(accepted, str):
+            return lines, rounds, False, accepted
         checked = [verify(points[current][c.members] - np.asarray(c.center), signs,
                           build_schedule(c.members.size, points.shape[1], constants))
                    for c, signs in zip(cells, np.split(accepted, np.cumsum(sizes)[:-1]))]

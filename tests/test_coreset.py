@@ -238,8 +238,8 @@ def test_recheck_passes_a_fresh_build_bit_for_bit(inputs, seed, presample):
     rounds = [(r.coloring, r.kept, [c.flipped for c in r.cells]) for r in result.rounds]
     checked = recheck(pts, rounds, constants, result.presample_indices)
     assert len(checked) == len(result.rounds)
-    for rnd, (cells, chained, (centers, _, sizes)) in zip(result.rounds, checked):
-        assert chained
+    for rnd, (cells, owned, chained, (centers, _, sizes)) in zip(result.rounds, checked):
+        assert chained and owned == [True] * len(rnd.cells)
         assert [(passed, ratio.hex(), imbalance) for passed, ratio, imbalance in cells] == [
             (True, c.max_grid_ratio.hex(), c.imbalance_before_flip) for c in rnd.cells]
         assert centers.tolist() == [list(c.center) for c in rnd.cells]
@@ -252,22 +252,24 @@ def test_recheck_fails_cells_whose_records_do_not_hold():
     result = build_coreset(pts, target=60, seed=1, constants=constants)
     rounds = [(r.coloring, r.kept, [c.flipped.tolist() for c in r.cells])
               for r in result.rounds]
-    assert all(all(p for p, _, _ in cells) for cells, _, _ in recheck(pts, rounds, constants))
+    assert all(all(p for p, _, _ in cells) and all(owned)
+               for cells, owned, _, _ in recheck(pts, rounds, constants))
     rno, cno = next((rno, cno) for rno, r in enumerate(result.rounds)
                     for cno, c in enumerate(r.cells) if c.flipped.size)
     coloring, kept, flipped = rounds[rno]
 
     def passes(rnd):
-        cells, chained, _ = recheck(pts, rounds[:rno] + [rnd], constants)[rno]
-        return [passed for passed, _, _ in cells], chained
+        # Each cell passes if its certificate holds and its flips are its own.
+        cells, owned, chained, _ = recheck(pts, rounds[:rno] + [rnd], constants)[rno]
+        return [passed and own for (passed, _, _), own in zip(cells, owned)], chained
 
-    # A recorded flip that is not a balance flip fails its cell alone.
-    spoiled = [f + [f[0]] if i == cno else f for i, f in enumerate(flipped)]
-    cells, chained = passes((coloring, kept, spoiled))
-    assert chained and cells == [i != cno for i in range(len(flipped))]
-    # Flips that are not one list per cell, each inside it, fail every cell.
-    for bad in (flipped[:-1], flipped + [[]],
-                [f + [10**6] if i == cno else f for i, f in enumerate(flipped)]):
+    # A recorded flip that is not a balance flip, or a flip outside its
+    # cell, fails its cell alone.
+    for spoiled in (flipped[cno] + flipped[cno][:1], flipped[cno] + [10**6]):
+        cells, chained = passes((coloring, kept, flipped[:cno] + [spoiled] + flipped[cno + 1:]))
+        assert chained and cells == [i != cno for i in range(len(flipped))]
+    # Flips that are not one list per cell fail every cell.
+    for bad in (flipped[:-1], flipped + [[]]):
         cells, chained = passes((coloring, kept, bad))
         assert chained and not any(cells)
     # A kept set that is not the +1 half breaks the chain.
