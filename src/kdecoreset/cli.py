@@ -26,7 +26,7 @@ import numpy as np
 from .colorizer import ColoringFailure, recheck
 from .config import resolve_config
 from .coreset import HalvingFailure, build_coreset, random_baseline
-from .evaluation import build_query_grid, expansion_margin, linf_error
+from .evaluation import build_query_grid, linf_error
 
 __all__ = ["main", "read_points", "write_artifact", "SCHEMA_VERSION"]
 
@@ -322,15 +322,6 @@ def _check_records(rno, metas, cells, owned, runs):
                                   "accepted coloring's sum")
 
 
-def _recorded_flips(meta, bound):
-    """A cell record's flipped_positions for recheck, each below `bound`;
-    none if malformed, as _check_records then reports."""
-    try:
-        return _int_list(meta, "flipped_positions", "", bound)
-    except ValidationError:
-        return []
-
-
 # The configuration keys whose values verify takes from the artifact.
 _VERIFY_KEYS = ("c0", "c1", "c_big", "strict_constants", "grid_budget")
 
@@ -385,7 +376,8 @@ def cmd_verify(cfg):
         error = exc
     # The cells of every round read are rechecked at once; each round's
     # records are then compared with what recheck derived, in round order.
-    checked = recheck(points, [(coloring, kept, [_recorded_flips(m, len(coloring)) for m in metas])
+    checked = recheck(points, [(coloring, kept, [m.get("flipped_positions") if isinstance(m, dict)
+                                                 else None for m in metas])
                                for coloring, kept, metas in read], constants, start)
     all_ok = True
     results = []
@@ -428,8 +420,7 @@ def cmd_bench(cfg):
     if cfg.num_seeds < 1:
         raise ValidationError(f"bench seed count must be at least 1, got {cfg.num_seeds}")
     constants = cfg.constants_for(points.shape[1])
-    grid = build_query_grid(points, resolution=cfg.resolution, budget=cfg.eval_budget,
-                            margin=expansion_margin(points.shape[0]))
+    grid = build_query_grid(points, resolution=cfg.resolution, budget=cfg.eval_budget)
     rows = []
     for s in range(cfg.num_seeds):
         seed = cfg.seed + s

@@ -209,21 +209,13 @@ def _schedule_groups(sizes, d, constants):
 
 
 def _verify_stack(points_centered, signs, schedules, counts):
-    """verify for a stack of cells: points (N, d) and signs (N,) of cells
-    of `counts` points one after another, each checked against its
+    """verify for a nonempty stack of cells: float64 points (N, d) and
+    int64 ±1 signs (N,), as verify and recheck check them, of cells of
+    `counts` points one after another (a list), each checked against its
     schedule in the list `schedules`, all of one grid shape. Returns each
     cell's (passed, max_ratio, imbalance), in stack order. The cells share
-    each level's LatticeTables.
-    """
-    pts = np.asarray(points_centered, dtype=np.float64)
-    sigma = as_coloring(np.ravel(signs))
-    if pts.ndim != 2 or not len(pts) == sigma.size == sum(counts):
-        raise ValueError(f"expected {sum(counts)} points and signs, got points of "
-                         f"shape {pts.shape} and {sigma.size} signs")
-    counts = list(counts)
-    if not counts:
-        return []
-    return _check(sigma, counts, schedules, _cell_tables(pts, schedules, counts))
+    each level's LatticeTables."""
+    return _check(signs, counts, schedules, _cell_tables(points_centered, schedules, counts))
 
 
 def recheck(points, rounds, constants=None, start=None):
@@ -242,10 +234,10 @@ def recheck(points, rounds, constants=None, start=None):
     imbalance_before_flip); whether each cell's recorded flips are that
     coloring's balance flips; whether kept is the +1 positions of the
     coloring; and partition's runs. The cells of all rounds are checked in
-    one stack per grid shape. A cell with a flip position outside it
-    undoes none and does not own them; in a round whose flips are not one
-    list per cell, no cell does. An empty set, or a coloring not ±1 over
-    its set, raises ValueError.
+    one stack per grid shape. A cell whose flip positions are not a list,
+    tuple or array of integers in [0, its size) undoes none and does not
+    own them; when flips are not one entry per cell, no cell does. An
+    empty set, or a coloring not ±1 over its set, raises ValueError.
     """
     pts = as_points(points)
     current = (np.arange(len(pts), dtype=np.intp) if start is None
@@ -325,6 +317,15 @@ def balance_flips(signs, counts=None):
     return positions, np.bincount(cell, minlength=sizes.size)
 
 
+def _cell_flips(positions, size):
+    """One cell's recorded flip positions if they are a list, tuple or
+    array of integers (not bool) in [0, size), else None."""
+    values = positions.tolist() if isinstance(positions, np.ndarray) else positions
+    if isinstance(values, (list, tuple)) and all(
+            type(p) is int or isinstance(p, np.integer) for p in values):
+        return values if not values or 0 <= min(values) <= max(values) < size else None
+
+
 def _undo_flips(signs, counts, flipped):
     """The colorings verification accepted, from stored ones: `signs` holds
     colorings of cells of `counts` points one after another, each stored
@@ -332,19 +333,19 @@ def _undo_flips(signs, counts, flipped):
     c, relative to its start. Returns (accepted, owned): the colorings with
     those positions negated back (a position listed twice is negated once),
     and whether each cell's positions are exactly its accepted coloring's
-    own balance flips. A cell with a position outside it undoes none and
-    does not own them; when flipped is not one list per cell, no cell does."""
+    own balance flips. A cell whose positions _cell_flips rejects undoes
+    none and does not own them; when flipped is not one entry per cell, no
+    cell does."""
     counts = np.asarray(counts, dtype=np.intp)
     accepted = np.array(signs, dtype=np.int64)
     if len(flipped) != counts.size:
         return accepted, np.zeros(counts.size, dtype=bool)
-    flips = np.fromiter(map(len, flipped), np.intp, counts.size)
-    positions = np.fromiter(chain.from_iterable(flipped), np.intp, flips.sum())
+    recorded = [_cell_flips(p, size) for p, size in zip(flipped, counts.tolist())]
+    fits = np.fromiter((p is not None for p in recorded), bool, counts.size)
+    flips = np.fromiter((len(p or ()) for p in recorded), np.intp, counts.size)
+    positions = np.fromiter(chain.from_iterable(p or () for p in recorded), np.intp, flips.sum())
     cell = np.repeat(np.arange(counts.size), flips)
-    fits = np.ones(counts.size, dtype=bool)
-    fits[cell[(positions < 0) | (positions >= counts[cell])]] = False
-    inside = fits[cell]
-    accepted[(np.cumsum(counts) - counts)[cell[inside]] + positions[inside]] *= -1
+    accepted[(np.cumsum(counts) - counts)[cell] + positions] *= -1
     derived, own_flips = balance_flips(accepted, counts)
     owned = fits & (own_flips == flips)
     # The cells with as many recorded as own flips list them in one order
@@ -378,7 +379,8 @@ def color_cell(cell, points, constants, seed, retry_budget=DEFAULT_RETRY_BUDGET)
         raise ValueError("cannot color an empty cell")
     pts = np.asarray(points, dtype=np.float64)
     as_points(pts[cell.members])
-    return _color_cells([cell], pts, constants, [seed], retry_budget)[0]
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return _color_cells([cell], pts, constants, [root], retry_budget)[0]
 
 
 def _attempt(cells, points, schedules, roots):
@@ -413,15 +415,15 @@ def _attempt(cells, points, schedules, roots):
         factors = kernel_factor(stack)
         for j, rows in zip(items, stack):
             # No name keeps the factor: it is freed before the walk starts.
-            vectors = augment(next(factors), rows, points.shape[1])
+            vectors = augment(next(factors), rows)
             sigma[starts[j] + paired[j][1]] = gsw_color(vectors, roots[j].spawn(1)[0]).signs
     return [(sigma[a:b].copy(), rest, result) for a, b, (_, rest), result
             in zip(starts, starts[1:], paired, _check(sigma, counts, schedules, tables))]
 
 
-def _color_cells(cells, points, constants, seeds, retry_budget):
-    """color_cell of each of `cells` with its seed, in order; `points` is
-    the float64 array their members index into.
+def _color_cells(cells, points, constants, roots, retry_budget):
+    """color_cell of each of `cells` with its SeedSequence in `roots`, in
+    order; `points` is the float64 array their members index into.
 
     First attempts go in one stack per grid shape, by ascending size.
     Cells whose first attempt fails are retried afterwards in the order of
@@ -431,8 +433,6 @@ def _color_cells(cells, points, constants, seeds, retry_budget):
     """
     if retry_budget < 1:
         raise ValueError(f"retry budget must be at least 1, got {retry_budget}")
-    roots = [s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)
-             for s in seeds]
     d = points.shape[1]
     sizes = [cell.members.size for cell in cells]
     first = {}

@@ -145,6 +145,6 @@ def random_baseline(points, size, seed=0):
     n = pts.shape[0]
     if not 1 <= size <= n:
         raise ValueError(f"sample size {size} out of range [1, {n}]")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.Philox(seed))
     idx = np.sort(rng.choice(n, size=size, replace=False)).astype(np.intp)
     return CoresetResult(indices=idx, target_size=int(size), seed=int(seed))

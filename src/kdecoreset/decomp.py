@@ -234,23 +234,22 @@ def _pivoted_factor(pts):
     return GramFactor(columns=np.ascontiguousarray(q[:, keep].T @ low), n_data=n)
 
 
-def augment(factor, points, d=None):
+def augment(factor, points):
     """Walk input vectors: rows (1; v_p * e^(2 ||p||^2)) / sqrt(1 + e^(4d)).
 
-    v_p is the data column of `factor` for point p. Each row has euclidean
-    norm sqrt((1 + e^(4||p||^2)) / (1 + e^(4d))) <= 1 for p in the unit
-    sup-norm ball, which is the walk's norm precondition.
+    v_p is the data column of `factor` for point p and d the dimension of
+    `points`. Each row has euclidean norm sqrt((1 + e^(4||p||^2)) /
+    (1 + e^(4d))) <= 1 for p in the unit sup-norm ball, which is the
+    walk's norm precondition.
 
     Returns an (n, dim_m + 1) array, one row per data point.
     """
     pts = as_points(points)
-    if d is None:
-        d = pts.shape[1]
     if factor.n_data != pts.shape[0]:
         raise ValueError("factor data columns do not match the point count")
     sqn = np.einsum("nd,nd->n", pts, pts)
     weights = np.exp(2.0 * sqn)
-    scale = 1.0 / math.sqrt(1.0 + math.exp(4.0 * d))
+    scale = 1.0 / math.sqrt(1.0 + math.exp(4.0 * pts.shape[1]))
     out = np.empty((pts.shape[0], factor.dim_m + 1), dtype=np.float64)
     out[:, 0] = scale
     # (v_p * w_p) * scale, written in place: no n x dim_m temporaries.

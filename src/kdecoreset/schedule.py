@@ -219,7 +219,6 @@ class GridSchedule:
     seq: tuple
     constants: Constants
     grids: tuple
-    degenerate: bool = False
 
     def verification_grids(self):
         """Per-level grids to check during verification, coarsened to the
@@ -269,8 +268,7 @@ def _schedule(n, d, cst):
         n_eff = float(N_MIN)
         radius = math.sqrt(3.0 * math.log(n_eff)) + 3.0
         grid = Grid(1.0 / (cst.c0 * n_eff), radius, d)
-        return GridSchedule(dim=d, ell=1, seq=(n_eff, radius), constants=cst,
-                            grids=(grid,), degenerate=True)
+        return GridSchedule(dim=d, ell=1, seq=(n_eff, radius), constants=cst, grids=(grid,))
     seq = n_sequence(n)
     L = len(seq) - 1
     grids = tuple(Grid(1.0 / (cst.c0 * seq[i]), seq[i + 1], d) for i in range(L))

@@ -74,12 +74,6 @@ def _as_vectors(vectors):
     return v
 
 
-def _rng_from(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def gsw_color(vectors, seed):
     """Color row vectors of norm <= 1 with signs whose signed sum has
     subgaussian projections along every fixed unit direction.
@@ -96,7 +90,7 @@ def gsw_color(vectors, seed):
     v = _as_vectors(vectors)
     if v.shape[0] == 0:
         return WalkOutput(signs=np.empty(0, dtype=np.int64), steps=0)
-    return _walk(v, _rng_from(seed))
+    return _walk(v, np.random.Generator(np.random.Philox(seed)))
 
 
 def _solve(w_inv, panel, pdiag, r, vec):

@@ -20,7 +20,6 @@ from kdecoreset.cli import (
     _field,
     _int_array,
     _parser,
-    _recorded_flips,
     build_parser,
     file_sha256,
     fit_loglog_slope,
@@ -698,6 +697,8 @@ SPOILS = {
     "position outside": lambda meta: with_positions(meta, [meta["size"]]),
     "position negative": lambda meta: with_positions(meta, [-1]),
     "position float": lambda meta: with_positions(meta, [0.0]),
+    "position huge": lambda meta: with_positions(meta, [10**30]),
+    "position true": lambda meta: with_positions(meta, [True]),
     "positions not a list": lambda meta: {**meta, "flipped_positions": 0},
     "flipped": lambda meta: {**meta, "flipped": meta["flipped"] + 1},
     "flipped string": lambda meta: {**meta, "flipped": str(meta["flipped"])},
@@ -733,8 +734,8 @@ def test_record_checks_match_the_cell_by_cell_checks(colorings, data):
     # back these cells, their members in stored order.
     points = np.repeat([center for [center] in centers], sizes)[:, None]
     kept = np.flatnonzero(np.asarray(signs) == 1)
-    [(cells, owned, _, runs)] = recheck(
-        points, [(signs, kept, [_recorded_flips(meta, len(signs)) for meta in metas])])
+    [(cells, owned, _, runs)] = recheck(points, [(signs, kept, [
+        meta.get("flipped_positions") if isinstance(meta, dict) else None for meta in metas])])
     try:
         _check_records(2, metas, cells, owned, runs)
     except ValidationError as exc:

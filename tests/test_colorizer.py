@@ -479,7 +479,7 @@ def test_color_cell_retry_uses_kth_split():
     pts = rng.uniform(-1, 1, size=(40, 2))
     cell = CellAssignment(center=(0.0, 0.0), members=np.arange(40))
     cst = default_constants(2, c1=3.5, grid_budget=400)
-    vectors = augment(kernel_factor(pts), pts, 2)
+    vectors = augment(kernel_factor(pts), pts)
     retries = []
     for seed in range(3):
         report = color_cell(cell, pts, cst, seed=seed, retry_budget=16)
@@ -519,6 +519,22 @@ def report_fields(report):
     return (repr(report.center), report.members.tolist(), report.coloring.tolist(),
             report.coloring.dtype.str, report.retries, report.flipped.tolist(),
             report.flipped.dtype.str, report.max_grid_ratio.hex(), report.imbalance_before_flip)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**70])
+def test_int_seed_colors_as_its_seed_sequence(seed):
+    # An int seed and SeedSequence(seed) seed Philox the same way, so
+    # gsw_color and color_cell give the same outputs for both, bit for bit.
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-1, 1, size=(40, 2))
+    vectors = augment(kernel_factor(pts), pts)
+    a, b = (gsw_color(vectors, s) for s in (seed, np.random.SeedSequence(seed)))
+    assert (a.signs.tolist(), a.steps) == (b.signs.tolist(), b.steps)
+    # c1 = 3.5 rejects some walks, so retries spawn from the seed too.
+    cell = CellAssignment(center=(0.0, 0.0), members=np.arange(40))
+    cst = default_constants(2, c1=3.5, grid_budget=400)
+    assert report_fields(color_cell(cell, pts, cst, seed)) == report_fields(
+        color_cell(cell, pts, cst, np.random.SeedSequence(seed)))
 
 
 def outcome(color):
@@ -598,7 +614,7 @@ def test_color_all_retries_match_color_cell():
     for report, cell_seed in zip(reports, np.random.SeedSequence(6).spawn(16)):
         if report.retries:
             centered = pts[report.members] - np.asarray(report.center)
-            vectors = augment(kernel_factor(centered), centered, 2)
+            vectors = augment(kernel_factor(centered), centered)
             kth = cell_seed.spawn(report.retries + 1)[report.retries]
             assert np.array_equal(report.accepted_coloring, gsw_color(vectors, kth).signs)
     failed = outcome(lambda: color_all(pts, cst, seed=6, retry_budget=2)[1])

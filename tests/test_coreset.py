@@ -268,6 +268,13 @@ def test_recheck_fails_cells_whose_records_do_not_hold():
     for spoiled in (flipped[cno] + flipped[cno][:1], flipped[cno] + [10**6]):
         cells, chained = passes((coloring, kept, flipped[:cno] + [spoiled] + flipped[cno + 1:]))
         assert chained and cells == [i != cno for i in range(len(flipped))]
+    # Positions that are not integers in [0, size) undo nothing and raise
+    # nothing: their cell alone does not own its flips.
+    for positions in ([0.5], [True], [10**30], ["1"], None, [-1]):
+        spoiled = flipped[:cno] + [positions] + flipped[cno + 1:]
+        _, owned, chained, _ = recheck(pts, rounds[:rno] + [(coloring, kept, spoiled)],
+                                       constants)[rno]
+        assert chained and owned == [i != cno for i in range(len(flipped))]
     # Flips that are not one list per cell fail every cell.
     for bad in (flipped[:-1], flipped + [[]]):
         cells, chained = passes((coloring, kept, bad))

@@ -119,7 +119,7 @@ def test_augment_origin():
     d = 2
     pts = np.array([[0.0, 0.0]])
     f = psd_factor(build_gram(pts))
-    vecs = augment(f, pts, d)
+    vecs = augment(f, pts)
     scale = 1.0 / math.sqrt(1.0 + math.exp(4.0 * d))
     assert vecs[0, 0] == pytest.approx(scale, rel=1e-14)
     assert np.linalg.norm(vecs[0]) == pytest.approx(math.sqrt(2.0) * scale, rel=1e-12)
@@ -129,7 +129,7 @@ def test_augment_boundary_point_saturates():
     # d = 1 and ||p||^2 = 1: the normalizer cancels exactly.
     pts = np.array([[1.0]])
     f = psd_factor(build_gram(pts))
-    vecs = augment(f, pts, 1)
+    vecs = augment(f, pts)
     assert np.linalg.norm(vecs[0]) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_augment_inner_products_closed_form():
     d = 2
     pts = rng.uniform(-1, 1, size=(8, d))
     f = psd_factor(build_gram(pts))
-    vecs = augment(f, pts, d)
+    vecs = augment(f, pts)
     denom = 1.0 + math.exp(4.0 * d)
     for a in range(8):
         for b in range(8):
@@ -153,7 +153,7 @@ def test_augment_norm_bound_and_duplicates():
     pts = rng.uniform(-1, 1, size=(12, 3))
     pts[7] = pts[3]  # duplicate
     f = psd_factor(build_gram(pts))
-    vecs = augment(f, pts, 3)
+    vecs = augment(f, pts)
     norms = np.linalg.norm(vecs, axis=1)
     assert norms.max() <= 1.0 + 1e-12
     assert np.allclose(f.columns[:, 3], f.columns[:, 7], atol=1e-7)

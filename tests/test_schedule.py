@@ -204,7 +204,7 @@ def test_sizes_below_n_min_share_one_schedule(d):
 def test_degenerate_schedule():
     cst = default_constants(1, c0=20.0)
     sch = build_schedule(8, 1, cst)
-    assert sch.degenerate and sch.ell == 1
+    assert sch is build_schedule(1, 1, cst) and sch.ell == 1
     assert sch.grids[0].width == pytest.approx(1.0 / (20.0 * N_MIN), rel=1e-12)
     assert sch.grids[0].radius == pytest.approx(math.sqrt(3 * math.log(N_MIN)) + 3, rel=1e-12)
 
