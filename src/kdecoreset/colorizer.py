@@ -237,7 +237,8 @@ def recheck(points, rounds, constants=None, start=None):
     one stack per grid shape. A cell whose flip positions are not a list,
     tuple or array of integers in [0, its size) undoes none and does not
     own them; when flips are not one entry per cell, no cell does. An
-    empty set, or a coloring not ±1 over its set, raises ValueError.
+    empty set, or a coloring not ±1 over its set (its dtype not integer,
+    bool included), raises ValueError.
     """
     pts = as_points(points)
     current = (np.arange(len(pts), dtype=np.intp) if start is None
@@ -247,7 +248,8 @@ def recheck(points, rounds, constants=None, start=None):
         coloring = np.asarray(coloring)
         if not current.size:
             raise ValueError(f"round {rno}: the round's set is empty")
-        if coloring.shape != current.shape or np.any(np.abs(coloring) != 1):
+        if (coloring.dtype.kind not in "iu" or coloring.shape != current.shape
+                or np.any(np.abs(coloring) != 1)):
             raise ValueError(f"round {rno}: coloring is not ±1 over the round's "
                              f"{current.size} points")
         centers, members, sizes = _cell_runs(pts[current])

@@ -1,19 +1,20 @@
-"""Scaled kernel Gram matrix, its unit-norm factorization, and the
-augmented input vectors for the balancing walk.
+"""Scaled kernel Gram matrix, its factorization into (nearly) unit-norm
+columns, and the augmented input vectors for the balancing walk.
 
 The Gram couples the cell's data points (scaled by sqrt(3)) with the
-verification grid points (scaled by 1/sqrt(3)); its factor columns are
-unit vectors whose inner products reproduce the matrix. Only data points
-receive augmented walk inputs; grid columns exist as audit witnesses.
+verification grid points (scaled by 1/sqrt(3)); the inner products of its
+factor columns reproduce the matrix. Only data points receive augmented
+walk inputs; grid columns exist as audit witnesses.
 
 Memory: `build_gram` for n data and g grid points is one (n + g)^2
 float64 array (plus `psd_factor`'s working set of the same order); callers
 cap g via the schedule's grid budget. `kernel_factor`, which the colorizer
-uses, factors a data-only cell by pivoted partial Cholesky on kernel
-columns computed on demand: O(n r) memory and O(n r^2) time for numerical
-rank r, instead of O(n^2) memory and O(n^3) time. Small cells take the
-dense route, which factors a stack of cells of one size at once: one
-`build_gram` and one stacked eigh per chunk of cells, whose Gram
+uses, factors every data-only cell of more than `_DENSE_MAX` points by
+pivoted partial Cholesky on kernel columns computed on demand, to a proved
+entrywise error of at most `_ERROR_BUDGET`: O(n r + r^2) memory and
+O(n r^2 + r^3) time for pivot count r, and never an n x n array. Small
+cells take the dense route, which factors a stack of cells of one size at
+once: one `build_gram` and one stacked eigh per chunk of cells, whose Gram
 temporaries hold no more floats than those of one `_DENSE_MAX`-point
 cell. A single cell is a stack of one.
 """
@@ -33,19 +34,16 @@ EIG_TOL = 1e-8
 
 _BALL_SLACK = 1e-9
 
-# Pivots at or below this are numerically zero; it matches psd_factor's
-# 1e-12 eigenvalue floor on a unit-diagonal matrix.
+# kernel_factor pivots until every residual diagonal entry is at most
+# _PIVOT_TOL, then drops eigen-directions of the pivoted factor while every
+# Gram entry stays within _ERROR_BUDGET; the pivoting takes 1e-12 of it.
 _PIVOT_TOL = 1e-12
+_ERROR_BUDGET = 5e-11
 
-# kernel_factor's dense cut-offs: cells of at most _DENSE_MAX points, and
-# cells whose pivot count passes n / _RANK_FRACTION, are factored densely.
-# The first holds more than bit-identity: pivoting small cells too worsened
-# the sup error of spread normal(0, 5) chains (median of 16, 3.14 -> 3.54).
-# The second pays off at d = 3 (2000 points, rank 1523: 1.9 s dense vs 3.2 s
-# pivoted, one BLAS thread) but not at d = 2, where finishing the pivoting
-# is 3-5x faster (450 points, rank 100: 0.03 vs 0.007 s).
+# kernel_factor factors cells of at most _DENSE_MAX points densely. Pivoting
+# small cells too worsened the sup error of spread normal(0, 5) chains
+# (median of 16, 3.14 -> 3.54).
 _DENSE_MAX = 256
-_RANK_FRACTION = 4
 
 
 def build_gram(points, grids=()):
@@ -92,10 +90,12 @@ def _cell_points(points):
 
 @dataclass(frozen=True)
 class GramFactor:
-    """Unit-norm column factor U of a Gram matrix: U^T U reproduces M.
+    """Column factor U of a unit-diagonal Gram matrix: U^T U reproduces M.
 
     columns has shape (dim_m, N) with one column per Gram row; the first
     n_data columns belong to data points, the rest to grid witnesses.
+    Column norms are 1 within the factor's error: psd_factor's clamp, or
+    kernel_factor's budget of 5e-11 on squared norms.
     """
 
     columns: np.ndarray
@@ -114,11 +114,6 @@ class GramFactor:
         return self.columns.T @ self.columns
 
 
-def _above_noise_floor(w):
-    # Ascending eigenvalues above 1e-12 of the largest (taken as at least 1).
-    return w > 1e-12 * max(float(w[-1]), 1.0)
-
-
 def psd_factor(matrix, n_data=None):
     """Factor a symmetric unit-diagonal PSD matrix into unit-norm columns.
 
@@ -128,9 +123,9 @@ def psd_factor(matrix, n_data=None):
     dimension is the numerical rank. The clamp handles the exact rank
     deficiency that duplicate points and dense grids produce, and it
     perturbs reconstructed inner products by at most ~1e-12 * lambda_max
-    entrywise. For data-only cells, `kernel_factor` reaches the same factor
-    by pivoted Cholesky stopped at the numerical rank, which never takes a
-    zero pivot.
+    entrywise. Data-only cells of more than 256 points take
+    `kernel_factor`'s pivoted route instead, whose factor is truncated by
+    an absolute error budget, not by this relative floor.
 
     Raises ValueError when an eigenvalue is below -EIG_TOL * lambda_max,
     which means the input was not (numerically) positive semidefinite.
@@ -156,7 +151,7 @@ def _eigen_factor(w, q, n_data):
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e} "
             f"vs max {lam_max:.3e}"
         )
-    keep = _above_noise_floor(w)
+    keep = w > 1e-12 * max(lam_max, 1.0)
     cols = (q[:, keep] * np.sqrt(w[keep])).T
     return GramFactor(columns=np.ascontiguousarray(cols), n_data=n_data)
 
@@ -164,18 +159,20 @@ def _eigen_factor(w, q, n_data):
 def kernel_factor(points):
     """The GramFactor of `build_gram(points)`, without building that matrix.
 
-    Runs pivoted partial Cholesky (Harbrecht, Peters & Schneider, 2012) on
-    Gram columns computed on demand: the largest residual diagonal entry
-    (first index on ties) is the next pivot, and the factorization stops
-    once it is at most 1e-12. The r x n triangular factor L is then rotated
-    onto the eigenvectors of L L^T, truncated by psd_factor's rule, so
-    dim_m is psd_factor's numerical rank. The reconstructed Gram's error
-    against build_gram is set by that 1e-12 * lambda_max truncation floor,
-    not by rounding: measured errors reach 8.8e-11 (d = 3, spread 0.05)
-    and 1.006e-10 (a 419-point d = 3 cell within 0.01).
+    Cells of more than 256 points run pivoted partial Cholesky (Harbrecht,
+    Peters & Schneider, 2012) on Gram columns computed on demand: the
+    largest residual diagonal entry (first index on ties) is the next
+    pivot, and the factorization stops once every one is at most 1e-12.
+    The r x n factor L is then rotated onto the eigenvectors of L L^T, and
+    the weakest directions are dropped while each column's lost squared
+    norm plus its residual diagonal stays at most 5e-11. What is left out,
+    the pivoting's Schur complement plus the dropped directions, is PSD, so
+    its largest entry is on its diagonal: every reconstructed Gram entry is
+    within 5e-11 of build_gram's, up to rounding, and build_gram is never
+    called.
 
-    Cells of at most 256 points, and cells whose pivot count passes n / 4,
-    return psd_factor(build_gram(points)) unchanged.
+    Cells of at most 256 points return psd_factor(build_gram(points))
+    unchanged.
 
     `points` may be a stack of C cells of one size, (C, n, d); the result
     is then an iterator over the cells' factors, computed as they are
@@ -206,19 +203,16 @@ def _pivoted_factor(pts):
     """kernel_factor of one cell of more than _DENSE_MAX points."""
     n = pts.shape[0]
     s = np.sqrt(3.0) * pts
-    max_rank = n // _RANK_FRACTION
     resid = np.ones(n)
-    rows = np.empty((min(64, max_rank), n))
+    rows = np.empty((64, n))
     k = 0
     while True:
         j = int(np.argmax(resid))
         pivot = float(resid[j])
         if pivot <= _PIVOT_TOL:
             break
-        if k == max_rank:
-            return next(_dense_factors(pts[None]))
         if k == rows.shape[0]:
-            grown = np.empty((min(2 * k, max_rank), n))
+            grown = np.empty((min(2 * k, n), n))
             grown[:k] = rows
             rows = grown
         diff = s - s[j]
@@ -230,8 +224,19 @@ def _pivoted_factor(pts):
         k += 1
     low = rows[:k]
     w, q = np.linalg.eigh(low @ low.T)
-    keep = _above_noise_floor(w)
-    return GramFactor(columns=np.ascontiguousarray(q[:, keep].T @ low), n_data=n)
+    # Dropping eigen-direction i takes (q_i . low_p)^2 from column p's
+    # squared norm; those sum to w_i over p, so only w_i <= budget * n can
+    # drop. The rest of the residual is the pivoting's, also PSD.
+    cand = int(np.searchsorted(w, _ERROR_BUDGET * n, "right"))
+    lost = q[:, :cand].T @ low
+    np.square(lost, out=lost)
+    np.cumsum(lost, axis=0, out=lost)
+    lost += np.maximum(resid, 0.0)
+    # Each row's max is at least the one before it, so the rows within
+    # the budget come first.
+    drop = np.count_nonzero(lost.max(axis=1) <= _ERROR_BUDGET)
+    del lost
+    return GramFactor(columns=q[:, drop:].T @ low, n_data=n)
 
 
 def augment(factor, points):

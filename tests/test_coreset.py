@@ -1,4 +1,9 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +37,12 @@ PINNED_CHAINS = {
     1: "90ff19c711544f40b9ede58dd81babe755a46267b708fa4876bbf0da9892427a",
     2: "e55da808ec17468da069c6b8a343d3fff01c5f0a1c90b7cdd0e9d16ed55c242f",
 }
+
+# The same digest for one chain through kernel_factor's pivoted route:
+# 1200 uniform(-1, 1) points fill one d = 2 cell, halved to 300 through
+# cells of 1200 and 600 points, chain seed 0, at one BLAS thread (OpenBLAS
+# sums in another order on more threads).
+PINNED_PIVOTED_CHAIN = "fe706059a2e15d49543732aee34762b72ad9ed777c730920ef7a89d3f0dec215"
 
 
 def test_halve_duplicate_pair():
@@ -193,16 +204,39 @@ def test_oracle_dual_enumerators_bit_for_bit():
         assert signs_a.tolist() == signs_b
 
 
+def chain_digest(indices, ratios):
+    digest = hashlib.sha256(np.asarray(indices, dtype=np.int64).tobytes())
+    digest.update(np.asarray(ratios, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
 def test_pinned_chain_fingerprint():
     # 1024 spread points fill 151 cells, most of a few points, so this pins
     # the per-cell path: seeds, schedules, row merging and verification.
     pts = np.random.default_rng(0).normal(0.0, 5.0, (1024, 2))
     for seed, expected in PINNED_CHAINS.items():
         res = build_coreset(pts, target=192, seed=seed)
-        digest = hashlib.sha256(np.asarray(res.indices, dtype=np.int64).tobytes())
         ratios = [c.max_grid_ratio for r in res.rounds for c in r.cells]
-        digest.update(np.asarray(ratios, dtype=np.float64).tobytes())
-        assert digest.hexdigest() == expected, seed
+        assert chain_digest(res.indices, ratios) == expected, seed
+
+
+def test_pinned_pivoted_chain_fingerprint():
+    script = "\n".join([
+        "import json, numpy as np",
+        "from kdecoreset.coreset import build_coreset",
+        "pts = np.random.default_rng(0).uniform(-1.0, 1.0, (1200, 2))",
+        "res = build_coreset(pts, target=300, seed=0)",
+        "print(json.dumps([[r.cells[0].members.size for r in res.rounds], res.indices.tolist(),",
+        "                  [c.max_grid_ratio.hex() for r in res.rounds for c in r.cells]]))",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    sizes, indices, ratios = json.loads(out.stdout)
+    assert sizes == [1200, 600]
+    assert chain_digest(indices, [float.fromhex(r) for r in ratios]) == PINNED_PIVOTED_CHAIN
 
 
 @st.composite
@@ -285,3 +319,12 @@ def test_recheck_fails_cells_whose_records_do_not_hold():
     bad[0] = 0
     with pytest.raises(ValueError, match=f"round {rno}: coloring is not ±1"):
         recheck(pts, rounds[:rno] + [(bad, kept, flipped)], constants)
+
+
+@pytest.mark.parametrize("coloring", [np.ones(20, dtype=bool), np.ones(20), [1.0] * 20,
+                                      [1] * 19 + [10**30]])
+def test_recheck_rejects_colorings_that_are_not_integers(coloring):
+    # True is not +1, nor is 1.0: a ±1 coloring has an integer dtype.
+    pts = np.random.default_rng(4).uniform(-1, 1, (20, 2))
+    with pytest.raises(ValueError, match="round 0: coloring is not ±1 over the round's 20"):
+        recheck(pts, [(coloring, np.arange(20), [[]])])

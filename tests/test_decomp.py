@@ -181,33 +181,37 @@ def test_kernel_factor_matches_dense_gram_d2(n, spread):
     pts = _cell(np.random.default_rng(n), n, 2, spread)
     with mock.patch.object(decomp, "build_gram", wraps=decomp.build_gram) as spy:
         f = kernel_factor(pts)
-    assert not spy.called  # low rank, so the pivoted path
+    assert not spy.called  # above 256 points, so the pivoted path
     m = build_gram(pts)
     assert f.n_data == n and f.columns.shape[1] == n
-    assert np.abs(f.gram() - m).max() <= 1e-10
-    assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 1e-9
-    assert f.dim_m == psd_factor(m).dim_m
+    assert np.abs(f.gram() - m).max() <= 5e-11
+    assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 5e-11
 
 
-@st.composite
-def kernel_cells(draw):
-    """Cells in d = 1..6: small (dense path) or above the 256-point cut,
-    tight (low rank, pivoted) or wide (full rank at d >= 3, dense
-    fallback), with coordinates snapped to the cell boundary +-1 and
-    duplicated rows."""
-    d = draw(st.integers(1, 6))
-    n = draw(st.one_of(st.integers(1, 40), st.integers(257, 420)))
-    spread = draw(st.sampled_from([0.005, 0.05, 0.5]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _rough_cell(rng, n, d, spread, snap, n_dup):
+    """_cell with a `snap` share of coordinates moved to the cell boundary
+    +-1 and up to n_dup rows replaced by copies of others."""
     pts = _cell(rng, n, d, spread)
-    snap = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
-    pts[snap] = rng.choice([-1.0, 1.0], int(snap.sum()))
-    n_dup = draw(st.integers(0, n // 2))
+    snapped = rng.random((n, d)) < snap
+    pts[snapped] = rng.choice([-1.0, 1.0], int(snapped.sum()))
     src = rng.integers(0, n, n_dup)
     dst = rng.choice(n, n_dup, replace=False)
     keep = src != dst
     pts[dst[keep]] = pts[src[keep]]
     return pts
+
+
+@st.composite
+def kernel_cells(draw):
+    """Cells in d = 1..6: small (dense path) or above the 256-point cut
+    (pivoted), tight (low rank) or wide (near full rank at d >= 3), with
+    coordinates snapped to the cell boundary +-1 and duplicated rows."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(257, 420)))
+    spread = draw(st.sampled_from([0.005, 0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _rough_cell(rng, n, d, spread, draw(st.sampled_from([0.0, 0.1, 0.5])),
+                       draw(st.integers(0, n // 2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,15 +222,40 @@ def test_kernel_factor_dense_path_bit_identical(pts):
         f = kernel_factor(pts)
     m = build_gram(pts)
     if spy.called:
+        assert n <= 256
         assert np.array_equal(f.columns, psd_factor(m).columns)
     else:
-        assert n > 256 and f.dim_m <= n // 4
-        assert np.abs(f.gram() - m).max() <= 1e-10
+        assert n > 256
+        assert np.abs(f.gram() - m).max() <= 5e-11
     assert f.n_data == n and f.columns.shape[1] == n
     _, first, counts = np.unique(pts, axis=0, return_index=True, return_counts=True)
     for a in first[counts > 1]:
         same = np.flatnonzero((pts == pts[a]).all(axis=1))
         assert np.abs(f.columns[:, same] - f.columns[:, [a]]).max() <= 1e-7
+
+
+def _pivoted_error(pts):
+    with mock.patch.object(decomp, "build_gram", wraps=decomp.build_gram) as spy:
+        f = kernel_factor(pts)
+    assert not spy.called
+    return np.abs(f.gram() - build_gram(pts)).max()
+
+
+def test_kernel_factor_tight_cell_within_budget():
+    # 419 points within 0.01 at d = 3, some rows duplicated: the largest
+    # Gram eigenvalue is near 419, so a floor of 1e-12 of it would let
+    # entries drift by 1.6e-10 here.
+    rng = np.random.default_rng(30)
+    pts = np.clip(rng.normal(0.0, 0.004, (419, 3)), -0.01, 0.01)
+    n_dup = int(rng.integers(0, 209))
+    pts[rng.choice(419, n_dup, replace=False)] = pts[rng.integers(0, 419, n_dup)]
+    assert _pivoted_error(pts) <= 5e-11
+
+
+@pytest.mark.parametrize("n, snap", [(257, 0.1), (333, 0.5), (420, 0.1), (420, 0.5)])
+def test_kernel_factor_wide_d6_cells_within_budget(n, snap):
+    pts = _rough_cell(np.random.default_rng(n), n, 6, 0.5, snap, n // 3)
+    assert _pivoted_error(pts) <= 5e-11
 
 
 def test_kernel_factor_memory_bounded_20k():
@@ -236,6 +265,18 @@ def test_kernel_factor_memory_bounded_20k():
     assert peak <= 300e6
     assert f.columns.shape[1] == 20_000
     assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 1e-9
+
+
+def test_kernel_factor_large_cell_never_builds_the_gram():
+    # 600 points at d = 3 with numerical rank about 2/3 of n. A dense
+    # build_gram and eigh of this cell peak at 9.6 MB traced; the pivoted
+    # factor needs its r x n rows, the r x r eigenproblem and the result.
+    pts = _cell(np.random.default_rng(600), 600, 3, 0.3)
+    with mock.patch.object(decomp, "build_gram", wraps=decomp.build_gram) as spy:
+        f, peak = traced_peak(lambda: kernel_factor(pts))
+    assert not spy.called
+    assert 300 < f.dim_m < 600
+    assert peak <= 8.5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @st.composite
