@@ -10,20 +10,29 @@ martingale. Coordinates that reach +-1 freeze; the walk ends when all are
 frozen. Projections onto every fixed unit direction of the signed sum are
 then subgaussian.
 
-Directions are computed in feature space: with W the ridge-regularized
-second-moment matrix of the k unfrozen vectors, the step direction is
-(e_pivot - V W^-1 v_pivot) rescaled, and freezing a vector f downdates W by
-f f^T. How W^-1 follows the freezes depends on k against the dimension m:
+Directions are computed in feature space, from the ridge-regularized
+second-moment matrix W of the k unfrozen vectors; freezing a vector f
+downdates W by f f^T. How the solve follows the freezes depends on k
+against the dimension m:
 
-- While k > m, W^-1 is held as the last full inverse plus a Woodbury
-  panel with one column z_f = W^-1 f and one scalar 1 - f.z_f per freeze.
-  A freeze costs one m x m matrix-vector product plus O(r m) for the r
-  panel columns and rewrites no m x m matrix. Every 64 freezes, or when a
-  denominator degenerates, W is downdated by the frozen block in one
-  matrix product and inverted again.
-- Once k <= m, W is singular up to the ridge. W is inverted once more, and
-  each freeze then downdates W and W^-1 in place (Sherman-Morrison), two
-  m x m rewrites, with a fresh inverse every 64 freezes.
+- While k > m, the walk holds the inverse of W_-p, the second moment
+  without the pivot p, and z = W_-p^-1 v_p. The direction is 1 at the
+  pivot and -v_i.z elsewhere, with no denominator to divide out. The
+  inverse is the last full inverse plus a Woodbury panel with one row
+  z_f = W_-p^-1 f and one scalar d_f = 1 - f.z_f per vector removed from
+  W_-p: a frozen vector other than the pivot, or a new pivot. A freeze
+  costs one solve against the panel and updates z by z_f (z_f.v_p) / d_f;
+  no m x m matrix is rewritten. When the panel is full or a d_f
+  degenerates, W is downdated by the frozen block in one matrix product
+  and W - v_p v_p^T is inverted again. The panel holds min(max(64, m),
+  n - m) rows: a refresh costs about 2.67 m^3 flops and a panel row about
+  4 m per solve, so about m rows balance the two, and the phase removes
+  no more than n - m vectors.
+- Once k <= m, W is singular up to the ridge. W is inverted once more, the
+  panel is dropped, and the direction is (e_pivot - V W^-1 v_pivot)
+  rescaled; each freeze then downdates W and W^-1 in place
+  (Sherman-Morrison), two m x m rewrites, with a fresh inverse every 64
+  freezes.
 
 A single walk is sequential by construction; distinct walks with
 independent seeds can run concurrently.
@@ -44,8 +53,8 @@ NORM_SLACK = 1e-9
 # numerically dependent vectors solvable without changing directions beyond
 # float noise.
 _RIDGE = 1e-10
-# Freezes between full re-inversions of the maintained inverse; also the
-# capacity of the Woodbury panel.
+# Freezes between full re-inversions of the maintained inverse once k <= m;
+# also the least capacity of the k > m phase's Woodbury panel.
 _REFRESH_EVERY = 64
 _FREEZE_BAND = 1e-12
 
@@ -104,13 +113,18 @@ def _solve(w_inv, panel, pdiag, r, vec):
     return out
 
 
-def _rebuild(w, vact, k, k0):
+def _rebuild(w, vact, k, k0, pivot=None, scratch=None):
     """Downdate W by the rows vact[k:k0] frozen since the last rebuild, in
-    place, and return its inverse."""
+    place, and return its inverse; given a pivot row, return instead the
+    inverse of W - pivot pivot^T, formed in `scratch`."""
     if k0 > k:
         frozen = vact[k:k0]
         w -= frozen.T @ frozen
-    return np.linalg.inv(w)
+    if pivot is None:
+        return np.linalg.inv(w)
+    np.multiply.outer(pivot, pivot, out=scratch)
+    np.subtract(w, scratch, out=scratch)
+    return np.linalg.inv(scratch)
 
 
 @np.errstate(divide="ignore")  # u_i = 0 in the step-size quotients
@@ -128,18 +142,18 @@ def _walk(v, rng):
     x = np.zeros(n)                         # fractional coloring, by position
     signs = np.zeros(n, dtype=np.int64)     # by input index
     w = vact.T @ vact + _RIDGE * np.eye(m)  # second moment of rows [0, k0)
-    w_inv = np.linalg.inv(w)
-    panel = np.empty((_REFRESH_EVERY, m))   # Woodbury rows z_f, one per freeze
-    pdiag = np.empty(_REFRESH_EVERY)        # and their d_f = 1 - f.z_f
+    # While k > m, w_inv plus the panel is W_-p^-1 and W is downdated only
+    # on refreshes; once k <= m, w_inv is W^-1 and both are downdated on
+    # every freeze.
+    cap = min(max(_REFRESH_EVERY, m), max(n - m, 0))
+    panel = np.empty((cap, m))              # Woodbury rows z_f, one per removal
+    pdiag = np.empty(cap)                   # and their d_f = 1 - f.z_f
     outer = np.empty((m, m))
-    # While k > m, W^-1 is w_inv plus the panel and W is downdated only on
-    # rebuilds; once k <= m (W singular up to the ridge) both are downdated
-    # on every freeze and the panel stays empty.
     eager = n <= m
     k = k0 = n
     r = 0                                   # panel rows in use
     since = 0                               # freezes since w_inv was built
-    stale = False
+    stale = True
     steps = 0
     ppos = n - 1                            # pivot position, -1 once it freezes
     edge = 1.0 - _FREEZE_BAND
@@ -149,21 +163,43 @@ def _walk(v, rng):
             raise RuntimeError("balancing walk failed to terminate within 2n steps")
         if not eager and k <= m:
             eager = stale = True
-        if stale:
-            w_inv = _rebuild(w, vact, k, k0)
-            k0, r, since, stale = k, 0, 0, False
+            panel = None                    # the eager loop keeps no panel
         if ppos < 0:
             ppos = int(ids[:k].argmax())
+            if not (eager or stale):
+                # Remove the new pivot q as one more panel row; then
+                # W_-q^-1 v_q = z_q / d_q.
+                vq = vact[ppos]
+                zq = _solve(w_inv, panel, pdiag, r, vq)
+                dq = 1.0 - float(vq @ zq)
+                if dq < 1e-12 or r == cap:
+                    stale = True
+                else:
+                    panel[r] = zq
+                    pdiag[r] = dq
+                    r += 1
+                    z = zq / dq
         vp = vact[ppos]
-        z = _solve(w_inv, panel, pdiag, r, vp)
-        denom = 1.0 - float(vp @ z)
-        if denom < 1e-9 and since:
-            w_inv = _rebuild(w, vact, k, k0)
-            k0, r, since = k, 0, 0
+        if stale:
+            if eager:
+                w_inv = _rebuild(w, vact, k, k0)
+            else:
+                w_inv = _rebuild(w, vact, k, k0, vp, outer)
+                z = w_inv @ vp
+            k0, r, since, stale = k, 0, 0, False
+        if eager:
             z = w_inv @ vp
             denom = 1.0 - float(vp @ z)
+            if denom < 1e-9 and since:
+                w_inv = _rebuild(w, vact, k, k0)
+                k0, since = k, 0
+                z = w_inv @ vp
+                denom = 1.0 - float(vp @ z)
+        else:
+            denom = 1.0                     # W_-p has no pivot to divide out
         # Constrained least squares via the feature-space identity:
-        # u = (e_pivot - V_active W^-1 v_pivot) / (1 - v_pivot^T W^-1 v_pivot).
+        # u = (e_pivot - V_active W^-1 v_pivot) / (1 - v_pivot^T W^-1 v_pivot)
+        # = e_pivot - V_active W_-p^-1 v_pivot off the pivot.
         u = vact[:k] @ z
         u /= -max(denom, 1e-12)
         u[ppos] = 1.0
@@ -186,7 +222,8 @@ def _walk(v, rng):
         for posn in reversed(hits):
             signs[ids[posn]] = 1 if xa[posn] > 0.0 else -1
             k -= 1
-            if posn == ppos:
+            is_pivot = posn == ppos
+            if is_pivot:
                 ppos = -1
             elif ppos == k:
                 ppos = posn                 # the swap below moves the pivot
@@ -202,21 +239,27 @@ def _walk(v, rng):
                 np.multiply.outer(f, f, out=outer)
                 w -= outer
                 k0 = k
+            elif is_pivot:
+                continue                    # the pivot's row is already out
             if stale:
                 continue
             zf = _solve(w_inv, panel, pdiag, r, f)
             df = 1.0 - float(f @ zf)
-            if df < 1e-12 or r == _REFRESH_EVERY:
-                stale = True            # numerically singular, or panel full
+            if df < 1e-12:
+                stale = True                # numerically singular
             elif eager:
                 # Sherman-Morrison: (W - f f^T)^-1 = W^-1 + z_f z_f^T / d_f.
                 np.multiply.outer(zf, zf, out=outer)
                 outer /= df
                 w_inv += outer
+            elif r == cap:
+                stale = True                # panel full
             else:
                 panel[r] = zf
                 pdiag[r] = df
                 r += 1
-        if since >= _REFRESH_EVERY:
+                if ppos >= 0:
+                    z += zf * (float(zf @ vact[ppos]) / df)
+        if eager and since >= _REFRESH_EVERY:
             stale = True
     return WalkOutput(signs=signs, steps=steps)

@@ -461,14 +461,26 @@ def test_color_cell_fixed_coloring_failure(coords, monkeypatch):
     assert failure.value.retries == 1 and failure.value.size == len(coords)
 
 
-@pytest.mark.xfail(raises=ColoringFailure, strict=True, reason="ROADMAP item 3")
+def near_duplicates(spacing):
+    """Eight boundary points `spacing` apart plus three interior points."""
+    pts = [1.0 - k * spacing for k in range(8)] + [-0.856, 0.057, -0.965]
+    return np.array(pts).reshape(-1, 1)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_color_all_near_duplicate_lockstep(seed):
-    # Eight boundary points 1e-12 apart are not paired off as duplicates,
-    # and the walk moves their near-identical vectors in lockstep to one
-    # sign, which fails all 64 verifications.
-    pts = np.array([1.0 - k * 1e-12 for k in range(8)] + [-0.856, 0.057, -0.965])
-    color_all(pts.reshape(-1, 1), default_constants(1), seed=seed)
+    # Eight boundary points 1e-12 apart are not paired off as duplicates.
+    # A walk that moved their near-identical vectors in lockstep gave them
+    # one sign, which failed all 64 verifications.
+    _, reports = color_all(near_duplicates(1e-12), default_constants(1), seed=seed)
+    assert len(set(reports[0].accepted_coloring[:8].tolist())) == 2
+
+
+@pytest.mark.parametrize("spacing", [1e-12, 1e-10, 1e-9, 1e-7])
+def test_near_duplicates_color_without_retries(spacing):
+    for seed in range(4):
+        _, reports = color_all(near_duplicates(spacing), default_constants(1), seed=seed)
+        assert [r.retries for r in reports] == [0], seed
 
 
 def test_color_cell_retry_uses_kth_split():

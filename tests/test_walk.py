@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from kdecoreset.decomp import augment, kernel_factor
 from kdecoreset.walk import gsw_color
 
 import naive
 from audits import subgaussian_audit, wilson_interval
+from tracing import traced_peak
 
 
 def unit_rows(rng, n, m, scale=1.0):
@@ -97,10 +99,11 @@ def test_matches_least_squares_reference(n, m):
 
 
 # Signs of unit_rows(default_rng(n * m), n, m, 0.9) for seeds 0-4. Walks
-# with n <= m run the eager Sherman-Morrison loop from the first step; walks
-# with n > m, (300, 12) and (160, 40), fill and flush the Woodbury panel
-# while k > m and then cross into that loop. These pin the arithmetic of
-# both phases.
+# with n <= m, (40, 41) and (64, 64), run the eager Sherman-Morrison loop
+# from the first step. Walks with n > m, (300, 12) and (160, 40), first walk
+# on the inverse of the second moment without the pivot, fill and flush its
+# Woodbury panel while k > m, and then cross into that loop. These pin the
+# arithmetic of both phases.
 PINNED_SIGNS = {
     (40, 41): ["-----++----+---+------++-+-+++-+--+-+--+",
                "-----+-++-+--+++----+-+++++-+-+-----++--",
@@ -113,41 +116,41 @@ PINNED_SIGNS = {
                "+--------+---+-++---+-+----+-++++----++-+------++-----+-++++++++",
                "+----+-+-+--+++-+-+-+--+++-+-+--+-++-++--+-+++-+++--------+-+++-"],
     (300, 12): [
-        ("+-++++-+---+++-+-++--++-+---+++++++++-+++-++-++-++++--+-+-++-++--++---+--+-"
+        ("+-++++++---+++-+-++--++-+---+++++++++-+++-++-++-++++--+-+-++-++--++---+--+-"
          "++-+---++----+----------++-++++-+---++---+++-+++-------+-+-++-+++-++-+---+-"
          "+-+---+++++-++-++-++-+++-++-++-+++--+++-++-+--++-------++-+++-++-------+-+-"
          "+++-++++------+++++-+--+-+--+++-++--++---+-+--+++---++++++-++--+-+++-+-++++"),
-        ("++--+--+++--+----++-++--++-+-+-++--++---+-+---++--+---++----++++------+----"
+        ("++-----++---++--+++-++-+++-+++-++--++---+-+---++--+---++----++++------+----"
          "--+--+--+-----++----+++---+--++-+++--+-++-+++--++---+-++-++++-++--+--+++++-"
          "+---+++----+-++--++-++-+++------+-+--+--+---+--+--+--++-+---+--------++++-+"
          "---++--++-+++----+-+-++-+----+---+++++--+-+-++-++++++++++--+-+++---++++-+++"),
-        ("+-+++-++++--+--+-++-++-+++--+---+--+++--+++---+++++-++-++-++-++-+-++++-+-+-"
+        ("+-+++-++++--+----++-++-+++--+---+--+++--+++---+++++-++-++-++-++-+-++++-+-+-"
          "--+-+++--++----++--+--+++---++-+++--+--++++-+-+-+-+-----+++--+-++-+-++--++-"
          "--+++-+-++-+-++++---++--+-+---+---------+-+-+++-+-----++--+++--+-+--++++---"
          "--+-++-+--+-++--++-+++---+-+-++-++--+--+--+--+++-+---+-++++-++--+++++-+----"),
-        ("+++-++-++++-++-+-++++++-++-++-++--++-+-------+--++-++++-+-----++++--++----+"
+        ("+++-++-++-++++-+-++++++-++-++-++--++-+-------+--++-++++-+-----++++--++----+"
          "+--+++--+++++-+++-----+-+-+-+---++-++-+-+-+-+-+-+-+++-+--+-++---+-+-+++--++"
          "-+-++--++---+-+-++-+--+-+-+-+++----+-++-++--+--+----+-+--++-+++--+---+-+--+"
          "+----++--+--+++++-+--++-++--+----+-++--+--------+---++++--+++++-+--+----+++"),
-        ("---------+++--+++--++--++-++------+--+--+-++--+++++-+------+-++--+-++-++--+"
+        ("---------+++-++++--+++-++-++------+--+--+-++--+++++-+------+-++--+-++-++--+"
          "-+--++++---+-+-+--+-++-+-----+--+----+------+-++++--++++-+---+-+-+---++++--"
          "+-+++---+--+-++-+-+--+---+--+-+++-++--+++-+-+---+--+----+---+----+-+++-++++"
          "+-+-+-+-+--+-+-+---++---++++--++--+--+---++-+--++--+----+-------+-+-+--+--+"),
     ],
     (160, 40): [
-        ("+++-+--+-+---+--+-+++++--++-+---++-+----+-+-++++--+-+++++----+--+++-+-+--+-"
+        ("+++-+++--+-+-+--+-+++++--++-+----+-++---+++-+++++---+++------+--+-----+--+-"
          "++++-++---+---++-+-++-+---++++----+-+---++++---+--++-+--+++---++++++-++----"
          "+++-+-++++"),
-        ("+-++++-+++++++++-+-+-------+-+++-+-+-+++---+-+---+-++++++-++++-+--++-++++-+"
+        ("++++-+-+++++-++--+-+--+----+++++-++--+++-++--+--++-++++-+-++++-++-++-++---+"
          "-+-++----+----++--+--+-+-+-+--+-+-++-++-+---++++--+-+-+--+++++-++++--+-+++-"
          "--++++-+++"),
-        ("-++-+--+--++----+-----+-------+-+--+--++-+---+++-++-+---+--+-+++++++++++++-"
-         "--+-+--++----+-+-++------++++-+++----+--+-++--+--+--++-+++-------++++-++--+"
+        ("-++-+-----++----+-----+-----+---+--+--++-+---++++++-++--++-+-+++-++++-++++-"
+         "+-+-+-++-----+-+-++------++++-+++----+--+-++--+--+--++-+++-------++++-++--+"
          "++++-+----"),
-        ("+-++-+++---++-+-++---+---+-+--++++--++-++--+--+-+-+----++----++--++++-+-+-+"
+        ("+-++-+++----+-++++---+--++-+---+++--++-++++++++-+-+-+--++----+--++--+-+-+-+"
          "-+---+++----+--+--++++----+++++--+-++--++---+-++-------+--+---++++--+++++-+"
          "--+----+++"),
-        ("-----+---+-+-+++---+--+-+-++++--------+-++-+----+---+++++-+-----+-+-+------"
+        ("---+-+--+-+-+-+-+--+--+-+-++++--------++-+-++---+---+++++-+-+--++-+--------"
          "+-+--+++---+-++++++---++---+-+----+--++--+-+---++--++-+-++---+----+-------+"
          "-+-+--+--+"),
     ],
@@ -161,6 +164,19 @@ def test_pinned_signs(shape):
     for seed, expected in enumerate(PINNED_SIGNS[shape]):
         got = "".join("+" if s > 0 else "-" for s in gsw_color(v, seed).signs)
         assert got == expected, seed
+
+
+def test_walk_memory_bounded_d3_cell():
+    # 1500 points at d = 3 give 797-dimensional vectors, so while k > m the
+    # walk holds a Woodbury panel of n - m = 703 rows beside its m x m
+    # matrices. It peaks at 30.0 MB traced. Keeping the panel through the
+    # k <= m tail peaked at 34.5 MB, and an m-row panel with W - v_p v_p^T
+    # in a temporary of its own at 35.0 MB.
+    pts = np.random.default_rng(1).uniform(-0.7, 0.7, (1500, 3))
+    v = augment(kernel_factor(pts), pts)
+    assert v.shape == (1500, 797)
+    _, peak = traced_peak(lambda: gsw_color(v, 0))
+    assert peak <= 33e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_zero_vector_allowed():
