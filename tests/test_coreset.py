@@ -41,8 +41,11 @@ PINNED_CHAINS = {
 # The same digest for one chain through kernel_factor's pivoted route:
 # 1200 uniform(-1, 1) points fill one d = 2 cell, halved to 300 through
 # cells of 1200 and 600 points, chain seed 0, at one BLAS thread (OpenBLAS
-# sums in another order on more threads).
+# sums in another order on more threads). PINNED_PIVOTED_INDICES is the
+# sha256 of the indices alone, which a change to how the ratios are summed
+# keeps.
 PINNED_PIVOTED_CHAIN = "568ab8028043fd5be7c666b94fa5ba88f105c7760227415216f454dfcd4a88fe"
+PINNED_PIVOTED_INDICES = "a96e845b6801af2def2d78f967932acd856e730ea95f3049e9cf19acb82b9761"
 
 
 def test_halve_duplicate_pair():
@@ -236,6 +239,7 @@ def test_pinned_pivoted_chain_fingerprint():
     assert out.returncode == 0, out.stderr
     sizes, indices, ratios = json.loads(out.stdout)
     assert sizes == [1200, 600]
+    assert chain_digest(indices, []) == PINNED_PIVOTED_INDICES
     assert chain_digest(indices, [float.fromhex(r) for r in ratios]) == PINNED_PIVOTED_CHAIN
 
 
