@@ -24,6 +24,11 @@ points, below 708/6 - 1. Eval lattices skip it where the data are compact
 (the acceptance mixture: reach 4-7, against 18.8 at d = 2) and keep it
 where they are spread.
 
+Every sum works in blocks of at most _BLOCK_ELEMS floats, so its memory
+beyond its output stays bounded for any n, C and k. A lattice sum over
+more merged rows than _BLOCK_ELEMS // (sum of the axis lengths), 1,040 on
+a 63 x 63 grid, adds the sums of its row chunks in that order.
+
 All functions are pure; they can be called concurrently from any number of
 threads. Both evaluators reduce through a BLAS matrix product, so their
 results are reproducible for a fixed numpy and BLAS build (and are the
@@ -43,13 +48,9 @@ __all__ = [
     "lattice_kde",
 ]
 
-# Cap on temporary floats per block in batched evaluations.
-_BLOCK_ELEMS = 8_000_000
-
-# Cap on the floats of one block of LatticeTables.blocks() (6 MB). Stacks
-# hold sets of every size of one grid shape, big sets' tables beside small
-# sets' sums; the cap keeps a whole stack's peak near one block's.
-_STACK_ELEMS = 3 << 18
+# Cap on the floats of every block of a kernel sum (1 MiB): query blocks,
+# chunks of table rows, blocks of stacked sets and chunks of items.
+_BLOCK_ELEMS = 1 << 17
 
 # Smallest normal float64; lattice tables in d dimensions floor at _TINY^(1/d).
 _TINY = np.finfo(np.float64).tiny
@@ -108,8 +109,8 @@ def kernel_sum(points, weights, queries):
     """sum_p w_p exp(-||x - p||^2) at every query row x, shape (q,).
 
     A 1-D query is one point, and an empty query set gives an empty vector.
-    Queries are taken in blocks whose distance temporaries hold at most
-    _BLOCK_ELEMS floats.
+    Queries are taken in blocks of q rows with q * n * d <= _BLOCK_ELEMS,
+    so each (q, n) distance temporary holds at most _BLOCK_ELEMS / d floats.
     """
     pts = as_points(points)
     w = np.asarray(weights, dtype=np.float64)
@@ -250,22 +251,21 @@ class LatticeTables:
         """sum()'s sums in blocks of whole sets, as (set positions, (c, G)
         sums of those sets), one merged-row group after another; each block
         is fresh, for the caller to reuse. A block holds as many sets as
-        take at most _STACK_ELEMS floats (and no more than _BLOCK_ELEMS) at
-        3 G + m * (sum of axis sizes) per set of m merged rows, for its
-        sums, their matrix products and the caller's work on them beside
-        its tables; a set whose tables alone exceed _BLOCK_ELEMS is
-        tabulated in chunks of rows whose sums are added."""
+        take at most _BLOCK_ELEMS floats at 3 G + m * (sum of axis sizes)
+        per set of m merged rows, for its sums, their matrix products and
+        the caller's work on them beside its tables. Tables are built in
+        chunks of at most _BLOCK_ELEMS // (sum of axis sizes) rows, whose
+        sums are added in row order."""
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != self.inverse.shape:
             raise ValueError(f"expected weights of shape {self.inverse.shape}, got shape {w.shape}")
         merged = np.bincount(self.inverse, weights=w, minlength=self.rows.shape[0])
         sizes = [axis.shape[1] for axis in self.axes]
         per_row = max(1, _BLOCK_ELEMS // sum(sizes))
-        budget = min(_STACK_ELEMS, _BLOCK_ELEMS)
         for sets, index, rows, which in self._groups:
             part = merged.reshape(rows.shape[:2]) if index is None else merged[index]
             m = part.shape[1]
-            step = max(1, budget // (3 * math.prod(sizes) + m * sum(sizes)))
+            step = max(1, _BLOCK_ELEMS // (3 * math.prod(sizes) + m * sum(sizes)))
             for start in range(0, sets.size, step):
                 block = slice(start, start + step)
                 axes = self.axes if which is None else [axis[which[block]] for axis in self.axes]

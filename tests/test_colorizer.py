@@ -247,10 +247,11 @@ def test_ragged_small_cell_stack_matches_each_cell_alone(stack, block, forced):
 
 
 def test_verify_stack_chunked(monkeypatch):
-    # With _STACK_ELEMS at 5000, a d = 2 cell of 20 distinct points on the
+    # With _BLOCK_ELEMS at 5000, a d = 2 cell of 20 distinct points on the
     # one 17 x 17 grid of its schedule needs 3 * 289 + 20 * 34 = 1547
     # floats, so 30 cells are summed in blocks of 3; each block's tables
-    # and products keep the unpatched shapes.
+    # and products keep the unpatched shapes (20 rows are one chunk, and
+    # 17 x 20 needs no outer loop in _contract).
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(30, 20, 2))
     signs = rng.choice([-1, 1], size=(30, 20))
@@ -266,7 +267,7 @@ def test_verify_stack_chunked(monkeypatch):
             yield sets, part
 
     monkeypatch.setattr(LatticeTables, "blocks", counted)
-    monkeypatch.setattr("kdecoreset.kernel._STACK_ELEMS", 5000)
+    monkeypatch.setattr("kdecoreset.kernel._BLOCK_ELEMS", 5000)
     assert results_bits(stacked(pts, signs, sch)) == results_bits(alone)
     assert blocks == [3] * 10
 
@@ -274,8 +275,8 @@ def test_verify_stack_chunked(monkeypatch):
 def test_verify_stack_memory_bounded():
     # 4000 cells of 20 points on the default d = 2 grid (63 x 63): their
     # discrepancies alone would take 127 MB, and products and tables twice
-    # that; summed in blocks of 54 cells the traced peak is 6.9 MB (4.1 MB
-    # in stack chunks of 54, each with its own LatticeTables).
+    # that; summed in blocks of 9 cells the traced peak is 6.3 MB (1.0 MB
+    # in stack chunks of 9, each with its own LatticeTables).
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, size=(4000, 20, 2))
     signs = rng.choice([-1, 1], size=(4000, 20))
@@ -640,8 +641,7 @@ def test_color_all_retries_match_color_cell():
 def test_color_all_memory_bounded():
     # 2500 cells of 3 points on the default d = 2 grid (63 x 63): their
     # first attempts' discrepancies alone take 79 MB in one stack; summed
-    # in blocks of 64 cells the traced peak is 6.1 MB (5.1 MB in stack
-    # chunks of 64, each with its own LatticeTables).
+    # in blocks of 10 cells the traced peak is 4.6 MB.
     rng = np.random.default_rng(12)
     sites = 2.0 * np.stack([np.arange(2500) % 50, np.arange(2500) // 50], axis=1)
     pts = (rng.uniform(-0.95, 0.95, size=(2500, 3, 2)) + sites[:, None, :]).reshape(-1, 2)

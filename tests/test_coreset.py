@@ -44,7 +44,7 @@ PINNED_CHAINS = {
 # sums in another order on more threads). PINNED_PIVOTED_INDICES is the
 # sha256 of the indices alone, which a change to how the ratios are summed
 # keeps.
-PINNED_PIVOTED_CHAIN = "568ab8028043fd5be7c666b94fa5ba88f105c7760227415216f454dfcd4a88fe"
+PINNED_PIVOTED_CHAIN = "119dfd64dc94153d80f6ef7e2882c867c2eabba43b0ba00f5abbad0b4f261625"
 PINNED_PIVOTED_INDICES = "a96e845b6801af2def2d78f967932acd856e730ea95f3049e9cf19acb82b9761"
 
 

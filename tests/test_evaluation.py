@@ -38,14 +38,25 @@ def test_linf_two_singletons():
 
 def test_linf_error_memory_bounded_on_the_mixture():
     # Criterion 8's 4096-point mixture against 20 of its points at the
-    # default budget: each lattice sum folds its weights into its own
-    # first table in place and _gap differences in place, so the traced
-    # peak is 9.3 MB; with a weighted copy of that table per sum it was
-    # 12.9 MB.
+    # default budget: each lattice sum tabulates the points in chunks of
+    # _BLOCK_ELEMS floats and folds its weights into each chunk's first
+    # table in place, and _gap differences in place, so the traced peak
+    # is 1.7 MB.
     pts = mixture_points()
     report, peak = traced_peak(lambda: linf_error(pts, pts[::205]))
-    assert peak < 11e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
     assert report.n_evaluated == 16605 and report.sup_error > 0.0
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_linf_error_memory_flat_in_the_point_count(n):
+    # The summed rectangle holds about 15k lattice points at either size,
+    # so a peak that grew with n would come from tabulating the whole set:
+    # 8.2 and 33.8 MB that way, 1.6 and 2.4 MB in chunks of _BLOCK_ELEMS.
+    pts = mixture_points(n)
+    report, peak = traced_peak(lambda: linf_error(pts, pts[::n // 20]))
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+    assert report.sup_error > 0.0
 
 
 def test_linf_symmetry():
