@@ -13,7 +13,7 @@ from .colorizer import ColoringFailure, color_all, color_cell, partition, rechec
 from .coreset import CoresetResult, HalvingFailure, build_coreset, halve_indices, random_baseline
 from .decomp import GramFactor, augment, build_gram, psd_factor
 from .evaluation import EvalReport, build_query_grid, linf_error
-from .kernel import kernel_sum, lattice_kde, lattice_sum
+from .kernel import kernel_sum, lattice_sum
 from .schedule import (
     Constants,
     Grid,
@@ -33,7 +33,7 @@ __all__ = [
     "CoresetResult", "HalvingFailure", "build_coreset", "halve_indices", "random_baseline",
     "GramFactor", "augment", "build_gram", "psd_factor",
     "EvalReport", "build_query_grid", "linf_error",
-    "kernel_sum", "lattice_kde", "lattice_sum",
+    "kernel_sum", "lattice_sum",
     "Constants", "Grid", "GridSchedule", "build_schedule", "default_constants",
     "ell", "ilog", "n_sequence",
     "WalkOutput", "gsw_color",

@@ -238,6 +238,14 @@ def _int_array(obj, key, where, bound=None):
     return np.asarray(_int_list(obj, key, where, bound), dtype=np.intp)
 
 
+def _distinct_array(obj, key, where, bound):
+    """_int_array of indices into `bound` points, none repeated."""
+    values = _int_array(obj, key, where, bound)
+    if len(set(values.tolist())) != values.size:
+        raise ValidationError(f"{where}: {key!r} repeats an entry")
+    return values
+
+
 def _load_coreset_indices(cfg, points):
     """The --coreset artifact, its indices into `points`, and the input's
     sha256, which must be the one the artifact records."""
@@ -257,9 +265,7 @@ def _load_coreset_indices(cfg, points):
             f"{cfg.coreset}: coreset was built from a different input "
             f"(sha256 {recorded[:12]}... != {actual[:12]}...)"
         )
-    indices = _int_array(artifact, "indices", cfg.coreset, points.shape[0])
-    if len(set(indices.tolist())) != indices.size:
-        raise ValidationError(f"{cfg.coreset}: 'indices' repeats an entry")
+    indices = _distinct_array(artifact, "indices", cfg.coreset, points.shape[0])
     return artifact, indices, actual
 
 
@@ -347,7 +353,7 @@ def cmd_verify(cfg):
     print(f"constants from artifact: c0 {constants.c0:.6g}, c1 {constants.c1:.6g}, "
           f"c_big {constants.c_big:.6g}, grid budget {constants.grid_budget}")
     start = (None if artifact.get("presample_indices") is None
-             else _int_array(artifact, "presample_indices", cfg.coreset, n))
+             else _distinct_array(artifact, "presample_indices", cfg.coreset, n))
     current = np.arange(n, dtype=np.intp) if start is None else start
     # The rounds as arrays, up to the first malformed one.
     read, error = [], None

@@ -14,15 +14,15 @@ order, which is also the report order), so cells whose schedules have one
 grid shape (level count and per-level axis lengths; under the default
 grid budget, every size in one dimension) are colored as one stack, in
 ascending size. Each cell keeps its own schedule's grid coordinates and
-thresholds, and the cells share one LatticeTables per level (whose
-blocks bound the stack's memory), one check of every first walk
-attempt, and one stacked dense factorization of the cells with one
-unpaired count. Walks stay per cell, and cells whose first attempt fails
-are retried afterwards in center order, each retry an attempt on a stack
-of one. recheck re-verifies stored rounds the same way, the cells of all
-rounds in one stack per grid shape (_verify_stack), each cell's flips
-undone and judged once (_undo_flips). Each cell's result is the one it
-gets alone, bit for bit.
+thresholds, and the cells share one LatticeTables (their merged rows,
+summed on each level's grids in blocks that bound the stack's memory),
+one check of every first walk attempt, and one stacked dense
+factorization of the cells with one unpaired count. Walks stay per cell,
+and cells whose first attempt fails are retried afterwards in center
+order, each retry an attempt on a stack of one. recheck re-verifies
+stored rounds the same way, the cells of all rounds in one stack per
+grid shape (_verify_stack), each cell's flips undone and judged once
+(_undo_flips). Each cell's result is the one it gets alone, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -139,24 +139,16 @@ def _cell_runs(pts):
     return ranked[starts], order, np.diff(starts, append=len(pts))
 
 
-def _cell_tables(points_centered, schedules, counts):
-    # The merged rows depend on the cells' points and grids (each cell's
-    # schedule's), not on the signs: merged once per stack, then each
-    # check builds its tables and takes one matrix product per level.
-    return [LatticeTables(points_centered, [grid for grid, _ in level], counts)
-            for level in zip(*(s.verification_levels for s in schedules))]
-
-
 def _check(sigma, counts, schedules, tables):
     """The (passed, max_ratio, imbalance) of each coloring in sigma, the
     colorings of cells of `counts` points one after another, each against
-    its schedule's thresholds, on the stack's tables; a list in stack
-    order."""
+    its schedule's grids and thresholds, level by level, on the stack's
+    LatticeTables; a list in stack order."""
     ratio = None
-    for level, table in enumerate(tables):
-        thresholds = [s.verification_levels[level][1] for s in schedules]
+    for level in zip(*(s.verification_levels for s in schedules)):
+        grids, thresholds = zip(*level)
         worst = np.empty(len(counts))
-        for sets, disc in table.blocks(sigma):
+        for sets, disc in tables.blocks(sigma, grids):
             np.abs(disc, out=disc)
             # Each run of cells of one schedule divides by its thresholds.
             row = 0
@@ -214,8 +206,8 @@ def _verify_stack(points_centered, signs, schedules, counts):
     `counts` points one after another (a list), each checked against its
     schedule in the list `schedules`, all of one grid shape. Returns each
     cell's (passed, max_ratio, imbalance), in stack order. The cells share
-    each level's LatticeTables."""
-    return _check(signs, counts, schedules, _cell_tables(points_centered, schedules, counts))
+    one LatticeTables, summed on each level's grids."""
+    return _check(signs, counts, schedules, LatticeTables(points_centered, counts))
 
 
 def recheck(points, rounds, constants=None, start=None):
@@ -392,8 +384,8 @@ def _attempt(cells, points, schedules, roots):
     fixed coloring for the others. Returns each cell's
     (signs, unpaired positions, (passed, max_ratio, imbalance)).
 
-    The cells share one LatticeTables per level, whose inverse rows give
-    their duplicate pairing, and one _check; walked cells with one
+    The cells share one LatticeTables, whose inverse rows give their
+    duplicate pairing, and one _check; walked cells with one
     unpaired count share their dense factors (kernel_factor of a stack).
     """
     counts = [cell.members.size for cell in cells]
@@ -401,9 +393,8 @@ def _attempt(cells, points, schedules, roots):
     centers = np.array([cell.center for cell in cells], dtype=np.float64)
     pts = (points[np.concatenate([cell.members for cell in cells])]
            - np.repeat(centers, counts, axis=0))
-    tables = _cell_tables(pts, schedules, counts)
-    inverse = tables[0].inverse
-    paired = [_pair_duplicates(inverse[a:b]) for a, b in zip(starts, starts[1:])]
+    tables = LatticeTables(pts, counts)
+    paired = [_pair_duplicates(tables.inverse[a:b]) for a, b in zip(starts, starts[1:])]
     sigma = np.concatenate([signs for signs, _ in paired])
     walked = {}
     for j, (_, rest) in enumerate(paired):

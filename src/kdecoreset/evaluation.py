@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import as_points, lattice_kde
+from .kernel import LatticeTables, as_points
 from .schedule import Grid
 
 __all__ = [
@@ -112,19 +112,26 @@ def build_query_grid(points, resolution=None, budget=DEFAULT_EVAL_BUDGET, margin
 def linf_error(points_p, points_q, grid=None, resolution=None, budget=DEFAULT_EVAL_BUDGET):
     """Max over the grid of |kde(P, x) - kde(Q, x)| with soundness terms.
 
-    When no grid is given, one is built over the union of both sets, so
-    linf_error(P, Q) == linf_error(Q, P) exactly. Only the rectangle of
-    grid points that can hold the max is summed (see the module docstring).
+    The gap is one signed sum over the merged rows of P and Q, P weighted
+    |Q| and Q weighted -|P|, divided by |P| |Q| after the sum: every merged
+    weight is an integer (exact up to 2^53), so linf_error(P, Q) ==
+    linf_error(Q, P) exactly, as is the grid built over P and Q when none
+    is given. Only the rectangle of grid points that can hold the max is
+    summed (see the module docstring).
     """
     start = time.perf_counter()
     p = as_points(points_p)
     q = as_points(points_q, dim=p.shape[1])
+    union = np.concatenate([p, q], axis=0)
     if grid is None:
-        union = np.concatenate([p, q], axis=0)
         grid = build_query_grid(union, resolution=resolution, budget=budget,
                                 margin=expansion_margin(max(p.shape[0], q.shape[0])))
-    lo = np.minimum(p.min(axis=0), q.min(axis=0))
-    hi = np.maximum(p.max(axis=0), q.max(axis=0))
+    elif grid.dim != p.shape[1]:
+        raise ValueError(f"dimension mismatch: points have dim {p.shape[1]}, the grid {grid.dim}")
+    lo, hi = union.min(axis=0), union.max(axis=0)
+    tables = LatticeTables(union)
+    weights = np.repeat([float(q.shape[0]), -float(p.shape[0])], [p.shape[0], q.shape[0]])
+    scale = float(p.shape[0] * q.shape[0])
     axes = grid.axes()
     # M0 from at most _PROBES_PER_AXIS grid points per axis inside the box
     # (the one nearest its middle where it holds none).
@@ -134,20 +141,20 @@ def linf_error(points_p, points_q, grid=None, resolution=None, budget=DEFAULT_EV
         if not inside.size:
             inside = axis[[np.argmin(np.abs(axis - (a + b) / 2.0))]]
         probes.append(inside[::math.ceil(inside.size / _PROBES_PER_AXIS)])
-    m0 = float(_gap(p, q, probes).max())
+    m0 = float(np.abs(tables.sum(weights, probes)).max()) / scale
     reach = _SLACK - math.log(m0) if m0 > 0.0 else math.inf
     # On each sorted axis, the points within reach of the box are one run.
     rect = []
     for axis, a, b in zip(axes, lo, hi):
         near = np.flatnonzero(np.maximum(np.maximum(a - axis, axis - b), 0.0) ** 2 <= reach)
         rect.append(slice(near[0], near[-1] + 1))
-    diff = _gap(p, q, [axis[s] for axis, s in zip(axes, rect)])
-    at = int(np.argmax(diff))
+    diff = tables.sum(weights, [axis[s] for axis, s in zip(axes, rect)])
+    at = int(np.argmax(np.abs(diff, out=diff)))
     index = np.unravel_index(at, [s.stop - s.start for s in rect])
     margin = grid.radius - max(np.maximum(hi - grid.center, grid.center - lo).max(), 0.0)
     tail = 2.0 * math.exp(-margin * margin) if margin > 0 else 2.0
     return EvalReport(
-        sup_error=float(diff[at]),
+        sup_error=float(diff[at]) / scale,
         argmax_query=tuple(float(axis[s.start + i]) for axis, s, i in zip(axes, rect, index)),
         grid=grid,
         n_queries=grid.count(),
@@ -156,10 +163,3 @@ def linf_error(points_p, points_q, grid=None, resolution=None, budget=DEFAULT_EV
         tail_bound=tail,
         runtime_seconds=time.perf_counter() - start,
     )
-
-
-def _gap(p, q, axes):
-    """|KDE_P - KDE_Q| on the lattice of the per-axis coordinates `axes`."""
-    diff = lattice_kde(p, axes)
-    diff -= lattice_kde(q, axes)
-    return np.abs(diff, out=diff)

@@ -45,7 +45,6 @@ __all__ = [
     "kernel_sum",
     "LatticeTables",
     "lattice_sum",
-    "lattice_kde",
 ]
 
 # Cap on the floats of every block of a kernel sum (1 MiB): query blocks,
@@ -125,14 +124,13 @@ def kernel_sum(points, weights, queries):
 
 
 class LatticeTables:
-    """Per-axis Gaussian tables of point sets on a tensor lattice: a Grid,
-    or a sequence of d per-axis coordinate arrays whose Cartesian product
-    is the lattice (a sub-rectangle of a Grid, say). For several sets,
-    `grid` may also be a sequence of Grids of one shape (one dimension and
-    one 2k + 1 points per axis), one per set: each set is then tabulated
-    on its own grid's coordinates, and sets stack by grid shape, not by
-    grid. axes holds, per axis, one row of coordinates per distinct
-    lattice (sets of one schedule share its Grid object, so its row).
+    """The merged rows of point sets, for weighted Gaussian kernel sums on
+    tensor lattices. Each sum takes its lattice: a Grid, or a sequence of d
+    per-axis coordinate arrays whose Cartesian product is the lattice (a
+    sub-rectangle of a Grid, say). For several sets, the lattice may also
+    be a sequence of Grids of one shape (one dimension and one 2k + 1
+    points per axis), one per set: each set is then tabulated on its own
+    grid's coordinates, and sets stack by grid shape, not by grid.
 
     exp(-||s - p||^2) = prod_j exp(-(s_j - p_j)^2), so a weighted kernel sum
     at every lattice point needs one (2k + 1) x m table per axis instead of
@@ -155,34 +153,19 @@ class LatticeTables:
     The instance keeps the merged rows, not tables: each sum builds its
     own, block by block (see blocks()), and folds the weights into them in
     place. So memory stays bounded for any C, n and k, and any number of
-    weight vectors can be summed, one after another.
+    weight vectors can be summed, on any lattices, one after another.
     """
 
-    __slots__ = ("axes", "rows", "inverse", "_one", "_floor", "_groups")
+    __slots__ = ("rows", "inverse", "_one", "_groups")
 
-    def __init__(self, points, grid, counts=None):
-        grids = [grid] if hasattr(grid, "axes") else list(grid)
-        which = None  # per set, the row of its lattice in axes; None for one lattice
-        if hasattr(grids[0], "axes"):
-            distinct = list({id(g): g for g in grids}.values())
-            if len({(g.dim, g.axis_steps()) for g in distinct}) > 1:
-                raise ValueError("the grids of one LatticeTables must have one shape")
-            self.axes = [np.stack(coords) for coords in zip(*(g.axes() for g in distinct))]
-            if len(distinct) > 1:
-                where = {id(g): i for i, g in enumerate(distinct)}
-                which = np.array([where[id(g)] for g in grids])
-        else:
-            grids = [grid]
-            self.axes = [np.asarray(axis, dtype=np.float64)[None] for axis in grid]
+    def __init__(self, points, counts=None):
         self._one = counts is None
-        flat = as_points(points, dim=len(self.axes))
+        flat = as_points(points)
         if counts is not None:
             sizes = np.asarray(counts, dtype=np.intp)
             if sizes.ndim != 1 or not sizes.size or sizes.min() < 1 or sizes.sum() != len(flat):
                 raise ValueError(f"set sizes {sizes.tolist()} do not split {len(flat)} points")
         cells, d = 1 if counts is None else sizes.size, flat.shape[1]
-        if len(grids) not in (1, cells):
-            raise ValueError(f"expected one grid or {cells} grids, got {len(grids)}")
         if cells > 1:
             starts = np.cumsum(sizes) - sizes
         # A lexsort (set, then first column most significant) avoids
@@ -197,48 +180,55 @@ class LatticeTables:
         self.rows = ranked[new]
         self.inverse = np.empty(order.size, dtype=np.intp)
         self.inverse[order] = merged
-        self._floor = _table_floor(self.axes, self.rows)
         # Sets with one merged row count m form a group: their set
         # positions, the (c, m) indices of their merged rows (None when one
-        # group holds every set in order), those rows (c, m, d) and, per
-        # set, the row of its lattice in axes (None for one lattice).
+        # group holds every set in order) and those rows (c, m, d).
         if cells > 1:
             first = merged[starts]
             counts = np.diff(first, append=self.rows.shape[0])
         if cells == 1 or (counts == counts[0]).all():
-            groups = [(np.arange(cells), None, self.rows.reshape(cells, -1, d))]
+            self._groups = [(np.arange(cells), None, self.rows.reshape(cells, -1, d))]
         else:
-            groups = []
+            self._groups = []
             # Not np.unique: its first call imports numpy.ma.
             for m in sorted(set(counts.tolist())):
                 sets = np.flatnonzero(counts == m)
                 index = first[sets, None] + np.arange(m)
-                groups.append((sets, index, self.rows[index]))
-        self._groups = [(sets, index, rows, None if which is None else which[sets])
-                        for sets, index, rows in groups]
+                self._groups.append((sets, index, self.rows[index]))
 
-    def _build(self, rows, axes=None):
-        """Tables (c, 2k + 1, m) per axis of a (c, m, d) stack of rows on
-        `axes` (default self.axes; per axis one row, or one per set), with
-        entries below the floor set to 0 (see the module docstring)."""
-        tables = []
-        for j, axis in enumerate(self.axes if axes is None else axes):
-            t = axis[:, :, None] - rows[:, None, :, j]
-            np.square(t, out=t)
-            np.negative(t, out=t)
-            np.exp(t, out=t)
-            if self._floor:
-                t[t < self._floor] = 0.0
-            tables.append(t)
-        return tables
+    def _lattice(self, grid):
+        """(axes, which, floor) of a lattice, as sum() takes it: per axis,
+        one row of coordinates per distinct lattice (sets of one schedule
+        share its Grid object, so its row); per set, the row of its lattice
+        (None for one lattice); and the floor of a table entry on it."""
+        grids = [grid] if hasattr(grid, "axes") else list(grid)
+        which = None
+        if hasattr(grids[0], "axes"):
+            distinct = list({id(g): g for g in grids}.values())
+            if len({(g.dim, g.axis_steps()) for g in distinct}) > 1:
+                raise ValueError("the grids of one sum must have one shape")
+            axes = [np.stack(coords) for coords in zip(*(g.axes() for g in distinct))]
+            if len(distinct) > 1:
+                where = {id(g): i for i, g in enumerate(distinct)}
+                which = np.array([where[id(g)] for g in grids])
+        else:
+            grids = [grid]
+            axes = [np.asarray(axis, dtype=np.float64)[None] for axis in grid]
+        if len(axes) != self.rows.shape[1]:
+            raise ValueError(f"dimension mismatch: points have dim {self.rows.shape[1]}, "
+                             f"the lattice {len(axes)} axes")
+        cells = sum(group[0].size for group in self._groups)
+        if len(grids) not in (1, cells):
+            raise ValueError(f"expected one grid or {cells} grids, got {len(grids)}")
+        return axes, which, _table_floor(axes, self.rows)
 
-    def sum(self, weights):
-        """sum_p w_p exp(-||s - p||^2) at every grid point s, in
-        Grid.points() order: shape (G,) for one set's (n,) weights, or
-        (C, G) for the flat weights of several sets."""
+    def sum(self, weights, grid):
+        """sum_p w_p exp(-||s - p||^2) at every point s of the lattice
+        `grid`, in Grid.points() order: shape (G,) for one set's (n,)
+        weights, or (C, G) for the flat weights of several sets."""
         cells = sum(group[0].size for group in self._groups)
         out = None
-        for sets, part in self.blocks(weights):
+        for sets, part in self.blocks(weights, grid):
             if part.shape[0] == cells:  # one block of every set, in order
                 out = part
             else:
@@ -247,7 +237,7 @@ class LatticeTables:
                 out[sets] = part
         return out[0] if self._one else out
 
-    def blocks(self, weights):
+    def blocks(self, weights, grid):
         """sum()'s sums in blocks of whole sets, as (set positions, (c, G)
         sums of those sets), one merged-row group after another; each block
         is fresh, for the caller to reuse. A block holds as many sets as
@@ -256,31 +246,49 @@ class LatticeTables:
         the caller's work on them beside its tables. Tables are built in
         chunks of at most _BLOCK_ELEMS // (sum of axis sizes) rows, whose
         sums are added in row order."""
+        axes, which, floor = self._lattice(grid)
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != self.inverse.shape:
             raise ValueError(f"expected weights of shape {self.inverse.shape}, got shape {w.shape}")
         merged = np.bincount(self.inverse, weights=w, minlength=self.rows.shape[0])
-        sizes = [axis.shape[1] for axis in self.axes]
+        sizes = [axis.shape[1] for axis in axes]
         per_row = max(1, _BLOCK_ELEMS // sum(sizes))
-        for sets, index, rows, which in self._groups:
+        for sets, index, rows in self._groups:
             part = merged.reshape(rows.shape[:2]) if index is None else merged[index]
             m = part.shape[1]
             step = max(1, _BLOCK_ELEMS // (3 * math.prod(sizes) + m * sum(sizes)))
             for start in range(0, sets.size, step):
                 block = slice(start, start + step)
-                axes = self.axes if which is None else [axis[which[block]] for axis in self.axes]
+                on = axes if which is None else [axis[which[sets[block]]] for axis in axes]
                 # No name here keeps a block: it is freed while the next is summed.
-                yield sets[block], self._block_sum(rows[block], axes, part[block], per_row)
+                yield sets[block], _block_sum(rows[block], on, floor, part[block], per_row)
 
-    def _block_sum(self, rows, axes, merged, per_row):
-        """_contract of a block's (c, m, d) rows with weights (c, m) on
-        `axes`, its tables built per chunk of per_row rows."""
-        out = None
-        for row in range(0, merged.shape[1], per_row):
-            chunk = (slice(None), slice(row, row + per_row))
-            sums = _contract(self._build(rows[chunk], axes), merged[chunk])
-            out = sums if out is None else out + sums
-        return out
+
+def _block_sum(rows, axes, floor, merged, per_row):
+    """_contract of a block's (c, m, d) rows with weights (c, m) on `axes`,
+    its tables built per chunk of per_row rows."""
+    out = None
+    for row in range(0, merged.shape[1], per_row):
+        chunk = (slice(None), slice(row, row + per_row))
+        sums = _contract(_build(rows[chunk], axes, floor), merged[chunk])
+        out = sums if out is None else out + sums
+    return out
+
+
+def _build(rows, axes, floor):
+    """Tables (c, 2k + 1, m) per axis of a (c, m, d) stack of rows on
+    `axes` (per axis one row of coordinates, or one per set), with entries
+    below `floor` set to 0 (see the module docstring)."""
+    tables = []
+    for j, axis in enumerate(axes):
+        t = axis[:, :, None] - rows[:, None, :, j]
+        np.square(t, out=t)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        if floor:
+            t[t < floor] = 0.0
+        tables.append(t)
+    return tables
 
 
 def _table_floor(axes, rows):
@@ -296,21 +304,12 @@ def _table_floor(axes, rows):
 
 def lattice_sum(points, weights, grid):
     """sum_p w_p exp(-||s - p||^2) at every point s of `grid` (a Grid or
-    per-axis coordinates, as LatticeTables takes), in Grid.points() order.
+    per-axis coordinates, as LatticeTables.sum takes), in Grid.points() order.
 
     Costs d * (2k + 1) * n exps plus (2k + 1)^d * n multiply-adds in BLAS,
     for k = grid.axis_steps(), against (2k + 1)^d * n exps pairwise.
     """
-    return LatticeTables(points, grid).sum(weights)
-
-
-def lattice_kde(points, grid):
-    """KDE of `points` at every point of `grid` (a Grid or per-axis
-    coordinates), in Grid.points() order."""
-    pts = as_points(points)
-    out = lattice_sum(pts, np.ones(pts.shape[0]), grid)
-    out /= pts.shape[0]
-    return out
+    return LatticeTables(points).sum(weights, grid)
 
 
 def _contract(tables, w):

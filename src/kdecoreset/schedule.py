@@ -40,9 +40,10 @@ __all__ = [
 # smaller than the cell's own scale) and a single fallback grid is used.
 N_MIN = 16
 
-# Balance-coordinate weight of the walk input is 1/sqrt(1 + e^(4d)); the
-# calibrated c1/c_big defaults scale the d = 1 values by the same factor so
-# the accept/reject behaviour of the verifier is dimension-independent.
+# c1 and c_big default to this and 4x this at d = 1, times _dim_scale(d):
+# the factor by which the walk input's balance coordinate 1/sqrt(1 + e^(4d))
+# shrinks from d = 1 to d. Accept behaviour still depends on d: from d = 2
+# on, all +1 and half-split colorings pass (ROADMAP item 7).
 _BASE_C1 = 10.0
 
 # Default cap on enumerated points per verification grid.

@@ -4,8 +4,8 @@ Everything here is written with plain Python loops and math.exp, kept
 deliberately separate from the package's vectorized code paths. There are
 two exceptions: `reference_walk` takes each direction from
 `np.linalg.lstsq` in place of the walk's maintained inverse, and
-`full_lattice_gap` sums the package's lattice KDE over a whole grid, the
-unpruned sum that linf_error's far-field certificate stands in for.
+`full_lattice_gap` takes linf_error's signed lattice sum over a whole
+grid, the unpruned sum that its far-field certificate stands in for.
 """
 
 import csv
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from kdecoreset.kernel import lattice_kde
+from kdecoreset.kernel import lattice_sum
 
 
 def sq_dist(x, y):
@@ -36,9 +36,14 @@ def signed_discrepancy(points, signs, x):
 
 
 def full_lattice_gap(points_p, points_q, grid):
-    """|KDE_P - KDE_Q| at every point of `grid`, in Grid.points() order,
-    summed over the whole lattice with nothing pruned."""
-    return np.abs(lattice_kde(points_p, grid) - lattice_kde(points_q, grid))
+    """|KDE_P - KDE_Q| at every point of `grid`, in Grid.points() order, as
+    linf_error sums it but over the whole lattice with nothing pruned: one
+    lattice sum over P and Q together, P weighted |Q| and Q weighted -|P|,
+    its absolute value divided by |P| |Q|."""
+    n_p, n_q = len(points_p), len(points_q)
+    weights = np.repeat([float(n_q), -float(n_p)], [n_p, n_q])
+    diff = np.abs(lattice_sum(np.concatenate([points_p, points_q]), weights, grid))
+    return diff / float(n_p * n_q)
 
 
 def gram_entry(a, b, a_is_data, b_is_data):

@@ -645,6 +645,31 @@ def test_verify_rejects_an_empty_round(spread_artifact, capsys):
     assert capsys.readouterr().err == "error: round 0: the round's set is empty\n"
 
 
+def test_verify_rejects_a_repeated_presample_index(tmp_path, capsys):
+    # A build draws its presample without replacement. A presample that
+    # lists point 0 twice, halved by a +1/-1 coloring of the two copies,
+    # passes every round's check, so only the repeat can reject it.
+    pts = np.random.default_rng(7).uniform(-1, 1, size=(40, 2))
+    path, coreset = tmp_path / "points.csv", tmp_path / "coreset.json"
+    write_csv(path, pts)
+    assert main(["build", "--input", str(path), "--output", str(coreset),
+                 "--target-size", "20"]) == 0
+    [cell] = partition(pts[[0, 0]])
+
+    def repeat_point_0(data):
+        data.update(presample_indices=[0, 0], indices=[0], size=1)
+        data["rounds"] = [{**data["rounds"][0], "coloring": [1, -1], "kept": [0],
+                           "size_before": 2, "size_after": 1,
+                           "cells": [{**data["rounds"][0]["cells"][0], "center": list(cell.center),
+                                      "size": 2, "flipped": 0, "flipped_positions": [],
+                                      "imbalance_before_flip": 0}]}]
+
+    assert verify_tampered(path, coreset, coreset.read_text(), repeat_point_0
+                           ) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"error: {coreset}: 'presample_indices' "
+                                       "repeats an entry\n")
+
+
 def records_cell_by_cell(rno, centers, metas, signs, sizes):
     """The round's record checks one cell at a time, each cell's checks in
     order: the accepted colorings as a list, or the first failure's
@@ -834,8 +859,8 @@ def test_verify_output_matches_the_round_by_round_reference(spread_artifact, tmp
 def test_verify_builds_one_table_set_per_grid_shape_of_all_rounds(spread_artifact, monkeypatch,
                                                                  capsys):
     # verify stacks the cells of every round by grid shape: it builds one
-    # LatticeTables per level per grid shape of those cells, not one per
-    # cell size, round or block of sums.
+    # LatticeTables per grid shape of those cells, summed on every level,
+    # not one per level, cell size, round or block of sums.
     path, coreset = spread_artifact
     data = json.loads(coreset.read_text())
     constants = Constants(*(data["config"][k] for k in ("c0", "c1", "c_big", "grid_budget")))
@@ -849,7 +874,7 @@ def test_verify_builds_one_table_set_per_grid_shape_of_all_rounds(spread_artifac
     monkeypatch.setattr(colorizer, "LatticeTables",
                         lambda *args, **kwargs: built.append(1) or tables(*args, **kwargs))
     assert main(["verify", "--input", str(path), "--coreset", str(coreset)]) == 0
-    assert len(built) == sum(len(shape) for shape in shapes)
+    assert len(built) == len(shapes)
 
 
 def test_verify_memory_bounded_on_spread_data(tmp_path, capsys):

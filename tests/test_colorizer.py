@@ -261,8 +261,8 @@ def test_verify_stack_chunked(monkeypatch):
     blocks = []
     sums = LatticeTables.blocks
 
-    def counted(tables, weights):
-        for sets, part in sums(tables, weights):
+    def counted(tables, weights, grid):
+        for sets, part in sums(tables, weights, grid):
             blocks.append(len(sets))
             yield sets, part
 

@@ -67,6 +67,19 @@ def test_linf_symmetry():
     b = linf_error(q, p, budget=4000)
     assert a.sup_error == b.sup_error
     assert a.grid == b.grid
+    # Sets that share and repeat rows, drawn with replacement from one
+    # 6-point base: each merged row carries weight from both sets.
+    base = rng.uniform(-1, 1, size=(6, 2))
+    p, q = base[rng.integers(0, 6, 23)], base[rng.integers(0, 6, 9)]
+    a, b = linf_error(p, q, budget=4000), linf_error(q, p, budget=4000)
+    assert a.sup_error == b.sup_error > 0.0
+    assert a.argmax_query == b.argmax_query
+
+
+def test_linf_rejects_a_grid_of_another_dimension():
+    pts = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        linf_error(pts, pts[:1], grid=Grid(0.5, 1.0, 3))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -147,6 +160,11 @@ def test_linf_pruned_matches_full_lattice(case):
     assert all(i.size == 1 for i in index)
     at = np.ravel_multi_index([i[0] for i in index], [axis.size for axis in report.grid.axes()])
     assert abs(full[at] - top) <= 1e-15 * top
+    # An independent reference: the two KDEs pairwise at every grid point.
+    queries = report.grid.points()
+    pairwise = np.abs(kernel_sum(p, np.full(len(p), 1.0 / len(p)), queries)
+                      - kernel_sum(q, np.full(len(q), 1.0 / len(q)), queries))
+    assert abs(report.sup_error - float(pairwise.max())) <= 1e-13
     if same:
         assert report.sup_error == 0.0
         assert report.n_evaluated == report.n_queries

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdecoreset.evaluation import build_query_grid
-from kdecoreset.kernel import (LatticeTables, _sq_dists, _table_floor, as_coloring, as_points,
+from kdecoreset.kernel import (LatticeTables, _build, _sq_dists, _table_floor, as_coloring, as_points,
                                kernel_sum, lattice_sum)
 from kdecoreset.schedule import Grid, build_schedule
 
@@ -303,7 +303,7 @@ def test_lattice_tables_rows_match_unique(pts):
     # The merged rows must come in np.unique's order, so that the GEMM
     # contraction, and every sum built on it, is unchanged bit for bit.
     # Rows compare by ==: +0.0 and -0.0 may pick either representative.
-    tables = LatticeTables(pts, Grid(0.5, 1.0, pts.shape[1]))
+    tables = LatticeTables(pts)
     rows, inverse = np.unique(pts, axis=0, return_inverse=True)
     assert tables.rows.shape == rows.shape
     assert np.all(tables.rows == rows)
@@ -330,9 +330,9 @@ def test_lattice_tables_stack_matches_each_set(data, block):
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
-        tables = LatticeTables(flat, grid, [n] * len(sets))
-        got = tables.sum(signs.reshape(-1))
-        alone = [LatticeTables(pts, grid).sum(sigma) for pts, sigma in zip(sets, signs)]
+        tables = LatticeTables(flat, [n] * len(sets))
+        got = tables.sum(signs.reshape(-1), grid)
+        alone = [LatticeTables(pts).sum(sigma, grid) for pts, sigma in zip(sets, signs)]
     assert tables.inverse.shape == (len(flat),)
     assert np.all(tables.rows[tables.inverse] == flat)
     assert got.shape == (len(sets), grid.count())
@@ -366,9 +366,9 @@ def test_lattice_tables_ragged_sets_match_each_set(data, block):
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
-        tables = LatticeTables(flat, grids, counts)
-        got = tables.sum(signs)
-        alone = [LatticeTables(pts, one).sum(sigma) for pts, one, sigma in zip(
+        tables = LatticeTables(flat, counts)
+        got = tables.sum(signs, grids)
+        alone = [LatticeTables(pts).sum(sigma, one) for pts, one, sigma in zip(
             sets, grids if isinstance(grids, list) else [grids] * len(sets),
             np.split(signs, np.cumsum(counts)[:-1]))]
     assert tables.inverse.shape == (len(flat),)
@@ -400,26 +400,31 @@ def test_lattice_tables_sum_again_matches_a_fresh_instance(data, ragged, block):
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr("kdecoreset.kernel._BLOCK_ELEMS", block)
-        tables = LatticeTables(flat, grid, counts)
-        got = [tables.sum(w) for w in (a, b, a)]
-        fresh = [LatticeTables(flat, grid, counts).sum(w) for w in (a, b, a)]
+        tables = LatticeTables(flat, counts)
+        got = [tables.sum(w, grid) for w in (a, b, a)]
+        fresh = [LatticeTables(flat, counts).sum(w, grid) for w in (a, b, a)]
     for again, first in zip(got, fresh):
         assert again.tobytes() == first.tobytes()
 
 
 def test_lattice_tables_rejects_counts_that_do_not_split_the_points():
-    grid = Grid(0.5, 1.0, 2)
     for counts in ([2, 2], [4], [], [3, 0, 2], [6, -1]):
         with pytest.raises(ValueError, match="do not split"):
-            LatticeTables(np.zeros((5, 2)), grid, counts)
+            LatticeTables(np.zeros((5, 2)), counts)
 
 
 def test_lattice_tables_rejects_grids_of_other_shapes_or_counts():
-    pts, counts = np.zeros((5, 2)), [2, 3]
+    tables, signs = LatticeTables(np.zeros((5, 2)), [2, 3]), np.ones(5)
     with pytest.raises(ValueError, match="one shape"):
-        LatticeTables(pts, [Grid(0.5, 1.0, 2), Grid(0.5, 1.5, 2)], counts)
+        tables.sum(signs, [Grid(0.5, 1.0, 2), Grid(0.5, 1.5, 2)])
     with pytest.raises(ValueError, match="expected one grid or 2 grids"):
-        LatticeTables(pts, [Grid(0.5, 1.0, 2), Grid(0.4, 0.8, 2), Grid(0.5, 1.0, 2)], counts)
+        tables.sum(signs, [Grid(0.5, 1.0, 2), Grid(0.4, 0.8, 2), Grid(0.5, 1.0, 2)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        tables.sum(signs, Grid(0.5, 1.0, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        next(tables.blocks(signs, [np.zeros(3)]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lattice_sum(np.zeros((3, 2)), np.ones(3), Grid(0.5, 1.0, 1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
@@ -444,12 +449,13 @@ def test_lattice_tables_floor_far_entries(d):
     # nor a product of d of them is subnormal; the rest are plain exps.
     floor = np.finfo(np.float64).tiny ** (1.0 / d)
     axis = np.arange(0.0, 40.0)
-    tables = LatticeTables(np.zeros((1, d)), [axis] * d)
-    for table in tables._build(tables.rows[None]):
+    tables = LatticeTables(np.zeros((1, d)))
+    axes, _, floored = tables._lattice([axis] * d)
+    for table in _build(tables.rows[None], axes, floored):
         expect = np.exp(-axis ** 2)
         assert np.array_equal(table[0, :, 0], np.where(expect < floor, 0.0, expect))
         assert (expect[expect < floor] > 0.0).any()  # some entry was floored
-    out = tables.sum(np.ones(1))
+    out = tables.sum(np.ones(1), [axis] * d)
     assert np.all((out == 0.0) | (out >= np.finfo(np.float64).tiny))
     assert out[-1] == 0.0 and out[0] == 1.0
 
@@ -466,8 +472,9 @@ def test_verification_tables_stay_above_floor(d):
         for grid in build_schedule(n, d).verification_grids():
             reach = max(float(np.abs(axis).max()) for axis in grid.axes()) + 1.0
             assert math.exp(-reach * reach) > floor, (n, d, reach)
-            tables = LatticeTables(corners, grid)
-            assert all(np.all(t > 0.0) for t in tables._build(tables.rows[None]))
+            tables = LatticeTables(corners)
+            axes, _, floored = tables._lattice(grid)
+            assert all(np.all(t > 0.0) for t in _build(tables.rows[None], axes, floored))
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -483,14 +490,15 @@ def test_centered_verification_tables_skip_the_floor_scan(d):
         for grid in build_schedule(n, d).verification_grids():
             axes = [axis[None] for axis in grid.axes()]
             assert _table_floor(axes, corners) == 0.0, (n, d)
-            assert LatticeTables(corners, grid)._floor == 0.0
+            assert LatticeTables(corners)._lattice(grid)[2] == 0.0
             assert _table_floor(axes, corners + 40.0) == floor
     wide = Grid(0.5, 40.0, d)
     assert _table_floor([axis[None] for axis in wide.axes()], corners) == floor
     if d <= 3:
         # Where the bound fails, far entries are still floored to 0.
-        tables = LatticeTables(np.zeros((1, d)), Grid(1.0, 40.0, d))
-        assert all((t == 0.0).any() for t in tables._build(tables.rows[None]))
+        tables = LatticeTables(np.zeros((1, d)))
+        axes, _, floored = tables._lattice(Grid(1.0, 40.0, d))
+        assert all((t == 0.0).any() for t in _build(tables.rows[None], axes, floored))
 
 
 @st.composite
@@ -531,11 +539,11 @@ def test_table_floor_decision_matches_the_forced_floor(case):
     # Where _table_floor skips the floor's scan, no entry can fall below
     # the floor: the sums are those with the floor forced, bit for bit.
     pts, lattice, counts, weights = case
-    got = LatticeTables(pts, lattice, counts).sum(weights)
+    got = LatticeTables(pts, counts).sum(weights, lattice)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("kdecoreset.kernel._table_floor",
                    lambda axes, rows: np.finfo(np.float64).tiny ** (1.0 / rows.shape[1]))
-        forced = LatticeTables(pts, lattice, counts).sum(weights)
+        forced = LatticeTables(pts, counts).sum(weights, lattice)
     assert got.tobytes() == forced.tobytes()
 
 
