@@ -5,9 +5,11 @@ Each cell is the set of points nearest (in sup norm) to one site of the
 side-2 integer lattice; after translating by the site, a cell lies in the
 unit ball, which is the precondition of the per-cell guarantees. Colorings
 are translation invariant, so cells are processed centered and never
-un-centered. Identical points in a cell are paired off with opposite signs
-and only the rest is walked. Verification grids are lattices in centered
-coordinates, and the kernel is tabulated per grid axis.
+un-centered. Identical and near-identical points in a cell are paired off
+with opposite signs and only the rest is walked, on the top singular
+directions of its kernel vectors (decomp.walk_input). Verification grids
+are lattices in centered coordinates, and the kernel is tabulated per grid
+axis.
 
 Cells are independent (seeds are split per cell, in lexicographic center
 order, which is also the report order), so cells whose schedules have one
@@ -30,7 +32,7 @@ from itertools import accumulate, chain, groupby
 
 import numpy as np
 
-from .decomp import augment, kernel_factor
+from .decomp import kernel_factor, walk_input
 from .kernel import LatticeTables, as_coloring, as_points
 from .schedule import build_schedule
 from .walk import gsw_color
@@ -267,11 +269,39 @@ def recheck(points, rounds, constants=None, start=None):
             for a, b, (owned, chained, runs) in zip(bounds, bounds[1:], rounds_read)]
 
 
+def _near_groups(rows, owner):
+    """Group labels of merged rows (owner[k] the set of rows[k]): the
+    coarsest grouping, refined coordinate by coordinate until it holds
+    still, in which no group's sorted values of any coordinate step by more
+    than 5e-11 / (1.49 sqrt(d)). Rows of one set within that distance of
+    each other in every coordinate share a group; e^(-3 t^2) changes by at
+    most sqrt(6/e) < 1.49 per unit of t, so their Gram columns agree within
+    the factor's 5e-11 budget. Groups never span sets, and without such
+    rows every merged row is a group of its own."""
+    delta = 5e-11 / (1.49 * np.sqrt(max(rows.shape[1], 1)))
+    label, groups = owner, -1
+    while groups != rows.shape[0]:
+        before = groups
+        for x in rows.T:
+            order = np.lexsort((x, label))
+            start = np.empty(order.size, dtype=bool)
+            start[0] = True
+            ranked, run = x[order], label[order]
+            start[1:] = (run[1:] != run[:-1]) | (ranked[1:] - ranked[:-1] > delta)
+            label = np.empty_like(order)
+            label[order] = np.cumsum(start) - 1
+            groups = int(start.sum())
+        if groups == before:
+            break
+    return label
+
+
 def _pair_duplicates(group):
-    """Pair each point with the last unpaired point of its merged row
-    (group[i]) and sign the later one -1, so pairs cancel exactly; the walk
-    would move identical vectors in lockstep to one sign. Returns the signs
-    and the ascending unpaired positions."""
+    """Pair each point with the last unpaired point of its group (group[i];
+    _near_groups of its merged row) and sign the later one -1, so pairs
+    cancel to within the factor's error; the walk would move (near-)
+    identical vectors in lockstep to one sign. Returns the signs and the
+    ascending unpaired positions."""
     signs = np.ones(group.size, dtype=np.int64)
     unpaired = {}
     for i, g in enumerate(group.tolist()):
@@ -384,8 +414,8 @@ def _attempt(cells, points, schedules, roots):
     fixed coloring for the others. Returns each cell's
     (signs, unpaired positions, (passed, max_ratio, imbalance)).
 
-    The cells share one LatticeTables, whose inverse rows give their
-    duplicate pairing, and one _check; walked cells with one
+    The cells share one LatticeTables, whose merged rows give their
+    (near-)duplicate pairing, and one _check; walked cells with one
     unpaired count share their dense factors (kernel_factor of a stack).
     """
     counts = [cell.members.size for cell in cells]
@@ -394,7 +424,10 @@ def _attempt(cells, points, schedules, roots):
     pts = (points[np.concatenate([cell.members for cell in cells])]
            - np.repeat(centers, counts, axis=0))
     tables = LatticeTables(pts, counts)
-    paired = [_pair_duplicates(tables.inverse[a:b]) for a, b in zip(starts, starts[1:])]
+    owner = np.empty(tables.rows.shape[0], dtype=np.intp)
+    owner[tables.inverse] = np.repeat(np.arange(len(cells)), counts)
+    group = _near_groups(tables.rows, owner)[tables.inverse]
+    paired = [_pair_duplicates(group[a:b]) for a, b in zip(starts, starts[1:])]
     sigma = np.concatenate([signs for signs, _ in paired])
     walked = {}
     for j, (_, rest) in enumerate(paired):
@@ -408,7 +441,7 @@ def _attempt(cells, points, schedules, roots):
         factors = kernel_factor(stack)
         for j, rows in zip(items, stack):
             # No name keeps the factor: it is freed before the walk starts.
-            vectors = augment(next(factors), rows)
+            vectors = walk_input(next(factors), rows)
             sigma[starts[j] + paired[j][1]] = gsw_color(vectors, roots[j].spawn(1)[0]).signs
     return [(sigma[a:b].copy(), rest, result) for a, b, (_, rest), result
             in zip(starts, starts[1:], paired, _check(sigma, counts, schedules, tables))]

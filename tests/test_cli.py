@@ -348,16 +348,22 @@ def test_verify_zero_round_artifact(square_csv, tmp_path):
     assert main(["verify", "--input", str(path), "--coreset", str(coreset)]) == 0
 
 
-@pytest.fixture
-def spread_artifact(tmp_path):
-    # 240 normal(0, 2) points fill 28 cells; several carry balance flips.
-    pts = np.random.default_rng(3).normal(0, 2, size=(240, 2))
+def spread_build(tmp_path, data_seed):
+    """The CSV of 240 normal(0, 2) points from default_rng(data_seed) and
+    the CLI's artifact halving them to 120."""
+    pts = np.random.default_rng(data_seed).normal(0, 2, size=(240, 2))
     path = tmp_path / "spread.csv"
     write_csv(path, pts)
     coreset = tmp_path / "spread.json"
     assert main(["build", "--input", str(path), "--output", str(coreset),
                  "--target-size", "120"]) == 0
     return path, coreset
+
+
+@pytest.fixture
+def spread_artifact(tmp_path):
+    # 240 normal(0, 2) points fill 28 cells; several carry balance flips.
+    return spread_build(tmp_path, 3)
 
 
 def test_verify_report_ratios_are_the_builds(spread_artifact, tmp_path):
@@ -567,12 +573,13 @@ def test_verify_rejects_flips_beyond_the_balance_flips(spread_artifact, capsys):
     assert f"round {rno} cell {cno}" in capsys.readouterr().err
 
 
-def test_verify_names_the_first_bad_record_among_merged_small_cells(spread_artifact, capsys):
+def test_verify_names_the_first_bad_record_among_merged_small_cells(tmp_path, capsys):
     # Cells below N_MIN share one schedule, so a round's small cells are
     # checked as one stack and its records' flips in one pass; a wrong
     # record still fails with the cell-by-cell message, naming the first
-    # wrong cell.
-    path, coreset = spread_artifact
+    # wrong cell. The last round of these 240 points has three flipped
+    # cells among 30, all small.
+    path, coreset = spread_build(tmp_path, 0)
     original = coreset.read_text()
     rno = len(json.loads(original)["rounds"]) - 1
     cells = json.loads(original)["rounds"][rno]["cells"]

@@ -15,7 +15,7 @@ from kdecoreset.colorizer import (
     partition,
     verify,
 )
-from kdecoreset.decomp import augment, kernel_factor
+from kdecoreset.decomp import augment, kernel_factor, walk_input
 from kdecoreset.kernel import LatticeTables, kernel_sum
 from kdecoreset.schedule import build_schedule, default_constants
 from kdecoreset.walk import gsw_color
@@ -462,37 +462,76 @@ def test_color_cell_fixed_coloring_failure(coords, monkeypatch):
     assert failure.value.retries == 1 and failure.value.size == len(coords)
 
 
-def near_duplicates(spacing):
-    """Eight boundary points `spacing` apart plus three interior points."""
-    pts = [1.0 - k * spacing for k in range(8)] + [-0.856, 0.057, -0.965]
-    return np.array(pts).reshape(-1, 1)
+def near_duplicates(spacing, d=1):
+    """Eight points `spacing` apart in every coordinate, ending at the
+    cell's corner (1, ..., 1), plus three interior points."""
+    pts = [[1.0 - k * spacing] * d for k in range(8)]
+    interior = [[-0.856, 0.3], [0.057, -0.6], [-0.965, 0.5]]
+    return np.array(pts + [p[:d] for p in interior])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_color_all_near_duplicate_lockstep(seed):
-    # Eight boundary points 1e-12 apart are not paired off as duplicates.
-    # A walk that moved their near-identical vectors in lockstep gave them
-    # one sign, which failed all 64 verifications.
-    _, reports = color_all(near_duplicates(1e-12), default_constants(1), seed=seed)
-    assert len(set(reports[0].accepted_coloring[:8].tolist())) == 2
+    # Eight boundary points 1e-12 apart are paired off as duplicates are,
+    # since their Gram columns agree within the factor's budget. A walk
+    # that moved their near-identical vectors in lockstep gave them one
+    # sign, which failed all 64 verifications.
+    for d in (1, 2):
+        _, reports = color_all(near_duplicates(1e-12, d), default_constants(d), seed=seed)
+        assert len(set(reports[0].accepted_coloring[:8].tolist())) == 2, d
 
 
-@pytest.mark.parametrize("spacing", [1e-12, 1e-10, 1e-9, 1e-7])
+@pytest.mark.parametrize("spacing", [1e-12, 1e-11, 1e-10, 1e-9, 1e-7])
 def test_near_duplicates_color_without_retries(spacing):
-    for seed in range(4):
-        _, reports = color_all(near_duplicates(spacing), default_constants(1), seed=seed)
-        assert [r.retries for r in reports] == [0], seed
+    # At 1e-12 and 1e-11 the eight points are paired as one chain of steps
+    # below 5e-11 / (1.49 sqrt(d)). Walked unpaired, at 1e-12 they took 1
+    # to 18 retries in d = 1; at 1e-11, on the factor's full dimension
+    # (before walk_input), 51 and 58 on seeds 0 and 1, and seeds 2 and 3
+    # exhausted all 64. At 1e-10 and above they are walked.
+    for d in (1, 2):
+        for seed in range(4):
+            _, reports = color_all(near_duplicates(spacing, d), default_constants(d), seed=seed)
+            assert [r.retries for r in reports] == [0], (d, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_near_groups_join_rows_within_delta_and_only_in_one_set(d, counts, seed):
+    # Sets of rows drawn around a few bases with offsets of 0 to 2 delta
+    # (ties, near ties and chains), +-0.0 and the boundary 1.0 included.
+    # Rows of one set within delta in every coordinate share a group, no
+    # group spans sets, and each coordinate of a group steps by at most
+    # delta between its sorted values.
+    rng = np.random.default_rng(seed)
+    delta = 5e-11 / (1.49 * math.sqrt(d))
+    bases = rng.choice([1.0, 0.0, -0.0, 0.5, -0.3], (3, d))
+    pts = bases[rng.integers(0, 3, sum(counts))]
+    pts += rng.choice([0.0, 0.0, -0.5, 0.9, 2.0], pts.shape) * delta
+    tables = LatticeTables(pts, counts)
+    owner = np.empty(tables.rows.shape[0], dtype=np.intp)
+    owner[tables.inverse] = np.repeat(np.arange(len(counts)), counts)
+    label = colorizer._near_groups(tables.rows, owner)
+    rows = tables.rows
+    close = (np.abs(rows[:, None] - rows[None]) <= delta).all(axis=-1)
+    same_set = owner[:, None] == owner[None]
+    assert np.all((label[:, None] == label[None])[close & same_set])
+    assert not np.any((label[:, None] == label[None]) & ~same_set)
+    for g in set(label.tolist()):
+        members = rows[label == g]
+        assert np.all(np.diff(np.sort(members, axis=0), axis=0) <= delta)
 
 
 def test_color_cell_retry_uses_kth_split():
-    # c1 = 3.5 (about a tenth of the default) rejects some walks, so the
-    # accepted coloring comes from a later attempt; attempt k must walk with
-    # the k-th child of the cell seed, as a full spawn(retry_budget) gives.
+    # c1 = 2.2 (about a thirtieth of the default) rejects the first walk
+    # of every seed, so the accepted coloring comes from a later attempt
+    # (seed 0 passes at its 16th); attempt k must walk with the k-th child
+    # of the cell seed, as a full spawn(retry_budget) gives.
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1, 1, size=(40, 2))
     cell = CellAssignment(center=(0.0, 0.0), members=np.arange(40))
-    cst = default_constants(2, c1=3.5, grid_budget=400)
-    vectors = augment(kernel_factor(pts), pts)
+    cst = default_constants(2, c1=2.2, grid_budget=400)
+    vectors = walk_input(kernel_factor(pts), pts)
     retries = []
     for seed in range(3):
         report = color_cell(cell, pts, cst, seed=seed, retry_budget=16)
@@ -612,22 +651,22 @@ def test_color_all_stacks_match_color_cell(pts, seed, block):
 
 
 def test_color_all_retries_match_color_cell():
-    # c1 = 4.3 (the d = 2 default is 73.2) rejects the first attempts
-    # of cells 3, 11 and 13 of a stack of 16; cell 11 passes at its 8th.
+    # c1 = 3.55 (the d = 2 default is 73.2) rejects the first attempts
+    # of cells 3, 11 and 13 of a stack of 16; cell 11 passes at its 5th.
     # Each is retried with its k-th split, as alone. With a budget of 2,
     # cell 3 passes at its second attempt and cell 11 raises, as alone;
     # with a budget of 1, cell 3 raises, the first of the three.
     rng = np.random.default_rng(11)
     pts = np.concatenate([rng.uniform(-0.95, 0.95, (20, 2)) + 2.0 * np.array([c % 4, c // 4])
                           for c in range(16)])
-    cst = default_constants(2, c1=4.3, grid_budget=400)
+    cst = default_constants(2, c1=3.55, grid_budget=400)
     _, reports = color_all(pts, cst, seed=6)
     assert [report_fields(r) for r in reports] == outcome(lambda: color_one_by_one(pts, cst, 6))
-    assert [r.retries for r in reports if r.retries] == [1, 7, 1]
+    assert [r.retries for r in reports if r.retries] == [1, 4, 4]
     for report, cell_seed in zip(reports, np.random.SeedSequence(6).spawn(16)):
         if report.retries:
             centered = pts[report.members] - np.asarray(report.center)
-            vectors = augment(kernel_factor(centered), centered)
+            vectors = walk_input(kernel_factor(centered), centered)
             kth = cell_seed.spawn(report.retries + 1)[report.retries]
             assert np.array_equal(report.accepted_coloring, gsw_color(vectors, kth).signs)
     failed = outcome(lambda: color_all(pts, cst, seed=6, retry_budget=2)[1])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdecoreset import decomp
-from kdecoreset.decomp import augment, build_gram, kernel_factor, psd_factor
+from kdecoreset.decomp import augment, build_gram, kernel_factor, psd_factor, walk_input
 from kdecoreset.schedule import Grid, build_schedule
 
 import naive
@@ -232,6 +232,27 @@ def test_kernel_factor_dense_path_bit_identical(pts):
     for a in first[counts > 1]:
         same = np.flatnonzero((pts == pts[a]).all(axis=1))
         assert np.abs(f.columns[:, same] - f.columns[:, [a]]).max() <= 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cells(), st.integers(0, 2**32 - 1))
+def test_walk_input_keeps_row_norms_and_drops_a_small_tail(pts, seed):
+    # walk_input keeps the top r singular directions of augment's rows, so
+    # no row grows past its norm in x (at most 1), the dropped squared
+    # norm is at most TAU of the total, and a ±1 coloring's signed sum
+    # loses a squared norm of at most n * TAU * ||x||_F^2.
+    n = pts.shape[0]
+    f = kernel_factor(pts)
+    x, v = augment(f, pts), walk_input(f, pts)
+    assert v.shape[0] == n and 1 <= v.shape[1] <= f.dim_m + 1
+    rows = np.linalg.norm(v, axis=1)
+    assert rows.max() <= 1.0 + 1e-12
+    assert np.all(rows <= np.linalg.norm(x, axis=1) + 1e-12)
+    total = np.sum(x * x)
+    assert total - np.sum(v * v) <= (decomp.TAU + 1e-12) * total
+    sigma = np.random.default_rng(seed).choice([-1.0, 1.0], n)
+    lost = np.sum((sigma @ x) ** 2) - np.sum((sigma @ v) ** 2)
+    assert -1e-9 * n * total <= lost <= (decomp.TAU + 1e-9) * n * total
 
 
 def _pivoted_error(pts):
