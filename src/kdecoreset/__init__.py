@@ -11,7 +11,7 @@ harness, and a recheck of stored halving rounds.
 
 from .colorizer import ColoringFailure, color_all, color_cell, partition, recheck, verify
 from .coreset import CoresetResult, HalvingFailure, build_coreset, halve_indices, random_baseline
-from .decomp import GramFactor, augment, build_gram, psd_factor
+from .decomp import build_gram, psd_factor
 from .evaluation import EvalReport, build_query_grid, linf_error
 from .kernel import kernel_sum, lattice_sum
 from .schedule import (
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ColoringFailure", "color_all", "color_cell", "partition", "recheck", "verify",
     "CoresetResult", "HalvingFailure", "build_coreset", "halve_indices", "random_baseline",
-    "GramFactor", "augment", "build_gram", "psd_factor",
+    "build_gram", "psd_factor",
     "EvalReport", "build_query_grid", "linf_error",
     "kernel_sum", "lattice_sum",
     "Constants", "Grid", "GridSchedule", "build_schedule", "default_constants",

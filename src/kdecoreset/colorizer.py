@@ -7,9 +7,10 @@ unit ball, which is the precondition of the per-cell guarantees. Colorings
 are translation invariant, so cells are processed centered and never
 un-centered. Identical and near-identical points in a cell are paired off
 with opposite signs and only the rest is walked, on the top singular
-directions of its kernel vectors (decomp.walk_input). Verification grids
-are lattices in centered coordinates, and the kernel is tabulated per grid
-axis.
+directions of its kernel vectors. decomp.walk_input, the one decomp call
+made here, yields those for a stack of cells of one unpaired count.
+Verification grids are lattices in centered coordinates, and the kernel
+is tabulated per grid axis.
 
 Cells are independent (seeds are split per cell, in lexicographic center
 order, which is also the report order), so cells whose schedules have one
@@ -18,10 +19,11 @@ grid budget, every size in one dimension) are colored as one stack, in
 ascending size. Each cell keeps its own schedule's grid coordinates and
 thresholds, and the cells share one LatticeTables (their merged rows,
 summed on each level's grids in blocks that bound the stack's memory),
-one check of every first walk attempt, and one stacked dense
-factorization of the cells with one unpaired count. Walks stay per cell,
-and cells whose first attempt fails are retried afterwards in center
-order, each retry an attempt on a stack of one. recheck re-verifies
+one check of every first walk attempt, and one walk_input stack of the
+cells with one unpaired count (small cells share stacked dense factors
+there). Walks stay per cell, and cells whose first attempt fails are
+retried afterwards in center order, each retry an attempt on a stack of
+one. recheck re-verifies
 stored rounds the same way, the cells of all rounds in one stack per
 grid shape (_verify_stack), each cell's flips undone and judged once
 (_undo_flips). Each cell's result is the one it gets alone, bit for bit.
@@ -32,7 +34,7 @@ from itertools import accumulate, chain, groupby
 
 import numpy as np
 
-from .decomp import kernel_factor, walk_input
+from .decomp import _ERROR_BUDGET, walk_input
 from .kernel import LatticeTables, as_coloring, as_points
 from .schedule import build_schedule
 from .walk import gsw_color
@@ -231,27 +233,31 @@ def recheck(points, rounds, constants=None, start=None):
     one stack per grid shape. A cell whose flip positions are not a list,
     tuple or array of integers in [0, its size) undoes none and does not
     own them; when flips are not one entry per cell, no cell does. An
-    empty set, or a coloring not ±1 over its set (its dtype not integer,
-    bool included), raises ValueError.
+    empty set, a coloring that as_coloring refuses (its dtype not integer,
+    bool included) or not over its set, an entry of start or of a kept
+    set outside [0, len(points)), or a repeated entry of start raises
+    ValueError naming the round.
     """
     pts = as_points(points)
     current = (np.arange(len(pts), dtype=np.intp) if start is None
-               else np.asarray(start, dtype=np.intp))
+               else _indices(start, len(pts), "round 0: start"))
+    if current.size and np.bincount(current).max() > 1:
+        raise ValueError("round 0: start repeats an entry")
     rounds_read, stack = [], []
     for rno, (coloring, kept, flipped) in enumerate(rounds):
-        coloring = np.asarray(coloring)
         if not current.size:
             raise ValueError(f"round {rno}: the round's set is empty")
-        if (coloring.dtype.kind not in "iu" or coloring.shape != current.shape
-                or np.any(np.abs(coloring) != 1)):
+        try:
+            coloring = as_coloring(coloring, current.size)
+        except ValueError:
             raise ValueError(f"round {rno}: coloring is not ±1 over the round's "
-                             f"{current.size} points")
+                             f"{current.size} points") from None
         centers, members, sizes = _cell_runs(pts[current])
         accepted, owned = _undo_flips(coloring[members], sizes, flipped)
         stack.append((pts[current][members] - np.repeat(centers, sizes, axis=0), accepted, sizes))
         rounds_read.append((owned.tolist(), np.array_equal(current[coloring == 1], kept),
                             (centers, members, sizes)))
-        current = np.asarray(kept, dtype=np.intp)
+        current = _indices(kept, len(pts), f"round {rno}: kept")
     if not stack:
         return []
     centered, accepted, sizes = map(np.concatenate, zip(*stack))
@@ -269,16 +275,27 @@ def recheck(points, rounds, constants=None, start=None):
             for a, b, (owned, chained, runs) in zip(bounds, bounds[1:], rounds_read)]
 
 
+def _indices(values, n, where):
+    """`values` as a 1-D intp array of indices, each in [0, n)."""
+    idx = np.asarray(values, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ValueError(f"{where} is not a 1-D array of indices")
+    if idx.size and not 0 <= idx.min() <= idx.max() < n:
+        raise ValueError(f"{where} has an entry outside [0, {n})")
+    return idx
+
+
 def _near_groups(rows, owner):
     """Group labels of merged rows (owner[k] the set of rows[k]): the
     coarsest grouping, refined coordinate by coordinate until it holds
     still, in which no group's sorted values of any coordinate step by more
-    than 5e-11 / (1.49 sqrt(d)). Rows of one set within that distance of
-    each other in every coordinate share a group; e^(-3 t^2) changes by at
-    most sqrt(6/e) < 1.49 per unit of t, so their Gram columns agree within
-    the factor's 5e-11 budget. Groups never span sets, and without such
-    rows every merged row is a group of its own."""
-    delta = 5e-11 / (1.49 * np.sqrt(max(rows.shape[1], 1)))
+    than delta = 5e-11 / (1.49 sqrt(d)), 5e-11 the factor's error budget
+    (decomp._ERROR_BUDGET). Rows of one set within that distance of each
+    other in every coordinate share a group; e^(-3 t^2) changes by at most
+    sqrt(6/e) < 1.49 per unit of t, so their Gram columns agree within that
+    budget. Groups never span sets, and without such rows every merged row
+    is a group of its own."""
+    delta = _ERROR_BUDGET / (1.49 * np.sqrt(max(rows.shape[1], 1)))
     label, groups = owner, -1
     while groups != rows.shape[0]:
         before = groups
@@ -416,7 +433,8 @@ def _attempt(cells, points, schedules, roots):
 
     The cells share one LatticeTables, whose merged rows give their
     (near-)duplicate pairing, and one _check; walked cells with one
-    unpaired count share their dense factors (kernel_factor of a stack).
+    unpaired count are one walk_input stack, whose dense factors they
+    share.
     """
     counts = [cell.members.size for cell in cells]
     starts = [0, *accumulate(counts)]
@@ -438,10 +456,7 @@ def _attempt(cells, points, schedules, roots):
             sigma[starts[j] + rest] = [1, -1][:rest.size]
     for items in walked.values():
         stack = np.stack([pts[starts[j] + paired[j][1]] for j in items])
-        factors = kernel_factor(stack)
-        for j, rows in zip(items, stack):
-            # No name keeps the factor: it is freed before the walk starts.
-            vectors = walk_input(next(factors), rows)
+        for j, vectors in zip(items, walk_input(stack)):
             sigma[starts[j] + paired[j][1]] = gsw_color(vectors, roots[j].spawn(1)[0]).signs
     return [(sigma[a:b].copy(), rest, result) for a, b, (_, rest), result
             in zip(starts, starts[1:], paired, _check(sigma, counts, schedules, tables))]

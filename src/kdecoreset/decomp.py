@@ -1,6 +1,6 @@
 """Scaled kernel Gram matrix, its factorization into (nearly) unit-norm
 columns, the augmented vectors, and the balancing walk's input: their top
-singular directions (walk_input).
+singular directions (walk_input, the one call the colorizer makes).
 
 The Gram couples the cell's data points (scaled by sqrt(3)) with the
 verification grid points (scaled by 1/sqrt(3)); the inner products of its
@@ -9,28 +9,27 @@ walk inputs; grid columns exist as audit witnesses.
 
 Memory: `build_gram` for n data and g grid points is one (n + g)^2
 float64 array (plus `psd_factor`'s working set of the same order); callers
-cap g via the schedule's grid budget. `kernel_factor`, which the colorizer
-uses, factors every data-only cell of more than `_DENSE_MAX` points by
-pivoted partial Cholesky on kernel columns computed on demand, to a proved
-entrywise error of at most `_ERROR_BUDGET`: O(n r + r^2) memory and
-O(n r^2 + r^3) time for pivot count r, and never an n x n array. Small
-cells take the dense route, which factors a stack of cells of one size at
-once: one `build_gram` and one stacked eigh per chunk of cells, whose Gram
-temporaries hold no more floats than those of one `_DENSE_MAX`-point
-cell. A single cell is a stack of one. `walk_input` holds the augmented
-vectors x (n x (dim_m + 1)) while numpy's SVD of x holds about 3.8 times
-as much again, its left singular vectors included: 14.9 MB of peak RSS
-for the 2574 x 201 x of the benchmark mixture's largest cell.
+cap g via the schedule's grid budget. `walk_input` takes a stack of cells
+of one size. It factors each data-only cell of more than `_DENSE_MAX`
+points by pivoted partial Cholesky on kernel columns computed on demand,
+to a proved entrywise error of at most `_ERROR_BUDGET`: O(n r + r^2)
+memory and O(n r^2 + r^3) time for pivot count r, and never an n x n
+array; smaller cells share one `build_gram` and one stacked eigh per chunk
+of cells, whose Gram temporaries hold no more floats than those of one
+`_DENSE_MAX`-point cell. Per cell it holds the augmented vectors x
+(n x (dim_m + 1)) while numpy's SVD of x holds about 3.8 times as much
+again: 14.9 MB of peak RSS for the 2574 x 201 x of the benchmark
+mixture's largest cell. The factor, x and the SVD's outputs are freed
+before the cell's vectors are yielded.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import _sq_dists, as_points
 
-__all__ = ["GramFactor", "build_gram", "psd_factor", "kernel_factor", "augment", "walk_input"]
+__all__ = ["build_gram", "psd_factor", "augment", "walk_input"]
 
 # Eigenvalues in [-EIG_TOL * lambda_max, 0] are numerical noise and clamp
 # to zero; anything more negative signals a corrupted input matrix.
@@ -38,13 +37,13 @@ EIG_TOL = 1e-8
 
 _BALL_SLACK = 1e-9
 
-# kernel_factor pivots until every residual diagonal entry is at most
+# The pivoted route pivots until every residual diagonal entry is at most
 # _PIVOT_TOL, then drops eigen-directions of the pivoted factor while every
 # Gram entry stays within _ERROR_BUDGET; the pivoting takes 1e-12 of it.
 _PIVOT_TOL = 1e-12
 _ERROR_BUDGET = 5e-11
 
-# kernel_factor factors cells of at most _DENSE_MAX points densely. Pivoting
+# Cells of at most _DENSE_MAX points are factored densely. Pivoting
 # small cells too worsened the sup error of spread normal(0, 5) chains
 # (median of 16, 3.14 -> 3.54).
 _DENSE_MAX = 256
@@ -96,33 +95,7 @@ def _cell_points(points):
     return pts
 
 
-@dataclass(frozen=True)
-class GramFactor:
-    """Column factor U of a unit-diagonal Gram matrix: U^T U reproduces M.
-
-    columns has shape (dim_m, N) with one column per Gram row; the first
-    n_data columns belong to data points, the rest to grid witnesses.
-    Column norms are 1 within the factor's error: psd_factor's clamp, or
-    kernel_factor's budget of 5e-11 on squared norms.
-    """
-
-    columns: np.ndarray
-    n_data: int
-
-    @property
-    def dim_m(self):
-        return self.columns.shape[0]
-
-    @property
-    def data_columns(self):
-        return self.columns[:, : self.n_data]
-
-    def gram(self):
-        """Reconstruct the inner-product matrix of the columns."""
-        return self.columns.T @ self.columns
-
-
-def psd_factor(matrix, n_data=None):
+def psd_factor(matrix):
     """Factor a symmetric unit-diagonal PSD matrix into unit-norm columns.
 
     Uses a symmetric eigendecomposition with eigenvalues below the noise
@@ -131,9 +104,12 @@ def psd_factor(matrix, n_data=None):
     dimension is the numerical rank. The clamp handles the exact rank
     deficiency that duplicate points and dense grids produce, and it
     perturbs reconstructed inner products by at most ~1e-12 * lambda_max
-    entrywise. Data-only cells of more than 256 points take
-    `kernel_factor`'s pivoted route instead, whose factor is truncated by
-    an absolute error budget, not by this relative floor.
+    entrywise. Data-only cells of more than 256 points take `walk_input`'s
+    pivoted route instead, whose factor is truncated by an absolute error
+    budget, not by this relative floor.
+
+    Returns the (dim_m, N) array of columns, one per matrix row: cols.T @
+    cols reproduces the matrix.
 
     Raises ValueError when an eigenvalue is below -EIG_TOL * lambda_max,
     which means the input was not (numerically) positive semidefinite.
@@ -145,13 +121,10 @@ def psd_factor(matrix, n_data=None):
     # the tolerance check.
     if not ((m == m.T).all() or np.allclose(m, m.T, atol=1e-12)):
         raise ValueError("matrix must be symmetric")
-    n = m.shape[0] if n_data is None else int(n_data)
-    if not 0 <= n <= m.shape[0]:
-        raise ValueError("n_data out of range")
-    return _eigen_factor(*np.linalg.eigh(m), n)
+    return _eigen_factor(*np.linalg.eigh(m))
 
 
-def _eigen_factor(w, q, n_data):
+def _eigen_factor(w, q):
     """psd_factor's PSD check and truncation of one eigendecomposition."""
     lam_max = max(float(w[-1]), 0.0)
     if float(w[0]) < -EIG_TOL * max(lam_max, 1.0):
@@ -160,12 +133,13 @@ def _eigen_factor(w, q, n_data):
             f"vs max {lam_max:.3e}"
         )
     keep = w > 1e-12 * max(lam_max, 1.0)
-    cols = (q[:, keep] * np.sqrt(w[keep])).T
-    return GramFactor(columns=np.ascontiguousarray(cols), n_data=n_data)
+    return np.ascontiguousarray((q[:, keep] * np.sqrt(w[keep])).T)
 
 
-def kernel_factor(points):
-    """The GramFactor of `build_gram(points)`, without building that matrix.
+def _factors(stack):
+    """The factor columns (dim_m, n) of build_gram(cell) for each cell of a
+    float64 (C, n, d) stack checked by _cell_points, computed as they are
+    taken.
 
     Cells of more than 256 points run pivoted partial Cholesky (Harbrecht,
     Peters & Schneider, 2012) on Gram columns computed on demand: the
@@ -176,22 +150,13 @@ def kernel_factor(points):
     norm plus its residual diagonal stays at most 5e-11. What is left out,
     the pivoting's Schur complement plus the dropped directions, is PSD, so
     its largest entry is on its diagonal: every reconstructed Gram entry is
-    within 5e-11 of build_gram's, up to rounding, and build_gram is never
-    called.
+    within 5e-11 of build_gram's, up to rounding.
 
-    Cells of at most 256 points return psd_factor(build_gram(points))
-    unchanged.
-
-    `points` may be a stack of C cells of one size, (C, n, d); the result
-    is then an iterator over the cells' factors, computed as they are
-    taken. Cells of at most 256 points are factored in chunks that share
-    one build_gram and one stacked eigh, each factor the one its cell gets
-    alone, bit for bit.
+    Cells of at most 256 points get psd_factor(build_gram(cell)), in chunks
+    that share one build_gram and one stacked eigh, each factor the one its
+    cell gets alone, bit for bit.
     """
-    pts = _cell_points(points)
-    stack = pts if pts.ndim == 3 else pts[None]
-    factors = _dense_factors(stack) if stack.shape[1] <= _DENSE_MAX else map(_pivoted_factor, stack)
-    return factors if pts.ndim == 3 else next(factors)
+    return _dense_factors(stack) if stack.shape[1] <= _DENSE_MAX else map(_pivoted_factor, stack)
 
 
 def _dense_factors(stack):
@@ -204,11 +169,11 @@ def _dense_factors(stack):
     for start in range(0, cells, step):
         w, q = np.linalg.eigh(build_gram(stack[start:start + step]))
         for item in zip(w, q):
-            yield _eigen_factor(*item, n)
+            yield _eigen_factor(*item)
 
 
 def _pivoted_factor(pts):
-    """kernel_factor of one cell of more than _DENSE_MAX points."""
+    """_factors of one cell of more than _DENSE_MAX points."""
     n = pts.shape[0]
     s = np.sqrt(3.0) * pts
     resid = np.ones(n)
@@ -244,52 +209,63 @@ def _pivoted_factor(pts):
     # the budget come first.
     drop = np.count_nonzero(lost.max(axis=1) <= _ERROR_BUDGET)
     del lost
-    return GramFactor(columns=q[:, drop:].T @ low, n_data=n)
+    return q[:, drop:].T @ low
 
 
-def walk_input(factor, points):
-    """The walk's input for a cell: augment(factor, points) on its top
-    singular directions.
+def walk_input(cells):
+    """The walk's input for each cell of a (C, n, d) stack of centered
+    cells of one size, yielded in stack order, each the one its cell gets
+    as a stack of one, bit for bit.
 
-    With x = augment(factor, points) = U S V^T (thin SVD), the rows of
-    U S = x V have the inner products of x's rows. Only the first r
-    directions are kept, r the fewest whose dropped tail of squared
-    singular values sum(s[r:]^2) is at most TAU * ||x||_F^2 (the trace of
-    the rows' Gram). Any ±1 coloring's signed sum then moves by a squared
-    norm of at most n * TAU * ||x||_F^2, and every row's norm is at most
-    its norm in x, so at most 1.
+    With x = augment(factor, cell) = U S V^T (thin SVD), the factor the
+    cell's from _factors, the rows of U S = x V have the inner products of
+    x's rows. Only the first r directions are kept, r the fewest whose
+    dropped tail of squared singular values sum(s[r:]^2) is at most
+    TAU * ||x||_F^2 (the trace of the rows' Gram). Any ±1 coloring's signed
+    sum then moves by a squared norm of at most n * TAU * ||x||_F^2, and
+    every row's norm is at most its norm in x, so at most 1.
 
-    Returns an (n, r) array, 1 <= r <= dim_m + 1.
+    Yields (n, r) arrays, 1 <= r <= dim_m + 1. Raises ValueError, when the
+    first is taken, unless the cells are a (C, n, d) stack of finite points
+    in the unit sup-norm ball.
     """
-    x = augment(factor, points)
-    del factor  # the caller's only reference, freed before the SVD's copies of x
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    del x  # lowered the mixture chain's peak RSS by about 0.3 MB
-    tail = np.cumsum((s * s)[::-1])[::-1]
-    r = np.count_nonzero(tail > TAU * tail[0])
-    return u[:, :r] * s[:r]
+    stack = _cell_points(cells)
+    if stack.ndim != 3:
+        raise ValueError("walk_input takes a (C, n, d) stack of cells")
+    factors = _factors(stack)
+    for points in stack:
+        # No name keeps the factor: it is freed before the SVD's copies of x.
+        x = augment(next(factors), points)
+        u, s = np.linalg.svd(x, full_matrices=False)[:2]
+        del x  # lowered the mixture chain's peak RSS by about 0.3 MB
+        tail = np.cumsum((s * s)[::-1])[::-1]
+        r = np.count_nonzero(tail > TAU * tail[0])
+        vectors = u[:, :r] * s[:r]
+        del u, s  # not alive while the caller walks
+        yield vectors
 
 
-def augment(factor, points):
+def augment(columns, points):
     """Augmented vectors: rows (1; v_p * e^(2 ||p||^2)) / sqrt(1 + e^(4d)).
 
-    v_p is the data column of `factor` for point p and d the dimension of
-    `points`. Each row has euclidean norm sqrt((1 + e^(4||p||^2)) /
-    (1 + e^(4d))) <= 1 for p in the unit sup-norm ball, which is the
-    walk's norm precondition.
+    columns is a (dim_m, n) factor of the points' Gram (psd_factor's, say),
+    v_p its column for point p, and d the dimension of `points`. Each row
+    has euclidean norm sqrt((1 + e^(4||p||^2)) / (1 + e^(4d))) <= 1 for p
+    in the unit sup-norm ball, which is the walk's norm precondition.
 
     Returns an (n, dim_m + 1) array, one row per data point.
     """
     pts = as_points(points)
-    if factor.n_data != pts.shape[0]:
-        raise ValueError("factor data columns do not match the point count")
+    cols = np.asarray(columns, dtype=np.float64)
+    if cols.ndim != 2 or cols.shape[1] != pts.shape[0]:
+        raise ValueError("factor columns do not match the point count")
     sqn = np.einsum("nd,nd->n", pts, pts)
     weights = np.exp(2.0 * sqn)
     scale = 1.0 / math.sqrt(1.0 + math.exp(4.0 * pts.shape[1]))
-    out = np.empty((pts.shape[0], factor.dim_m + 1), dtype=np.float64)
+    out = np.empty((pts.shape[0], cols.shape[0] + 1), dtype=np.float64)
     out[:, 0] = scale
     # (v_p * w_p) * scale, written in place: no n x dim_m temporaries.
-    columns = out[:, 1:]
-    np.multiply(factor.data_columns.T, weights[:, None], out=columns)
-    columns *= scale
+    rest = out[:, 1:]
+    np.multiply(cols.T, weights[:, None], out=rest)
+    rest *= scale
     return out

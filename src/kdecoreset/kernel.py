@@ -76,8 +76,11 @@ def as_points(points, dim=None, allow_empty=False):
 
 
 def as_coloring(signs, n=None):
-    """Coerce to an int64 vector with entries exactly -1 or +1."""
+    """Coerce to an int64 vector with entries exactly -1 or +1. The input's
+    dtype must be an integer one: True is not +1, nor is 1.0."""
     s = np.asarray(signs)
+    if s.dtype.kind not in "iu":
+        raise ValueError(f"coloring must have an integer dtype, not {s.dtype}")
     if s.ndim != 1:
         raise ValueError("coloring must be one-dimensional")
     out = s.astype(np.int64)

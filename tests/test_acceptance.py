@@ -50,9 +50,9 @@ def criterion_1():
         sch = build_schedule(n, d, default_constants(d, grid_budget=budgets[d]))
         grids = sch.verification_grids()
         m = kc.build_gram(pts, grids)
-        factor = kc.psd_factor(m, n_data=n)
-        err = np.abs(factor.gram() - m).max()
-        norm_err = np.abs(np.linalg.norm(factor.columns, axis=0) - 1.0).max()
+        cols = kc.psd_factor(m)
+        err = np.abs(cols.T @ cols - m).max()
+        norm_err = np.abs(np.linalg.norm(cols, axis=0) - 1.0).max()
         assert err <= 1e-8, f"trial {trial}: reconstruction error {err:.3e}"
         assert norm_err <= 1e-6, f"trial {trial}: column norm off by {norm_err:.3e}"
         worst_entry = max(worst_entry, err)

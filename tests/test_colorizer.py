@@ -15,7 +15,7 @@ from kdecoreset.colorizer import (
     partition,
     verify,
 )
-from kdecoreset.decomp import augment, kernel_factor, walk_input
+from kdecoreset.decomp import _factors, augment, walk_input
 from kdecoreset.kernel import LatticeTables, kernel_sum
 from kdecoreset.schedule import build_schedule, default_constants
 from kdecoreset.walk import gsw_color
@@ -106,6 +106,15 @@ def test_verify_cancelling_duplicates():
     sch = build_schedule(2, 2, small_constants(2))
     passed, ratio, imbalance = verify(pts, np.array([1, -1]), sch)
     assert passed and ratio == 0.0 and imbalance == 0
+
+
+@pytest.mark.parametrize("signs", [np.array([True] * 4), [True, False, True, False],
+                                   np.ones(4), [1.0, -1.0, 1.0, -1.0]])
+def test_verify_rejects_colorings_that_are_not_integers(signs):
+    # True is not +1, nor is 1.0, for verify as for recheck.
+    pts = np.random.default_rng(8).uniform(-1, 1, (4, 2))
+    with pytest.raises(ValueError, match="integer dtype"):
+        verify(pts, signs, build_schedule(4, 2))
 
 
 def test_verify_all_plus_fails():
@@ -207,7 +216,8 @@ def forced_floor(axes, rows):
 @settings(max_examples=150, deadline=None)
 @given(ragged_cell_stacks(), st.sampled_from([None, 64, 3000]), st.booleans())
 @example(([np.linspace(-1.0, 1.0, 16)[:, None], np.linspace(-0.5, 1.0, 17)[:, None],
-           np.zeros((3, 1))], [np.resize([1, -1], 16), np.resize([-1, 1], 17), np.ones(3)]),
+           np.zeros((3, 1))], [np.resize([1, -1], 16), np.resize([-1, 1], 17),
+                                  np.ones(3, dtype=np.int64)]),
          None, False)
 def test_ragged_small_cell_stack_matches_each_cell_alone(stack, block, forced):
     # Cells whose schedules have one grid shape form one stack, in
@@ -531,7 +541,7 @@ def test_color_cell_retry_uses_kth_split():
     pts = rng.uniform(-1, 1, size=(40, 2))
     cell = CellAssignment(center=(0.0, 0.0), members=np.arange(40))
     cst = default_constants(2, c1=2.2, grid_budget=400)
-    vectors = walk_input(kernel_factor(pts), pts)
+    vectors = next(walk_input(pts[None]))
     retries = []
     for seed in range(3):
         report = color_cell(cell, pts, cst, seed=seed, retry_budget=16)
@@ -579,7 +589,7 @@ def test_int_seed_colors_as_its_seed_sequence(seed):
     # gsw_color and color_cell give the same outputs for both, bit for bit.
     rng = np.random.default_rng(12)
     pts = rng.uniform(-1, 1, size=(40, 2))
-    vectors = augment(kernel_factor(pts), pts)
+    vectors = augment(next(_factors(pts[None])), pts)
     a, b = (gsw_color(vectors, s) for s in (seed, np.random.SeedSequence(seed)))
     assert (a.signs.tolist(), a.steps) == (b.signs.tolist(), b.steps)
     # c1 = 3.5 rejects some walks, so retries spawn from the seed too.
@@ -666,7 +676,7 @@ def test_color_all_retries_match_color_cell():
     for report, cell_seed in zip(reports, np.random.SeedSequence(6).spawn(16)):
         if report.retries:
             centered = pts[report.members] - np.asarray(report.center)
-            vectors = walk_input(kernel_factor(centered), centered)
+            vectors = next(walk_input(centered[None]))
             kth = cell_seed.spawn(report.retries + 1)[report.retries]
             assert np.array_equal(report.accepted_coloring, gsw_color(vectors, kth).signs)
     failed = outcome(lambda: color_all(pts, cst, seed=6, retry_budget=2)[1])

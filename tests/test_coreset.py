@@ -38,8 +38,8 @@ PINNED_CHAINS = {
     2: "6f08ef6abc647bd4638374ecbf22bab204ced801160095234a8b7a651c137db3",
 }
 
-# The same digest for one chain through kernel_factor's pivoted route and
-# walk_input's SVD: 1200 uniform(-1, 1) points fill one d = 2 cell, halved
+# The same digest for one chain through walk_input's pivoted factor and
+# its SVD: 1200 uniform(-1, 1) points fill one d = 2 cell, halved
 # to 300 through cells of 1200 and 600 points, chain seed 0, at one BLAS
 # thread (OpenBLAS sums in another order on more threads). PINNED_PIVOTED_INDICES is the
 # sha256 of the indices alone, which a change to how the ratios are summed
@@ -332,3 +332,21 @@ def test_recheck_rejects_colorings_that_are_not_integers(coloring):
     pts = np.random.default_rng(4).uniform(-1, 1, (20, 2))
     with pytest.raises(ValueError, match="round 0: coloring is not ±1 over the round's 20"):
         recheck(pts, [(coloring, np.arange(20), [[]])])
+
+
+def test_recheck_rejects_indices_outside_the_points():
+    # start [0, 2, 4, -1] would check point 7 and chain the round; an entry
+    # of 8 would index past the points, in this round or, from kept, the next.
+    pts = np.random.default_rng(5).uniform(-1, 1, (8, 2))
+    signs = np.array([1, -1, 1, -1])
+    for start in ([0, 2, 4, -1], [0, 2, 4, 8]):
+        with pytest.raises(ValueError, match=r"round 0: start has an entry outside \[0, 8\)"):
+            recheck(pts, [(signs, [0, 4], [[]])], start=start)
+    with pytest.raises(ValueError, match=r"round 0: kept has an entry outside \[0, 8\)"):
+        recheck(pts, [(signs, [0, 8], [[]]), (np.array([1, -1]), [0], [[]])], start=[0, 2, 4, 6])
+
+
+def test_recheck_rejects_a_repeated_start_entry():
+    pts = np.random.default_rng(5).uniform(-1, 1, (8, 2))
+    with pytest.raises(ValueError, match="round 0: start repeats an entry"):
+        recheck(pts, [(np.array([1, -1, 1, -1]), [0, 4], [[]])], start=[0, 2, 4, 2])

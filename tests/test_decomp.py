@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdecoreset import decomp
-from kdecoreset.decomp import augment, build_gram, kernel_factor, psd_factor, walk_input
-from kdecoreset.schedule import Grid, build_schedule
+from kdecoreset.decomp import _factors, augment, build_gram, psd_factor, walk_input
+from kdecoreset.schedule import build_schedule
+from kdecoreset.walk import gsw_color
 
 import naive
 from tracing import traced_peak
@@ -55,33 +56,32 @@ def test_gram_rejects_point_outside_ball():
     far = np.zeros((300, 2))
     far[7] = [0.0, -1.5]
     with pytest.raises(ValueError, match="unit sup-norm ball"):
-        kernel_factor(far)
+        next(walk_input(far[None]))
 
 
 def test_psd_factor_identity_orthonormal():
     m = np.eye(5)
-    f = psd_factor(m)
-    assert np.allclose(f.columns.T @ f.columns, m, atol=1e-12)
-    norms = np.linalg.norm(f.columns, axis=0)
+    cols = psd_factor(m)
+    assert np.allclose(cols.T @ cols, m, atol=1e-12)
+    norms = np.linalg.norm(cols, axis=0)
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
 def test_psd_factor_rank_one():
     m = np.ones((2, 2))
-    f = psd_factor(m)
-    assert f.dim_m == 1
-    assert np.allclose(f.columns[:, 0], f.columns[:, 1], atol=1e-12)
-    assert np.linalg.norm(f.columns[:, 0]) == pytest.approx(1.0, abs=1e-12)
+    cols = psd_factor(m)
+    assert cols.shape[0] == 1
+    assert np.allclose(cols[:, 0], cols[:, 1], atol=1e-12)
+    assert np.linalg.norm(cols[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_psd_factor_random_gaussian_gram():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1, 1, size=(10, 2))
     m = build_gram(pts)
-    f = psd_factor(m)
-    recon = f.gram()
-    assert np.abs(recon - m).max() <= 1e-8
-    assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 1e-6
+    cols = psd_factor(m)
+    assert np.abs(cols.T @ cols - m).max() <= 1e-8
+    assert np.abs(np.linalg.norm(cols, axis=0) - 1.0).max() <= 1e-6
 
 
 def test_psd_factor_rejects_indefinite():
@@ -94,32 +94,21 @@ def test_psd_factor_symmetry_check():
     # Exact symmetry and asymmetry within 1e-12 are accepted; more is not.
     m = build_gram(np.random.default_rng(4).uniform(-1, 1, size=(6, 2)))
     assert (m == m.T).all()
-    assert psd_factor(m).columns.shape[1] == 6
+    assert psd_factor(m).shape[1] == 6
     near = m.copy()
     near[0, 1] += 1e-13
     assert near[0, 1] != near[1, 0]
-    assert psd_factor(near).columns.shape[1] == 6
+    assert psd_factor(near).shape[1] == 6
     far = m.copy()
     far[0, 1] += 1e-3
     with pytest.raises(ValueError, match="symmetric"):
         psd_factor(far)
 
 
-def test_psd_factor_labels():
-    pts = np.random.default_rng(3).uniform(-1, 1, size=(4, 1))
-    g = Grid(width=1.0, radius=2.0, dim=1)
-    m = build_gram(pts, [g])
-    f = psd_factor(m, n_data=4)
-    assert f.columns.shape[1] == 4 + g.count()
-    assert f.data_columns.shape[1] == 4
-    assert np.array_equal(f.data_columns, f.columns[:, :4])
-
-
 def test_augment_origin():
     d = 2
     pts = np.array([[0.0, 0.0]])
-    f = psd_factor(build_gram(pts))
-    vecs = augment(f, pts)
+    vecs = augment(psd_factor(build_gram(pts)), pts)
     scale = 1.0 / math.sqrt(1.0 + math.exp(4.0 * d))
     assert vecs[0, 0] == pytest.approx(scale, rel=1e-14)
     assert np.linalg.norm(vecs[0]) == pytest.approx(math.sqrt(2.0) * scale, rel=1e-12)
@@ -128,8 +117,7 @@ def test_augment_origin():
 def test_augment_boundary_point_saturates():
     # d = 1 and ||p||^2 = 1: the normalizer cancels exactly.
     pts = np.array([[1.0]])
-    f = psd_factor(build_gram(pts))
-    vecs = augment(f, pts)
+    vecs = augment(psd_factor(build_gram(pts)), pts)
     assert np.linalg.norm(vecs[0]) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -137,8 +125,7 @@ def test_augment_inner_products_closed_form():
     rng = np.random.default_rng(4)
     d = 2
     pts = rng.uniform(-1, 1, size=(8, d))
-    f = psd_factor(build_gram(pts))
-    vecs = augment(f, pts)
+    vecs = augment(psd_factor(build_gram(pts)), pts)
     denom = 1.0 + math.exp(4.0 * d)
     for a in range(8):
         for b in range(8):
@@ -152,11 +139,11 @@ def test_augment_norm_bound_and_duplicates():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, size=(12, 3))
     pts[7] = pts[3]  # duplicate
-    f = psd_factor(build_gram(pts))
-    vecs = augment(f, pts)
+    cols = psd_factor(build_gram(pts))
+    vecs = augment(cols, pts)
     norms = np.linalg.norm(vecs, axis=1)
     assert norms.max() <= 1.0 + 1e-12
-    assert np.allclose(f.columns[:, 3], f.columns[:, 7], atol=1e-7)
+    assert np.allclose(cols[:, 3], cols[:, 7], atol=1e-7)
     assert np.allclose(vecs[3], vecs[7], atol=1e-7)
 
 
@@ -166,9 +153,9 @@ def test_gram_with_schedule_grids_roundtrip():
     sch = build_schedule(30, 2)
     grids = [g.coarsened(200) for g in sch.grids]
     m = build_gram(pts, grids)
-    f = psd_factor(m, n_data=30)
-    assert np.abs(f.gram() - m).max() <= 1e-8
-    assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 1e-6
+    cols = psd_factor(m)
+    assert np.abs(cols.T @ cols - m).max() <= 1e-8
+    assert np.abs(np.linalg.norm(cols, axis=0) - 1.0).max() <= 1e-6
 
 
 def _cell(rng, n, d, spread):
@@ -180,12 +167,12 @@ def _cell(rng, n, d, spread):
 def test_kernel_factor_matches_dense_gram_d2(n, spread):
     pts = _cell(np.random.default_rng(n), n, 2, spread)
     with mock.patch.object(decomp, "build_gram", wraps=decomp.build_gram) as spy:
-        f = kernel_factor(pts)
+        cols = next(_factors(pts[None]))
     assert not spy.called  # above 256 points, so the pivoted path
     m = build_gram(pts)
-    assert f.n_data == n and f.columns.shape[1] == n
-    assert np.abs(f.gram() - m).max() <= 5e-11
-    assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 5e-11
+    assert cols.shape[1] == n
+    assert np.abs(cols.T @ cols - m).max() <= 5e-11
+    assert np.abs(np.linalg.norm(cols, axis=0) - 1.0).max() <= 5e-11
 
 
 def _rough_cell(rng, n, d, spread, snap, n_dup):
@@ -219,19 +206,19 @@ def kernel_cells(draw):
 def test_kernel_factor_dense_path_bit_identical(pts):
     n = pts.shape[0]
     with mock.patch.object(decomp, "build_gram", wraps=decomp.build_gram) as spy:
-        f = kernel_factor(pts)
+        cols = next(_factors(pts[None]))
     m = build_gram(pts)
     if spy.called:
         assert n <= 256
-        assert np.array_equal(f.columns, psd_factor(m).columns)
+        assert np.array_equal(cols, psd_factor(m))
     else:
         assert n > 256
-        assert np.abs(f.gram() - m).max() <= 5e-11
-    assert f.n_data == n and f.columns.shape[1] == n
+        assert np.abs(cols.T @ cols - m).max() <= 5e-11
+    assert cols.shape[1] == n
     _, first, counts = np.unique(pts, axis=0, return_index=True, return_counts=True)
     for a in first[counts > 1]:
         same = np.flatnonzero((pts == pts[a]).all(axis=1))
-        assert np.abs(f.columns[:, same] - f.columns[:, [a]]).max() <= 1e-7
+        assert np.abs(cols[:, same] - cols[:, [a]]).max() <= 1e-7
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,9 +229,8 @@ def test_walk_input_keeps_row_norms_and_drops_a_small_tail(pts, seed):
     # norm is at most TAU of the total, and a ±1 coloring's signed sum
     # loses a squared norm of at most n * TAU * ||x||_F^2.
     n = pts.shape[0]
-    f = kernel_factor(pts)
-    x, v = augment(f, pts), walk_input(f, pts)
-    assert v.shape[0] == n and 1 <= v.shape[1] <= f.dim_m + 1
+    x, v = augment(next(_factors(pts[None])), pts), next(walk_input(pts[None]))
+    assert v.shape[0] == n and 1 <= v.shape[1] <= x.shape[1]
     rows = np.linalg.norm(v, axis=1)
     assert rows.max() <= 1.0 + 1e-12
     assert np.all(rows <= np.linalg.norm(x, axis=1) + 1e-12)
@@ -257,9 +243,9 @@ def test_walk_input_keeps_row_norms_and_drops_a_small_tail(pts, seed):
 
 def _pivoted_error(pts):
     with mock.patch.object(decomp, "build_gram", wraps=decomp.build_gram) as spy:
-        f = kernel_factor(pts)
+        cols = next(_factors(pts[None]))
     assert not spy.called
-    return np.abs(f.gram() - build_gram(pts)).max()
+    return np.abs(cols.T @ cols - build_gram(pts)).max()
 
 
 def test_kernel_factor_tight_cell_within_budget():
@@ -282,10 +268,10 @@ def test_kernel_factor_wide_d6_cells_within_budget(n, snap):
 def test_kernel_factor_memory_bounded_20k():
     # The dense path would need 3.2 GB for the 20,000^2 Gram alone.
     pts = _cell(np.random.default_rng(20), 20_000, 2, 0.5)
-    f, peak = traced_peak(lambda: kernel_factor(pts))
+    cols, peak = traced_peak(lambda: next(_factors(pts[None])))
     assert peak <= 300e6
-    assert f.columns.shape[1] == 20_000
-    assert np.abs(np.linalg.norm(f.columns, axis=0) - 1.0).max() <= 1e-9
+    assert cols.shape[1] == 20_000
+    assert np.abs(np.linalg.norm(cols, axis=0) - 1.0).max() <= 1e-9
 
 
 def test_kernel_factor_large_cell_never_builds_the_gram():
@@ -294,9 +280,9 @@ def test_kernel_factor_large_cell_never_builds_the_gram():
     # factor needs its r x n rows, the r x r eigenproblem and the result.
     pts = _cell(np.random.default_rng(600), 600, 3, 0.3)
     with mock.patch.object(decomp, "build_gram", wraps=decomp.build_gram) as spy:
-        f, peak = traced_peak(lambda: kernel_factor(pts))
+        cols, peak = traced_peak(lambda: next(_factors(pts[None])))
     assert not spy.called
-    assert 300 < f.dim_m < 600
+    assert 300 < cols.shape[0] < 600
     assert peak <= 8.5e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -319,22 +305,34 @@ def dense_stacks(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dense_stacks())
-def test_kernel_factor_stack_bit_identical(stack):
-    # Each cell of a stack gets psd_factor(build_gram(cell)) bit for bit.
-    factors = list(kernel_factor(stack))
-    assert len(factors) == len(stack)
-    for cell, f in zip(stack, factors):
-        alone = psd_factor(build_gram(cell))
-        assert f.n_data == alone.n_data
-        assert f.columns.shape == alone.columns.shape
-        assert f.columns.tobytes() == alone.columns.tobytes()
+@given(st.one_of(dense_stacks(), kernel_cells().map(lambda cell: np.stack([cell, cell[::-1]]))))
+def test_walk_input_stack_bit_identical(stack):
+    # Each cell of a stack gets the walk input it gets alone, bit for bit:
+    # small cells share their chunk's build_gram and stacked eigh.
+    inputs = list(walk_input(stack))
+    assert len(inputs) == len(stack)
+    for cell, v in zip(stack, inputs):
+        alone = next(walk_input(cell[None]))
+        assert v.shape == alone.shape
+        assert v.tobytes() == alone.tobytes()
+
+
+def test_walk_input_memory_bounded_between_walks():
+    # Two 1500-point d = 2 cells, each walked before the next is taken. A
+    # cell's factor, x, u and s are freed before its vectors are yielded,
+    # and the traced peak is 6.4 MB. Holding the factor through the SVD
+    # and the yield peaked at 8.6 MB, and holding u and s across the
+    # yield, into the next cell's factor, at 8.7 MB.
+    stack = np.clip(np.random.default_rng(5).normal(0.0, 0.5, (2, 1500, 2)), -1.0, 1.0)
+    steps, peak = traced_peak(lambda: [gsw_color(v, 0).steps for v in walk_input(stack)])
+    assert len(steps) == 2
+    assert peak <= 7.5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_kernel_factor_stack_memory_bounded():
     # 1000 cells of 60 points: their Grams and distance temporaries at once
     # would take 86 MB at d = 2; in chunks of 18 cells the peak is 2.2 MB.
     stack = np.random.default_rng(21).uniform(-1, 1, size=(1000, 60, 2))
-    ranks, peak = traced_peak(lambda: [f.dim_m for f in kernel_factor(stack)])
+    ranks, peak = traced_peak(lambda: [cols.shape[0] for cols in _factors(stack)])
     assert peak <= 10e6, f"peak {peak / 1e6:.1f} MB"
-    assert ranks == [kernel_factor(cell).dim_m for cell in stack]
+    assert ranks == [next(_factors(cell[None])).shape[0] for cell in stack]

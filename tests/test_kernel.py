@@ -126,6 +126,9 @@ def test_triangle_bound():
 def test_coloring_validation():
     with pytest.raises(ValueError, match="exactly -1 or \\+1"):
         as_coloring([1, 0, -1])
+    for signs in ([True, False], np.ones(2), [1.0, -1.0]):
+        with pytest.raises(ValueError, match="integer dtype"):
+            as_coloring(signs)
     with pytest.raises(ValueError, match="length"):
         as_coloring([1, -1], n=3)
     with pytest.raises(ValueError, match="expected 3 weights"):

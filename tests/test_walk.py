@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kdecoreset.decomp import augment, kernel_factor
+from kdecoreset.decomp import _factors, augment
 from kdecoreset.walk import gsw_color
 
 import naive
@@ -173,7 +173,7 @@ def test_walk_memory_bounded_d3_cell():
     # k <= m tail peaked at 34.5 MB, and an m-row panel with W - v_p v_p^T
     # in a temporary of its own at 35.0 MB.
     pts = np.random.default_rng(1).uniform(-0.7, 0.7, (1500, 3))
-    v = augment(kernel_factor(pts), pts)
+    v = augment(next(_factors(pts[None])), pts)
     assert v.shape == (1500, 797)
     _, peak = traced_peak(lambda: gsw_color(v, 0))
     assert peak <= 33e6, f"peak {peak / 1e6:.1f} MB"
