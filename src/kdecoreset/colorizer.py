@@ -21,12 +21,14 @@ thresholds, and the cells share one LatticeTables (their merged rows,
 summed on each level's grids in blocks that bound the stack's memory),
 one check of every first walk attempt, and one walk_input stack of the
 cells with one unpaired count (small cells share stacked dense factors
-there). Walks stay per cell, and cells whose first attempt fails are
-retried afterwards in center order, each retry an attempt on a stack of
-one. recheck re-verifies
-stored rounds the same way, the cells of all rounds in one stack per
-grid shape (_verify_stack), each cell's flips undone and judged once
-(_undo_flips). Each cell's result is the one it gets alone, bit for bit.
+there). The walked cells whose unpaired counts have one bit length (so
+none is more than twice another) walk in lockstep (gsw_color_stack), and
+a cell alone in its bucket walks by gsw_color. Cells whose first attempt
+fails are retried afterwards in center order, each retry an attempt on a
+stack of one. recheck re-verifies stored rounds the same way, the cells
+of all rounds in one stack per grid shape (_verify_stack), each cell's
+flips undone and judged once (_undo_flips). Each cell's result is the
+one it gets alone, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ import numpy as np
 from .decomp import _ERROR_BUDGET, walk_input
 from .kernel import LatticeTables, as_coloring, as_points
 from .schedule import build_schedule
-from .walk import gsw_color
+from .walk import gsw_color, gsw_color_stack
 
 __all__ = [
     "CellAssignment",
@@ -235,8 +237,9 @@ def recheck(points, rounds, constants=None, start=None):
     own them; when flips are not one entry per cell, no cell does. An
     empty set, a coloring that as_coloring refuses (its dtype not integer,
     bool included) or not over its set, an entry of start or of a kept
-    set outside [0, len(points)), or a repeated entry of start raises
-    ValueError naming the round.
+    set that is not an integer (bool included) or is outside
+    [0, len(points)), or a repeated entry of start raises ValueError
+    naming the round; an empty start or kept list is an empty set.
     """
     pts = as_points(points)
     current = (np.arange(len(pts), dtype=np.intp) if start is None
@@ -276,13 +279,28 @@ def recheck(points, rounds, constants=None, start=None):
 
 
 def _indices(values, n, where):
-    """`values` as a 1-D intp array of indices, each in [0, n)."""
-    idx = np.asarray(values, dtype=np.intp)
+    """`values` as a 1-D intp array of indices, each in [0, n): integers,
+    as as_coloring asks (an array of an integer dtype, or a list or tuple
+    of integers; bool is not one), or no entries at all."""
+    listed = isinstance(values, (list, tuple))
+    if listed and not _integers(values):
+        raise ValueError(f"{where} has an entry that is not an integer")
+    idx = np.asarray(values)
     if idx.ndim != 1:
         raise ValueError(f"{where} is not a 1-D array of indices")
-    if idx.size and not 0 <= idx.min() <= idx.max() < n:
+    if not idx.size:
+        return idx.astype(np.intp)
+    if not listed and idx.dtype.kind not in "iu":
+        raise ValueError(f"{where} has an entry that is not an integer")
+    # Listed integers beyond int64 make an object array.
+    if idx.dtype.kind not in "iu" or not 0 <= idx.min() <= idx.max() < n:
         raise ValueError(f"{where} has an entry outside [0, {n})")
-    return idx
+    return idx.astype(np.intp)
+
+
+def _integers(values):
+    """Whether every entry of a list or tuple is an integer (not bool)."""
+    return all(type(p) is int or isinstance(p, np.integer) for p in values)
 
 
 def _near_groups(rows, owner):
@@ -362,8 +380,7 @@ def _cell_flips(positions, size):
     """One cell's recorded flip positions if they are a list, tuple or
     array of integers (not bool) in [0, size), else None."""
     values = positions.tolist() if isinstance(positions, np.ndarray) else positions
-    if isinstance(values, (list, tuple)) and all(
-            type(p) is int or isinstance(p, np.integer) for p in values):
+    if isinstance(values, (list, tuple)) and _integers(values):
         return values if not values or 0 <= min(values) <= max(values) < size else None
 
 
@@ -434,7 +451,8 @@ def _attempt(cells, points, schedules, roots):
     The cells share one LatticeTables, whose merged rows give their
     (near-)duplicate pairing, and one _check; walked cells with one
     unpaired count are one walk_input stack, whose dense factors they
-    share.
+    share, and walked cells whose unpaired counts have one bit length walk
+    in lockstep.
     """
     counts = [cell.members.size for cell in cells]
     starts = [0, *accumulate(counts)]
@@ -447,17 +465,26 @@ def _attempt(cells, points, schedules, roots):
     group = _near_groups(tables.rows, owner)[tables.inverse]
     paired = [_pair_duplicates(group[a:b]) for a, b in zip(starts, starts[1:])]
     sigma = np.concatenate([signs for signs, _ in paired])
-    walked = {}
+    buckets = {}
     for j, (_, rest) in enumerate(paired):
         if rest.size > 2:
-            walked.setdefault(rest.size, []).append(j)
+            buckets.setdefault(rest.size.bit_length(), {}).setdefault(rest.size, []).append(j)
         else:
             # One or two points left bypass the walk: alternate signs, lowest +1.
             sigma[starts[j] + rest] = [1, -1][:rest.size]
-    for items in walked.values():
-        stack = np.stack([pts[starts[j] + paired[j][1]] for j in items])
-        for j, vectors in zip(items, walk_input(stack)):
-            sigma[starts[j] + paired[j][1]] = gsw_color(vectors, roots[j].spawn(1)[0]).signs
+    # One bit length keeps a lockstep's padding under twice its walks' own
+    # work; a walk alone is faster by gsw_color than as a stack of one.
+    for bucket in buckets.values():
+        items, vectors = [], []
+        for stacked in bucket.values():
+            stack = np.stack([pts[starts[j] + paired[j][1]] for j in stacked])
+            items += stacked
+            vectors += walk_input(stack)
+        seeds = [roots[j].spawn(1)[0] for j in items]
+        walks = (gsw_color_stack(vectors, seeds) if len(items) > 1
+                 else [gsw_color(vectors[0], seeds[0])])
+        for j, out in zip(items, walks):
+            sigma[starts[j] + paired[j][1]] = out.signs
     return [(sigma[a:b].copy(), rest, result) for a, b, (_, rest), result
             in zip(starts, starts[1:], paired, _check(sigma, counts, schedules, tables))]
 

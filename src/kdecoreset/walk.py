@@ -34,8 +34,15 @@ against the dimension m:
   (Sherman-Morrison), two m x m rewrites, with a fresh inverse every 64
   freezes.
 
-A single walk is sequential by construction; distinct walks with
-independent seeds can run concurrently.
+A single walk is sequential by construction, but distinct walks with
+independent seeds are not: gsw_color_stack advances a stack of them in
+lockstep. Each step, every walk computes its direction alone (the matrix
+products, solves and inverses, on the operands a lone walk uses, since a
+BLAS product's bits can depend on where a row sits in its operand), and
+then one set of elementwise operations over the stack, padded with zeros,
+takes every walk's step size, update and freeze test. Each walk draws from
+its own generator, and its freezes are its own, so every walk's signs are
+the ones it gets alone, bit for bit.
 
 Randomness comes from numpy's Philox counter-based generator, seeded and
 splittable; the same (vectors, seed) always reproduce the same coloring.
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WalkOutput", "gsw_color"]
+__all__ = ["WalkOutput", "gsw_color", "gsw_color_stack"]
 
 NORM_SLACK = 1e-9
 # Tikhonov ridge on the feature second-moment matrix; keeps duplicate and
@@ -96,10 +103,19 @@ def gsw_color(vectors, seed):
       WalkOutput with signs (int64, each exactly +-1) and the number of
       walk steps taken (at most n; asserted <= 2n).
     """
-    v = _as_vectors(vectors)
-    if v.shape[0] == 0:
-        return WalkOutput(signs=np.empty(0, dtype=np.int64), steps=0)
-    return _walk(v, np.random.Generator(np.random.Philox(seed)))
+    return _walk(_as_vectors(vectors), np.random.Generator(np.random.Philox(seed)))
+
+
+def gsw_color_stack(stack, seeds):
+    """gsw_color of each vectors array in `stack` with its seed in `seeds`,
+    bit for bit, the walks advanced in lockstep: each step's step sizes,
+    martingale update and freeze test are taken for every walk at once.
+    The walks may differ in n and m. Returns the WalkOutputs in order.
+    """
+    vs = [_as_vectors(v) for v in stack]
+    if len(seeds) != len(vs):
+        raise ValueError(f"{len(vs)} walks need as many seeds, got {len(seeds)}")
+    return _lockstep(vs, [np.random.Generator(np.random.Philox(seed)) for seed in seeds])
 
 
 def _solve(w_inv, panel, pdiag, r, vec):
@@ -129,17 +145,113 @@ def _rebuild(w, vact, k, k0, pivot=None, scratch=None):
 
 @np.errstate(divide="ignore")  # u_i = 0 in the step-size quotients
 def _walk(v, rng):
-    """Walk core. Active coordinates live in positions [0, k) of the working
-    arrays; freezing swaps a position with k - 1 and shrinks k, so removals
-    never copy whole matrices and the rows frozen since W was last
-    downdated sit together in vact[k:k0]. `ids` maps positions to input
-    indices; the pivot is the active position of largest id. The pivot's
-    position is followed through the swaps and searched for again only
-    after the pivot itself freezes."""
+    """One walk: _cell's steps, each taken on x[:k] and u[:k] alone."""
+    n = v.shape[0]
+    x = np.zeros(n)                         # fractional coloring, by position
+    u = np.empty(n)
+    cell = _cell(v)
+    next(cell)
+    hits = []
+    edge = 1.0 - _FREEZE_BAND
+    try:
+        while True:
+            scale, k = cell.send((x, u, hits))
+            ua, xa = u[:k], x[:k]
+            ua /= scale
+            # Distances to the box along +u and -u; u_i = 0 gives +-inf.
+            to_plus = 1.0 - xa
+            to_plus /= ua
+            to_minus = -1.0 - xa
+            to_minus /= ua
+            d_plus = np.minimum.reduce(np.maximum(to_plus, to_minus))
+            d_minus = -np.maximum.reduce(np.minimum(to_plus, to_minus))
+            # Martingale step: E[delta] = 0 under these endpoint probabilities.
+            ua *= d_plus if rng.random() * (d_plus + d_minus) < d_minus else -d_minus
+            xa += ua
+            mag = np.abs(xa)
+            hits = (mag >= edge).nonzero()[0].tolist()
+            if not hits:
+                # Float safety net: freeze the coordinate closest to the boundary.
+                hits = [int(mag.argmax())]
+    except StopIteration as done:
+        return done.value
+
+
+@np.errstate(divide="ignore")
+def _lockstep(vs, rngs):
+    """_walk of each (v, rng) pair, bit for bit, every walk taking its
+    steps in turn with the others. Row i of the (walks, width) arrays x and
+    u is walk i's x and u, zero past its k, so its quotients there are
+    +-inf, which neither reduction picks, and its |x| never reaches the
+    edge. When a walk ends or the largest k falls below 3/4 of the width,
+    the arrays are copied down to the rows of the walks still running, in
+    order, and to the largest k: contiguous copies, since the step's
+    operations took about 1.45 times as long on column slices of wider
+    arrays."""
+    cells = [_cell(v) for v in vs]
+    for cell in cells:
+        next(cell)
+    x = np.zeros((len(vs), max((v.shape[0] for v in vs), default=0)))
+    u = np.zeros_like(x)
+    rows = list(zip(cells, rngs, x, u))     # per row: its walk and its rows of x and u
+    outs = {}
+    hits = [[]] * len(vs)
+    edge = 1.0 - _FREEZE_BAND
+    while True:
+        steps, ended = [], []
+        for (cell, _, xr, ur), hit in zip(rows, hits):
+            try:
+                steps.append(cell.send((xr, ur, hit)))
+            except StopIteration as done:
+                outs[cell] = done.value
+                ended.append(len(steps) + len(ended))
+        if len(ended) == len(rows):
+            return [outs[cell] for cell in cells]
+        scales, ks = zip(*steps)
+        if ended or 4 * max(ks) < 3 * x.shape[1]:
+            keep = np.delete(np.arange(len(rows)), ended)
+            x, u = x[keep, :max(ks)], u[keep, :max(ks)]
+            rows = [rows[row][:2] + xu for row, xu in zip(keep.tolist(), zip(x, u))]
+        u /= np.array(scales)[:, None]
+        to_plus = 1.0 - x
+        to_plus /= u
+        to_minus = -1.0 - x
+        to_minus /= u
+        d_plus = np.minimum.reduce(np.maximum(to_plus, to_minus), axis=1)
+        d_minus = -np.maximum.reduce(np.minimum(to_plus, to_minus), axis=1)
+        draws = np.array([rng.random() for _, rng, _, _ in rows])
+        u *= np.where(draws * (d_plus + d_minus) < d_minus, d_plus, -d_minus)[:, None]
+        x += u
+        mag = np.abs(x)
+        hits = [[] for _ in rows]
+        for row, col in zip(*(mag >= edge).nonzero()):
+            hits[row].append(int(col))
+        for row, k in enumerate(ks):
+            if not hits[row]:
+                hits[row] = [int(mag[row, :k].argmax())]
+
+
+def _cell(v):
+    """The walk on the rows of v as a generator that a driver steps. Each
+    step it is sent (x, u, hits): the fractional coloring by position and a
+    direction buffer, each of at least n entries, and the positions that
+    reached the box edge in the step before (none at first). It freezes
+    those, zeroing x and u at the positions that leave [0, k), writes the
+    next direction into u[:k], all but one division, with the divisor
+    `scale` at the pivot, and yields (scale, k). The driver divides u[:k]
+    by scale, which makes the pivot's entry exactly 1, and takes the step
+    on x[:k]. Once every coordinate is frozen it returns the WalkOutput.
+
+    Active coordinates live in positions [0, k) of the working arrays;
+    freezing swaps a position with k - 1 and shrinks k, so removals never
+    copy whole matrices and the rows frozen since W was last downdated sit
+    together in vact[k:k0]. `ids` maps positions to input indices; the
+    pivot is the active position of largest id. The pivot's position is
+    followed through the swaps and searched for again only after the pivot
+    itself freezes."""
     n, m = v.shape
     vact = np.array(v)                      # rows permuted in place
     ids = np.arange(n)
-    x = np.zeros(n)                         # fractional coloring, by position
     signs = np.zeros(n, dtype=np.int64)     # by input index
     w = vact.T @ vact + _RIDGE * np.eye(m)  # second moment of rows [0, k0)
     # While k > m, w_inv plus the panel is W_-p^-1 and W is downdated only
@@ -156,8 +268,54 @@ def _walk(v, rng):
     stale = True
     steps = 0
     ppos = n - 1                            # pivot position, -1 once it freezes
-    edge = 1.0 - _FREEZE_BAND
-    while k > 0:
+    x, u, hits = yield
+    while True:
+        for posn in reversed(hits):
+            signs[ids[posn]] = 1 if x[posn] > 0.0 else -1
+            k -= 1
+            is_pivot = posn == ppos
+            if is_pivot:
+                ppos = -1
+            elif ppos == k:
+                ppos = posn                 # the swap below moves the pivot
+            f = vact[posn]
+            if posn != k:
+                f = f.copy()
+                vact[posn] = vact[k]
+                vact[k] = f
+                ids[posn] = ids[k]
+                x[posn] = x[k]
+            x[k] = u[k] = 0.0
+            since += 1
+            if eager:
+                np.multiply.outer(f, f, out=outer)
+                w -= outer
+                k0 = k
+            elif is_pivot:
+                continue                    # the pivot's row is already out
+            if stale:
+                continue
+            zf = _solve(w_inv, panel, pdiag, r, f)
+            df = 1.0 - float(f @ zf)
+            if df < 1e-12:
+                stale = True                # numerically singular
+            elif eager:
+                # Sherman-Morrison: (W - f f^T)^-1 = W^-1 + z_f z_f^T / d_f.
+                np.multiply.outer(zf, zf, out=outer)
+                outer /= df
+                w_inv += outer
+            elif r == cap:
+                stale = True                # panel full
+            else:
+                panel[r] = zf
+                pdiag[r] = df
+                r += 1
+                if ppos >= 0:
+                    z += zf * (float(zf @ vact[ppos]) / df)
+        if eager and since >= _REFRESH_EVERY:
+            stale = True
+        if k == 0:
+            return WalkOutput(signs=signs, steps=steps)
         steps += 1
         if steps > 2 * n:
             raise RuntimeError("balancing walk failed to terminate within 2n steps")
@@ -200,66 +358,7 @@ def _walk(v, rng):
         # Constrained least squares via the feature-space identity:
         # u = (e_pivot - V_active W^-1 v_pivot) / (1 - v_pivot^T W^-1 v_pivot)
         # = e_pivot - V_active W_-p^-1 v_pivot off the pivot.
-        u = vact[:k] @ z
-        u /= -max(denom, 1e-12)
-        u[ppos] = 1.0
-        xa = x[:k]
-        # Distances to the box along +u and -u; u_i = 0 gives +-inf.
-        to_plus = 1.0 - xa
-        to_plus /= u
-        to_minus = -1.0 - xa
-        to_minus /= u
-        d_plus = np.minimum.reduce(np.maximum(to_plus, to_minus))
-        d_minus = -np.maximum.reduce(np.minimum(to_plus, to_minus))
-        # Martingale step: E[delta] = 0 under these endpoint probabilities.
-        u *= d_plus if rng.random() * (d_plus + d_minus) < d_minus else -d_minus
-        xa += u
-        mag = np.abs(xa)
-        hits = (mag >= edge).nonzero()[0].tolist()
-        if not hits:
-            # Float safety net: freeze the coordinate closest to the boundary.
-            hits = [int(mag.argmax())]
-        for posn in reversed(hits):
-            signs[ids[posn]] = 1 if xa[posn] > 0.0 else -1
-            k -= 1
-            is_pivot = posn == ppos
-            if is_pivot:
-                ppos = -1
-            elif ppos == k:
-                ppos = posn                 # the swap below moves the pivot
-            f = vact[posn]
-            if posn != k:
-                f = f.copy()
-                vact[posn] = vact[k]
-                vact[k] = f
-                ids[posn] = ids[k]
-                x[posn] = x[k]
-            since += 1
-            if eager:
-                np.multiply.outer(f, f, out=outer)
-                w -= outer
-                k0 = k
-            elif is_pivot:
-                continue                    # the pivot's row is already out
-            if stale:
-                continue
-            zf = _solve(w_inv, panel, pdiag, r, f)
-            df = 1.0 - float(f @ zf)
-            if df < 1e-12:
-                stale = True                # numerically singular
-            elif eager:
-                # Sherman-Morrison: (W - f f^T)^-1 = W^-1 + z_f z_f^T / d_f.
-                np.multiply.outer(zf, zf, out=outer)
-                outer /= df
-                w_inv += outer
-            elif r == cap:
-                stale = True                # panel full
-            else:
-                panel[r] = zf
-                pdiag[r] = df
-                r += 1
-                if ppos >= 0:
-                    z += zf * (float(zf @ vact[ppos]) / df)
-        if eager and since >= _REFRESH_EVERY:
-            stale = True
-    return WalkOutput(signs=signs, steps=steps)
+        scale = -max(denom, 1e-12)
+        np.matmul(vact[:k], z, out=u[:k])
+        u[ppos] = scale                     # the driver's division makes it 1
+        x, u, hits = yield scale, k

@@ -47,6 +47,15 @@ PINNED_CHAINS = {
 PINNED_PIVOTED_CHAIN = "d16ae93bb07907ae28183c1bb7dbee8cf4226e78238be5187df515e621bc611e"
 PINNED_PIVOTED_INDICES = "b79a2719455f2cb7234f813251a021adfae85e5a30ece7d44cbe2c9c98726d83"
 
+# The same digest for the benchmark's own chain seed 0, at one BLAS thread:
+# the acceptance mixture halved to 32 and normal(0, 5) halved to 512, the
+# point sets, targets and seed of perfbench's mixture_chain and
+# spread_cells artifacts, whose quality the benchmark scores.
+PINNED_BENCHMARK_CHAINS = {
+    "mixture": "551e8249b2d5f0795dc97027dc1958cfe07bce4fbc496d9bc39466042ac916ac",
+    "spread": "59736d3a81a287ed1cc25499ede988964a6b0ef4a521bbf588c9dee4cce30518",
+}
+
 
 def test_halve_duplicate_pair():
     pts = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -243,6 +252,31 @@ def test_pinned_pivoted_chain_fingerprint():
     assert chain_digest(indices, [float.fromhex(r) for r in ratios]) == PINNED_PIVOTED_CHAIN
 
 
+def test_pinned_benchmark_chain_fingerprints():
+    script = "\n".join([
+        "import json, numpy as np",
+        "from kdecoreset.coreset import build_coreset",
+        "from test_acceptance import mixture_points",
+        "sets = {'mixture': (mixture_points(), 32),",
+        "        'spread': (np.random.default_rng(0).normal(0.0, 5.0, (4096, 2)), 512)}",
+        "out = {}",
+        "for name, (pts, target) in sets.items():",
+        "    res = build_coreset(pts, target=target, seed=0)",
+        "    out[name] = [res.indices.tolist(),",
+        "                 [c.max_grid_ratio.hex() for r in res.rounds for c in r.cells]]",
+        "print(json.dumps(out))",
+    ])
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    chains = json.loads(out.stdout)
+    assert {name: chain_digest(indices, [float.fromhex(r) for r in ratios])
+            for name, (indices, ratios) in chains.items()} == PINNED_BENCHMARK_CHAINS
+
+
 @st.composite
 def halving_inputs(draw):
     """(points, target): 2 to 60 points in d = 1 or 2, some coordinates on
@@ -344,6 +378,38 @@ def test_recheck_rejects_indices_outside_the_points():
             recheck(pts, [(signs, [0, 4], [[]])], start=start)
     with pytest.raises(ValueError, match=r"round 0: kept has an entry outside \[0, 8\)"):
         recheck(pts, [(signs, [0, 8], [[]]), (np.array([1, -1]), [0], [[]])], start=[0, 2, 4, 6])
+
+
+@pytest.mark.parametrize("where, values", [
+    ("start", [0.9, 2.2, 4, 6]), ("start", [True, False, 4, 6]),
+    ("start", np.array([0.0, 2.0, 4.0, 6.0])), ("start", np.ones(8, dtype=bool)),
+    ("start", (0, 2, 4, 6.0)), ("start", [0, [2], 4, 6]), ("kept", [0.0, 4.0]),
+    ("kept", [True, 4]),
+    ("kept", np.array([True, False, True, False]))])
+def test_recheck_rejects_indices_that_are_not_integers(where, values):
+    # [0.9, 2.2, 4, 6] would check points 0, 2, 4 and 6 and chain the round,
+    # and [True, False, 4, 6] would read as [1, 0, 4, 6]: an index is an
+    # integer, as a ±1 sign is.
+    pts = np.random.default_rng(5).uniform(-1, 1, (8, 2))
+    signs = np.array([1, -1, 1, -1])
+    args = {"start": values, "kept": [0, 4]} if where == "start" else {
+        "start": [0, 2, 4, 6], "kept": values}
+    with pytest.raises(ValueError, match=f"round 0: {where} has an entry that is not an integer"):
+        recheck(pts, [(signs, args["kept"], [[]]), (np.array([1, -1]), [0], [[]])],
+                start=args["start"])
+
+
+def test_recheck_reads_an_empty_list_as_no_indices():
+    # An empty kept list is no kept point, not a float array: the round does
+    # not chain, and a round after it has an empty set.
+    pts = np.random.default_rng(5).uniform(-1, 1, (8, 2))
+    signs = np.array([1, -1, 1, -1])
+    [(cells, _, chained, _)] = recheck(pts, [(signs, [], [[]])], start=[0, 2, 4, 6])
+    assert not chained and len(cells) == 1
+    with pytest.raises(ValueError, match="round 1: the round's set is empty"):
+        recheck(pts, [(signs, [], [[]]), (np.array([1, -1]), [0], [[]])], start=[0, 2, 4, 6])
+    with pytest.raises(ValueError, match="round 0: the round's set is empty"):
+        recheck(pts, [(signs, [0, 4], [[]])], start=[])
 
 
 def test_recheck_rejects_a_repeated_start_entry():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kdecoreset.decomp import _factors, augment
-from kdecoreset.walk import gsw_color
+from kdecoreset.walk import gsw_color, gsw_color_stack
 
 import naive
 from audits import subgaussian_audit, wilson_interval
@@ -164,6 +165,45 @@ def test_pinned_signs(shape):
     for seed, expected in enumerate(PINNED_SIGNS[shape]):
         got = "".join("+" if s > 0 else "-" for s in gsw_color(v, seed).signs)
         assert got == expected, seed
+
+
+# Per walk: n rows in R^m, rows 1..copies equal to row 0 (so several
+# coordinates can freeze in one step), and the seed of both the rows and
+# the walk.
+walk_specs = st.tuples(st.integers(0, 100), st.integers(1, 128), st.integers(0, 3),
+                       st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(walk_specs, min_size=1, max_size=6))
+@example([(30, 8, 0, 1)])
+@example([(1, 94, 0, 0), (85, 93, 0, 1)])
+@example([(3, 5, 0, 2), (85, 93, 0, 1), (60, 7, 3, 4), (0, 3, 0, 5), (40, 41, 2, 3)])
+def test_stack_matches_each_walk_alone(specs):
+    # The lockstep takes each walk's step sizes, update and freeze test on
+    # padded rows; every walk's signs and step count are its own, bit for
+    # bit, whatever walks of other n, m and length share its stack.
+    stack, seeds = [], []
+    for n, m, copies, seed in specs:
+        rng = np.random.default_rng(seed)
+        v = unit_rows(rng, n, m, scale=float(rng.uniform(0.3, 1.0)))
+        v[1:copies + 1] = v[:1]
+        stack.append(v)
+        seeds.append(seed)
+    outs = gsw_color_stack(stack, seeds)
+    assert len(outs) == len(stack)
+    for v, seed, out in zip(stack, seeds, outs):
+        alone = gsw_color(v, seed)
+        assert out.signs.dtype == np.int64 and out.steps == alone.steps
+        assert out.signs.tolist() == alone.signs.tolist()
+
+
+def test_stack_validates_each_walk_and_takes_one_seed_each():
+    assert gsw_color_stack([], []) == []
+    with pytest.raises(ValueError, match="2 walks need as many seeds, got 1"):
+        gsw_color_stack([np.eye(2) / 2, np.eye(3) / 2], [0])
+    with pytest.raises(ValueError, match="norm"):
+        gsw_color_stack([np.eye(2) / 2, np.array([[1.0, 1.0]])], [0, 1])
 
 
 def test_walk_memory_bounded_d3_cell():
